@@ -66,14 +66,12 @@ def normalize_columns(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
         raise ValidationError(f"expected a 2-d matrix, got shape {mat.shape}")
     if np.any(mat < 0):
         raise ValidationError("normalize_columns needs nonnegative entries")
-    sums = mat.sum(axis=0)
-    zero = sums == 0.0
-    out = mat / np.where(zero, 1.0, sums)
-    return out, tuple(int(i) for i in np.flatnonzero(zero))
+    return _column_shares(mat)
 
 
-def _normalize_signed(mat):
-    # share of each class's total absolute mass, keeping signs readable
+def _column_shares(mat):
+    # share of each column's total absolute mass, keeping signs readable;
+    # all-zero columns pass through and are flagged
     sums = np.abs(mat).sum(axis=0)
     zero = sums == 0.0
     return mat / np.where(zero, 1.0, sums), tuple(int(i) for i in np.flatnonzero(zero))
@@ -115,8 +113,8 @@ def importance_report(model: Model, signed: bool = False) -> ImportanceReport:
     joint_by_class, joint_overall = joint_importance(model, signed=signed)
     object_by_block, object_totals = object_importance(model, signed=signed)
     if signed:
-        joint_norm, joint_zero = _normalize_signed(joint_by_class)
-        object_norm, object_zero = _normalize_signed(object_by_block)
+        joint_norm, joint_zero = _column_shares(joint_by_class)
+        object_norm, object_zero = _column_shares(object_by_block)
     else:
         joint_norm, joint_zero = normalize_columns(joint_by_class)
         object_norm, object_zero = normalize_columns(object_by_block)
@@ -228,17 +226,15 @@ def format_report_table(
             report.object_modality_normalized[:, class_cols],
         ),
     ]
-    notes = []
-    if report.joint_zero_classes:
-        notes.append(
-            "all-zero joint columns left unnormalized for classes "
-            + ", ".join(str(c) for c in report.joint_zero_classes)
+    notes = [
+        f"all-zero {side} columns left unnormalized for classes "
+        + ", ".join(str(c) for c in zero_classes)
+        for side, zero_classes in (
+            ("joint", report.joint_zero_classes),
+            ("object", report.object_zero_classes),
         )
-    if report.object_zero_classes:
-        notes.append(
-            "all-zero object columns left unnormalized for classes "
-            + ", ".join(str(c) for c in report.object_zero_classes)
-        )
+        if zero_classes
+    ]
     text = "\n\n".join(blocks)
     if notes:
         text += "\n\n" + "\n".join("note: " + n for n in notes)

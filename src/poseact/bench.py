@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Model, predict
-from .errors import ConfigError, ValidationError
+from .core import Dataset, Model, check_int, check_number, predict
+from .errors import ValidationError
 from .solver import SolverConfig, fit
 
 __all__ = ["BenchResult", "bench_predict", "bench_fit", "result_to_dict", "format_result_table"]
@@ -40,8 +40,7 @@ class BenchResult:
 
 def bench_predict(model: Model, dataset: Dataset, min_duration_seconds: float = 2.0) -> BenchResult:
     """Measure single-instance prediction throughput on the given data."""
-    if not min_duration_seconds > 0:
-        raise ConfigError(f"min_duration_seconds must be > 0, got {min_duration_seconds!r}")
+    min_duration_seconds = check_number(min_duration_seconds, "min_duration_seconds", strict=True)
     frames = [
         (np.ascontiguousarray(dataset.skeleton[:, i]), np.ascontiguousarray(dataset.objects[:, i]))
         for i in range(dataset.n_instances)
@@ -74,8 +73,7 @@ def bench_predict(model: Model, dataset: Dataset, min_duration_seconds: float = 
 
 def bench_fit(dataset: Dataset, config: SolverConfig, repetitions: int = 3) -> BenchResult:
     """Mean wall time of repeated identical fits (one untimed warm-up fit)."""
-    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
-        raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+    repetitions = check_int(repetitions, "repetitions", 1)
     if dataset.labels is None:
         raise ValidationError("bench_fit needs a labeled dataset")
     fit(dataset, config)  # warm-up

@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import fields, replace
+from pathlib import Path
 
 from .analysis import format_report_table, importance_report, report_to_dict
 from .bench import bench_fit, bench_predict, format_result_table, result_to_dict
-from .core import FeatureLayout, predict_batch
+from .core import SEED_RANGE, FeatureLayout, check_int, check_number, predict_batch
 from .data import (
     SynthSpec,
     _atomic_write,
@@ -34,7 +33,7 @@ from .data import (
 from .errors import ConfigError, PoseactError, SingularityError, ValidationError
 from .solver import SolverConfig, fit
 
-__all__ = ["CliConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 ABLATION_MODES = ("full", "skeletal-only", "attribute-only")
 
@@ -46,87 +45,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _flag_float(value, flag, low=0.0, strict=False, high=None):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{flag} must be a number, got {value!r}") from None
-    if not np.isfinite(out) or out < low or (strict and out <= low):
-        bound = f"> {low}" if strict else f">= {low}"
-        raise ConfigError(f"{flag} must be finite and {bound}, got {value}")
-    if high is not None and out >= high:
-        raise ConfigError(f"{flag} must be < {high}, got {value}")
-    return out
+def _flag_type(check, parse, *bounds, **options):
+    """argparse type= callable: parse the text, then apply a shared range check.
+
+    Failures surface as ArgumentTypeError, so argparse names the flag.
+    """
+
+    def convert(text):
+        try:
+            return check(parse(text), "value", *bounds, **options)
+        except ValueError as exc:  # a parse failure or a ConfigError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _flag_int(value, flag, low):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{flag} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
-    return value
+_NON_NEGATIVE = _flag_type(check_number, float)
+_POSITIVE = _flag_type(check_number, float, strict=True)
+_FRACTION = _flag_type(check_number, float, high=1.0)
+_COUNT = _flag_type(check_int, int, 1)
+_SEED = _flag_type(check_int, int, *SEED_RANGE)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated shared knobs, one per flag."""
-
-    subcommand: str
-    data: str | None = None
-    model: str | None = None
-    out: str | None = None
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    tol: float = 1e-6
-    max_iters: int = 100
-    epsilon: float = 1e-8
-    seed: int = 0
-    standardize: bool = False
-    train_fraction: float = 0.7
-    ablation: str = "full"
-    min_duration: float = 2.0
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        get = lambda name, fallback: getattr(args, name, fallback)
-        ablation = get("ablation", "full")
-        if ablation not in ABLATION_MODES:
-            raise ConfigError(f"--ablation must be one of {ABLATION_MODES}, got {ablation!r}")
-        return cls(
-            subcommand=args.subcommand,
-            data=get("data", None),
-            model=get("model", None),
-            out=get("out", None),
-            lambda1=_flag_float(get("lambda1", 0.1), "--lambda1"),
-            lambda2=_flag_float(get("lambda2", 0.1), "--lambda2"),
-            tol=_flag_float(get("tol", 1e-6), "--tol", strict=True),
-            max_iters=_flag_int(get("max_iters", 100), "--max-iters", 1),
-            epsilon=_flag_float(get("epsilon", 1e-8), "--epsilon", strict=True),
-            seed=_flag_int(get("seed", 0), "--seed", 0),
-            standardize=bool(get("standardize", False)),
-            train_fraction=_flag_float(
-                get("train_fraction", 0.7), "--train-fraction", strict=True, high=1.0
-            ),
-            ablation=ablation,
-            min_duration=_flag_float(get("min_duration", 2.0), "--min-duration", strict=True),
-        )
-
-    def solver_config(self, ablation: str | None = None) -> SolverConfig:
-        lam1, lam2 = self.lambda1, self.lambda2
-        mode = self.ablation if ablation is None else ablation
-        # dropping a norm means zeroing its weight; the loss always sees both sides
-        if mode == "skeletal-only":
-            lam2 = 0.0
-        elif mode == "attribute-only":
-            lam1 = 0.0
-        return SolverConfig(
-            lambda1=lam1,
-            lambda2=lam2,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            epsilon=self.epsilon,
-            seed=self.seed,
-        )
+def _solver_config(args: argparse.Namespace, ablation: str = "full") -> SolverConfig:
+    config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
+    # dropping a norm means zeroing its weight; the loss always sees both sides
+    if ablation == "skeletal-only":
+        return replace(config, lambda2=0.0)
+    if ablation == "attribute-only":
+        return replace(config, lambda1=0.0)
+    return config
 
 
 def _parse_int_tuple(text, flag):
@@ -180,19 +128,19 @@ def _counts_line(dataset):
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
-    dataset = _load_labeled(cfg.data, "train")
+def cmd_train(args: argparse.Namespace) -> int:
+    dataset = _load_labeled(args.data, "train")
     print(_counts_line(dataset))
     transform = None
-    if cfg.standardize:
+    if args.standardize:
         dataset, transform = standardize(dataset)
-    model, report = fit(dataset, cfg.solver_config())
+    model, report = fit(dataset, _solver_config(args, args.ablation))
     if transform is not None:
         model = replace(model, standardizer=transform)
-    save_model(model, cfg.model, overwrite=True)
+    save_model(model, args.model, overwrite=True)
     report_path = args.report
     if report_path is None:
-        report_path = str(_with_report_suffix(cfg.model))
+        report_path = str(_with_report_suffix(args.model))
     _write_json(
         report_path,
         {
@@ -204,37 +152,41 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
             "final_loss": report.loss_trace[-1],
             "objective_trace": list(report.objective_trace),
             "loss_trace": list(report.loss_trace),
-            "standardized": cfg.standardize,
-            "ablation": cfg.ablation,
+            "standardized": args.standardize,
+            "ablation": args.ablation,
             "class_counts": dataset.class_counts(),
         },
     )
     if not report.converged:
         print(
             f"warning: objective still moving after {report.iterations_run} iterations "
-            f"(tol {cfg.tol}); model saved anyway",
+            f"(tol {args.tol}); model saved anyway",
             file=sys.stderr,
         )
     print(
         f"fit {'converged' if report.converged else 'stopped'} after "
         f"{report.iterations_run} iterations, objective {report.objective_trace[-1]:.6g}"
     )
-    print(f"model written to {cfg.model}, report to {report_path}")
+    print(f"model written to {args.model}, report to {report_path}")
     return 0
 
 
 def _with_report_suffix(model_path):
-    from pathlib import Path
-
     p = Path(model_path)
     return p.with_name(p.stem + ".report.json")
 
 
-def cmd_predict(cfg: CliConfig, args: argparse.Namespace) -> int:
-    model = load_model(cfg.model)
-    dataset = load_dataset(cfg.data)
+def _load_for_scoring(args):
+    """The saved model and the data file, scaled the way the training data was."""
+    model = load_model(args.model)
+    dataset = load_dataset(args.data)
     if model.standardizer is not None:
         dataset = model.standardizer.apply(dataset)
+    return model, dataset
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    model, dataset = _load_for_scoring(args)
     predicted, accuracy = predict_batch(model, dataset)
     doc = {
         "schema_version": 1,
@@ -244,9 +196,9 @@ def cmd_predict(cfg: CliConfig, args: argparse.Namespace) -> int:
     }
     if accuracy is not None:
         doc["accuracy"] = accuracy
-    if cfg.out is not None:
-        _write_json(cfg.out, doc)
-        line = f"{len(predicted)} predictions written to {cfg.out}"
+    if args.out is not None:
+        _write_json(args.out, doc)
+        line = f"{len(predicted)} predictions written to {args.out}"
         if accuracy is not None:
             line += f", accuracy {accuracy:.4f}"
         print(line)
@@ -255,8 +207,8 @@ def cmd_predict(cfg: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
-    model = load_model(cfg.model)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     report = importance_report(model, signed=args.signed)
     joints = None if args.joints is None else _parse_int_tuple(args.joints, "--joints")
     classes = None if args.classes is None else _parse_int_tuple(args.classes, "--classes")
@@ -268,16 +220,16 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
         print(f"selected joints: {', '.join(str(j) for j in joints)}")
     if classes is not None:
         print(f"selected classes: {', '.join(str(c) for c in classes)}")
-    if cfg.out is not None:
+    if args.out is not None:
         doc = report_to_dict(report, model)
         doc["selected_joints"] = None if joints is None else list(joints)
         doc["selected_classes"] = None if classes is None else list(classes)
-        _write_json(cfg.out, doc)
-        print(f"report written to {cfg.out}")
+        _write_json(args.out, doc)
+        print(f"report written to {args.out}")
     return 0
 
 
-def cmd_synth(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     layout = FeatureLayout(
         joint_dims=_parse_int_tuple(args.joint_dims, "--joint-dims"),
         object_count=args.object_count,
@@ -287,60 +239,55 @@ def cmd_synth(cfg: CliConfig, args: argparse.Namespace) -> int:
         layout=layout,
         n_classes=args.classes,
         n_instances=args.instances,
-        noise_sigma=_flag_float(args.noise_sigma, "--noise-sigma"),
+        noise_sigma=args.noise_sigma,
         planted_joints=_parse_planted_joints(args.planted_joints, "--planted-joints"),
         planted_blocks=_parse_planted_blocks(args.planted_blocks, "--planted-blocks"),
-        seed=cfg.seed,
+        seed=args.seed,
     )
     generated = generate(spec)
-    save_dataset(generated.dataset, cfg.out, overwrite=True)
+    save_dataset(generated.dataset, args.out, overwrite=True)
     print(
         f"wrote {spec.n_instances} instances "
-        f"(d_t={layout.d_t}, d_o={layout.d_o}, classes={spec.n_classes}) to {cfg.out}"
+        f"(d_t={layout.d_t}, d_o={layout.d_o}, classes={spec.n_classes}) to {args.out}"
     )
     print(_counts_line(generated.dataset))
     return 0
 
 
-def cmd_bench(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     if args.mode == "predict":
-        model = load_model(cfg.model)
-        dataset = load_dataset(cfg.data)
-        if model.standardizer is not None:
-            dataset = model.standardizer.apply(dataset)
-        result = bench_predict(model, dataset, min_duration_seconds=cfg.min_duration)
+        model, dataset = _load_for_scoring(args)
+        result = bench_predict(model, dataset, min_duration_seconds=args.min_duration)
     else:
-        dataset = _load_labeled(cfg.data, "bench --mode fit")
-        result = bench_fit(
-            dataset, cfg.solver_config(), repetitions=_flag_int(args.repetitions, "--repetitions", 1)
-        )
+        dataset = _load_labeled(args.data, "bench --mode fit")
+        result = bench_fit(dataset, _solver_config(args), repetitions=args.repetitions)
     print(format_result_table(result))
-    if cfg.out is not None:
-        _write_json(cfg.out, result_to_dict(result))
-        print(f"result written to {cfg.out}")
+    if args.out is not None:
+        _write_json(args.out, result_to_dict(result))
+        print(f"result written to {args.out}")
     return 0
 
 
-def cmd_ablate(cfg: CliConfig, args: argparse.Namespace) -> int:
-    dataset = _load_labeled(cfg.data, "ablate")
-    train_set, test_set = split(dataset, cfg.train_fraction, cfg.seed)
+def cmd_ablate(args: argparse.Namespace) -> int:
+    dataset = _load_labeled(args.data, "ablate")
+    train_set, test_set = split(dataset, args.train_fraction, args.seed)
     print(
         f"split {dataset.n_instances} instances into {train_set.n_instances} train / "
-        f"{test_set.n_instances} test (seed {cfg.seed})"
+        f"{test_set.n_instances} test (seed {args.seed})"
     )
     transform = None
-    if cfg.standardize:
+    if args.standardize:
         train_set, transform = standardize(train_set)
         test_set = transform.apply(test_set)
     rows = []
     for mode in ABLATION_MODES:
-        config = cfg.solver_config(ablation=mode)
+        config = _solver_config(args, mode)
         model, report = fit(train_set, config)
         if transform is not None:
             model = replace(model, standardizer=transform)
         _, accuracy = predict_batch(model, test_set)
-        if cfg.out is not None:
-            path = f"{cfg.out}.{mode.replace('-', '_')}.json"
+        if args.out is not None:
+            path = f"{args.out}.{mode.replace('-', '_')}.json"
             save_model(model, path, overwrite=True)
         rows.append(
             {
@@ -359,18 +306,18 @@ def cmd_ablate(cfg: CliConfig, args: argparse.Namespace) -> int:
             f"{row['variant']:<18}{row['lambda1']:>10.4g}{row['lambda2']:>10.4g}"
             f"{row['iterations_run']:>8}{str(row['converged']):>11}{row['test_accuracy']:>10.4f}"
         )
-    if cfg.out is not None:
+    if args.out is not None:
         _write_json(
-            f"{cfg.out}.comparison.json",
+            f"{args.out}.comparison.json",
             {
                 "schema_version": 1,
-                "train_fraction": cfg.train_fraction,
-                "seed": cfg.seed,
-                "standardized": cfg.standardize,
+                "train_fraction": args.train_fraction,
+                "seed": args.seed,
+                "standardized": args.standardize,
                 "results": rows,
             },
         )
-        print(f"models and comparison written with prefix {cfg.out}")
+        print(f"models and comparison written with prefix {args.out}")
     return 0
 
 
@@ -378,12 +325,21 @@ def cmd_ablate(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--lambda1", type=float, default=0.1, help="skeletal norm weight")
-    parser.add_argument("--lambda2", type=float, default=0.1, help="attribute norm weight")
-    parser.add_argument("--tol", type=float, default=1e-6, help="relative objective-decrease stop")
-    parser.add_argument("--max-iters", type=int, default=100, dest="max_iters")
-    parser.add_argument("--epsilon", type=float, default=1e-8, help="block-norm floor")
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = SolverConfig()
+    parser.add_argument(
+        "--lambda1", type=_NON_NEGATIVE, default=defaults.lambda1, help="skeletal norm weight"
+    )
+    parser.add_argument(
+        "--lambda2", type=_NON_NEGATIVE, default=defaults.lambda2, help="attribute norm weight"
+    )
+    parser.add_argument(
+        "--tol", type=_POSITIVE, default=defaults.tol, help="relative objective-decrease stop"
+    )
+    parser.add_argument("--max-iters", type=_COUNT, default=defaults.max_iters, dest="max_iters")
+    parser.add_argument(
+        "--epsilon", type=_POSITIVE, default=defaults.epsilon, help="block-norm floor"
+    )
+    parser.add_argument("--seed", type=_SEED, default=defaults.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality-dims", required=True, dest="modality_dims")
     p.add_argument("--classes", required=True, type=int)
     p.add_argument("--instances", required=True, type=int)
-    p.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
+    p.add_argument("--noise-sigma", type=_NON_NEGATIVE, default=0.0, dest="noise_sigma")
     p.add_argument(
         "--planted-joints",
         required=True,
@@ -433,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="planted_blocks",
         help="per-class object:modality pairs (e.g. '0:0;0:1;1:0,1:1')",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("bench", help="measure prediction or fit throughput")
@@ -441,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="required for --mode predict")
     p.add_argument("--out", default=None)
     p.add_argument("--mode", choices=("predict", "fit"), default="predict")
-    p.add_argument("--min-duration", type=float, default=2.0, dest="min_duration")
-    p.add_argument("--repetitions", type=int, default=3, help="fit repetitions for --mode fit")
+    p.add_argument("--min-duration", type=_POSITIVE, default=2.0, dest="min_duration")
+    p.add_argument("--repetitions", type=_COUNT, default=3, help="fit repetitions for --mode fit")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("ablate", help="compare full vs single-norm training on one split")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="path prefix for the three model files")
-    p.add_argument("--train-fraction", type=float, default=0.7, dest="train_fraction")
+    p.add_argument("--train-fraction", type=_FRACTION, default=0.7, dest="train_fraction")
     p.add_argument("--standardize", action="store_true")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_ablate)
@@ -465,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("a subcommand is required (train, predict, analyze, synth, bench, ablate)")
         if args.subcommand == "bench" and args.mode == "predict" and args.model is None:
             raise ConfigError("bench --mode predict needs --model")
-        cfg = CliConfig.from_args(args)
-        return args.handler(cfg, args)
+        return args.handler(args)
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ as d_o x N, with one-hot labels as rows of an N x C matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -38,11 +39,38 @@ __all__ = [
 ]
 
 
-def _positive_int(value, what):
+# seeds feed numpy's generators, which take any unsigned 64-bit integer
+SEED_RANGE = (0, 2**64)
+
+
+def check_number(value, name, low=0.0, strict=False, high=None):
+    """float(value) when it is finite and in range, else raise ConfigError.
+
+    The range is [low, inf), or (low, inf) when strict; high, when given,
+    makes it the open interval (low, high).
+    """
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if high is not None:
+        ok, bound = low < out < high, f"strictly between {low:g} and {high:g}"
+    elif strict:
+        ok, bound = out > low, f"> {low:g}"
+    else:
+        ok, bound = out >= low, f">= {low:g}"
+    if not (ok and math.isfinite(out)):
+        raise ConfigError(f"{name} must be finite and {bound}, got {value!r}")
+    return out
+
+
+def check_int(value, name, low, high=None, error=ConfigError):
+    """int(value) when value is an integer (not a bool) in [low, high), else raise error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise LayoutError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise LayoutError(f"{what} must be >= 1, got {value}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise error(f"{name} must be {bound}, got {value}")
     return int(value)
 
 
@@ -53,7 +81,7 @@ def _positive_int_tuple(values, what):
         raise LayoutError(f"{what} must be a sequence of positive integers") from None
     if not items:
         raise LayoutError(f"{what} must not be empty")
-    return tuple(_positive_int(v, f"every entry of {what}") for v in items)
+    return tuple(check_int(v, f"every entry of {what}", 1, error=LayoutError) for v in items)
 
 
 def _str_tuple(values, what):
@@ -86,7 +114,7 @@ class FeatureLayout:
             self, "modality_dims", _positive_int_tuple(self.modality_dims, "modality_dims")
         )
         object.__setattr__(
-            self, "object_count", _positive_int(self.object_count, "object_count")
+            self, "object_count", check_int(self.object_count, "object_count", 1, error=LayoutError)
         )
 
     @property
@@ -155,18 +183,13 @@ class GroupNames:
         object.__setattr__(self, "modalities", _str_tuple(self.modalities, "modality names"))
 
     def check_against(self, layout: FeatureLayout) -> None:
-        if len(self.joints) != layout.n_joints:
-            raise LayoutError(
-                f"{len(self.joints)} joint names for {layout.n_joints} joints"
-            )
-        if len(self.objects) != layout.object_count:
-            raise LayoutError(
-                f"{len(self.objects)} object names for {layout.object_count} objects"
-            )
-        if len(self.modalities) != layout.n_modalities:
-            raise LayoutError(
-                f"{len(self.modalities)} modality names for {layout.n_modalities} modalities"
-            )
+        for names, count, noun, plural in (
+            (self.joints, layout.n_joints, "joint", "joints"),
+            (self.objects, layout.object_count, "object", "objects"),
+            (self.modalities, layout.n_modalities, "modality", "modalities"),
+        ):
+            if len(names) != count:
+                raise LayoutError(f"{len(names)} {noun} names for {count} {plural}")
 
 
 def default_names(layout: FeatureLayout) -> GroupNames:
@@ -178,10 +201,10 @@ def default_names(layout: FeatureLayout) -> GroupNames:
     )
 
 
-def _frozen_matrix(value, what):
+def _frozen_array(value, what, ndim=2):
     arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.ndim != 2:
-        raise LayoutError(f"{what} must be a 2-d array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise LayoutError(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -208,8 +231,8 @@ class Dataset:
     names: GroupNames | None = None
 
     def __post_init__(self):
-        skeleton = _frozen_matrix(self.skeleton, "skeleton matrix")
-        objects = _frozen_matrix(self.objects, "object matrix")
+        skeleton = _frozen_array(self.skeleton, "skeleton matrix")
+        objects = _frozen_array(self.objects, "object matrix")
         if skeleton.shape[0] != self.layout.d_t:
             raise LayoutError(
                 f"skeleton matrix has {skeleton.shape[0]} rows, layout expects {self.layout.d_t}"
@@ -230,7 +253,7 @@ class Dataset:
         object.__setattr__(self, "objects", objects)
 
         if self.labels is not None:
-            labels = _frozen_matrix(self.labels, "label matrix")
+            labels = _frozen_array(self.labels, "label matrix")
             if labels.shape[0] != skeleton.shape[1]:
                 raise LayoutError(
                     f"label matrix has {labels.shape[0]} rows for {skeleton.shape[1]} instances"
@@ -303,8 +326,8 @@ class Model:
     standardizer: "Standardizer | None" = field(default=None, repr=False)
 
     def __post_init__(self):
-        w = _frozen_matrix(self.w, "skeleton weight matrix")
-        u = _frozen_matrix(self.u, "object weight matrix")
+        w = _frozen_array(self.w, "skeleton weight matrix")
+        u = _frozen_array(self.u, "object weight matrix")
         class_names = _str_tuple(self.class_names, "class names")
         if not class_names:
             raise ValidationError("a model needs at least one class")
@@ -369,6 +392,11 @@ def attribute_norm(u, layout: FeatureLayout) -> float:
     return _block_norm_sum(u, layout.object_block_slices)
 
 
+def _residual(dataset: Dataset, w, u) -> np.ndarray:
+    """T'W + O'U - Y, the N x C misfit of the joint linear fit."""
+    return dataset.skeleton.T @ w + dataset.objects.T @ u - dataset.labels
+
+
 def loss(dataset: Dataset, w, u) -> float:
     """Squared Frobenius residual of the joint linear fit against the labels."""
     if dataset.labels is None:
@@ -380,15 +408,14 @@ def loss(dataset: Dataset, w, u) -> float:
             f"weight matrices have {w.shape[1]} and {u.shape[1]} columns "
             f"for {dataset.labels.shape[1]} classes"
         )
-    r = dataset.skeleton.T @ w + dataset.objects.T @ u - dataset.labels
+    r = _residual(dataset, w, u)
     return float(np.sum(r * r))
 
 
 def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
-    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not np.isfinite(lam) or lam < 0:
-            raise ConfigError(f"{name} must be a finite value >= 0, got {lam!r}")
+    lambda1 = check_number(lambda1, "lambda1")
+    lambda2 = check_number(lambda2, "lambda2")
     return (
         loss(dataset, w, u)
         + lambda1 * skeletal_norm(w, dataset.layout)

@@ -4,8 +4,10 @@ Dataset files are UTF-8 text: a JSON header object on line 1 (block layout,
 class list, group names) followed by one JSON array per line per instance,
 skeleton features first, then object features, then the label string for
 labeled data.  Model files are a single JSON document.  Both writers are
-atomic (temp file plus rename) and byte-deterministic, so saving what load
-returned reproduces the file exactly.
+atomic and durable (fsynced temp file plus rename), create files the way
+open() does under the current umask, and are byte-deterministic, so saving
+what load returned reproduces the file exactly.  Both readers turn every
+malformed input, including bytes that are not UTF-8, into DataFormatError.
 """
 
 from __future__ import annotations
@@ -13,20 +15,24 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FeatureLayout, GroupNames, Model, default_names
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    LayoutError,
-    ValidationError,
+from .core import (
+    SEED_RANGE,
+    Dataset,
+    FeatureLayout,
+    GroupNames,
+    Model,
+    _frozen_array,
+    _require_finite,
+    check_int,
+    check_number,
 )
-from .solver import SolverConfig, _MAX_SEED
+from .errors import ConfigError, DataFormatError, LayoutError, ValidationError
+from .solver import SolverConfig
 
 __all__ = [
     "DATASET_FORMAT",
@@ -52,16 +58,6 @@ FORMAT_VERSION = 1
 # --- standardization --------------------------------------------------------
 
 
-def _frozen_vector(value, what):
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise LayoutError(f"{what} must be 1-d, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Standardizer:
     """Per-feature centering and scaling fitted on one training set.
@@ -80,7 +76,9 @@ class Standardizer:
 
     def __post_init__(self):
         for name in ("skeleton_mean", "skeleton_scale", "object_mean", "object_scale"):
-            object.__setattr__(self, name, _frozen_vector(getattr(self, name), name))
+            vector = _frozen_array(getattr(self, name), name, ndim=1)
+            _require_finite(vector, name)
+            object.__setattr__(self, name, vector)
         if self.skeleton_mean.shape != self.skeleton_scale.shape:
             raise LayoutError("skeleton mean and scale lengths disagree")
         if self.object_mean.shape != self.object_scale.shape:
@@ -96,26 +94,17 @@ class Standardizer:
 
     def apply(self, dataset: Dataset) -> Dataset:
         """Transform a dataset exactly the way the training set was transformed."""
-        if dataset.layout.d_t != self.skeleton_mean.shape[0]:
-            raise LayoutError(
-                f"dataset has {dataset.layout.d_t} skeleton features, "
-                f"transform expects {self.skeleton_mean.shape[0]}"
-            )
-        if dataset.layout.d_o != self.object_mean.shape[0]:
-            raise LayoutError(
-                f"dataset has {dataset.layout.d_o} object features, "
-                f"transform expects {self.object_mean.shape[0]}"
-            )
+        for side, dim, mean in (
+            ("skeleton", dataset.layout.d_t, self.skeleton_mean),
+            ("object", dataset.layout.d_o, self.object_mean),
+        ):
+            if dim != mean.shape[0]:
+                raise LayoutError(
+                    f"dataset has {dim} {side} features, transform expects {mean.shape[0]}"
+                )
         skeleton = (dataset.skeleton - self.skeleton_mean[:, None]) / self.skeleton_scale[:, None]
         objects = (dataset.objects - self.object_mean[:, None]) / self.object_scale[:, None]
-        return Dataset(
-            layout=dataset.layout,
-            skeleton=skeleton,
-            objects=objects,
-            labels=dataset.labels,
-            class_names=dataset.class_names,
-            names=dataset.names,
-        )
+        return replace(dataset, skeleton=skeleton, objects=objects)
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
@@ -150,14 +139,6 @@ def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
 # --- synthetic data ----------------------------------------------------------
 
 
-def _checked_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for synthetic data with known discriminative structure.
@@ -177,25 +158,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, (int, np.integer)):
-            raise ConfigError(f"n_classes must be an integer, got {self.n_classes!r}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        object.__setattr__(self, "n_classes", int(self.n_classes))
-        if isinstance(self.n_instances, bool) or not isinstance(self.n_instances, (int, np.integer)):
-            raise ConfigError(f"n_instances must be an integer, got {self.n_instances!r}")
-        if self.n_instances < 1:
-            raise ConfigError(f"n_instances must be >= 1, got {self.n_instances}")
-        object.__setattr__(self, "n_instances", int(self.n_instances))
-        sigma = self.noise_sigma
-        try:
-            sigma = float(sigma)
-        except (TypeError, ValueError):
-            raise ConfigError(f"noise_sigma must be a number, got {sigma!r}") from None
-        if not math.isfinite(sigma) or sigma < 0:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {sigma}")
-        object.__setattr__(self, "noise_sigma", sigma)
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "n_classes", check_int(self.n_classes, "n_classes", 2))
+        object.__setattr__(self, "n_instances", check_int(self.n_instances, "n_instances", 1))
+        object.__setattr__(self, "noise_sigma", check_number(self.noise_sigma, "noise_sigma"))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", *SEED_RANGE))
 
         joints = tuple(self.planted_joints)
         if len(joints) != self.n_classes:
@@ -298,13 +264,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     Both sides keep the full layout, class list, and names; either side
     coming out empty is an error.
     """
-    try:
-        frac = float(train_fraction)
-    except (TypeError, ValueError):
-        raise ConfigError(f"train_fraction must be a number, got {train_fraction!r}") from None
-    if not 0.0 < frac < 1.0:
-        raise ConfigError(f"train_fraction must lie strictly between 0 and 1, got {frac}")
-    seed = _checked_seed(seed)
+    frac = check_number(train_fraction, "train_fraction", high=1.0)
+    seed = check_int(seed, "seed", *SEED_RANGE)
     n = dataset.n_instances
     n_train = int(round(frac * n))
     if n_train == 0 or n_train == n:
@@ -314,29 +275,36 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     order = np.random.default_rng(seed).permutation(n)
 
     def take(idx):
-        return Dataset(
-            layout=dataset.layout,
+        return replace(
+            dataset,
             skeleton=dataset.skeleton[:, idx],
             objects=dataset.objects[:, idx],
             labels=None if dataset.labels is None else dataset.labels[idx],
-            class_names=dataset.class_names,
-            names=dataset.names,
         )
 
     return take(order[:n_train]), take(order[n_train:])
 
 
-# --- dataset files -----------------------------------------------------------
+# --- files -------------------------------------------------------------------
 
 
 def _atomic_write(path, text, overwrite):
+    """Write text through a temp file in the same directory, then rename it over path.
+
+    The temp file is created with mode 0o666, so the umask applies as it
+    does to open().  The data is fsynced before the rename and the
+    directory after it: a crash leaves the old file or the new one, whole.
+    """
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} already exists; pass overwrite=True to replace it")
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -344,23 +312,100 @@ def _atomic_write(path, text, overwrite):
         except OSError:
             pass
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
-def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
-    """Write a dataset file; see the module docstring for the format."""
-    names = dataset.names
-    header = {
-        "format": DATASET_FORMAT,
-        "version": FORMAT_VERSION,
-        "joint_dims": list(dataset.layout.joint_dims),
-        "object_count": dataset.layout.object_count,
-        "modality_dims": list(dataset.layout.modality_dims),
-        "classes": list(dataset.class_names) if dataset.class_names else [],
-        "names": {
+def _read_text(path) -> str:
+    """A file's contents as text; bytes that are not UTF-8 are a format error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text (bad byte at {exc.start})") from None
+
+
+def _parse_json(text, what):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise DataFormatError(f"{what} is not valid JSON ({getattr(exc, 'msg', exc)})") from exc
+
+
+def _encode_header(layout: FeatureLayout, names: GroupNames) -> tuple[dict, dict]:
+    """The layout and group-name objects both file kinds store; see _decode_header."""
+    return (
+        {
+            "joint_dims": list(layout.joint_dims),
+            "object_count": layout.object_count,
+            "modality_dims": list(layout.modality_dims),
+        },
+        {
             "joints": list(names.joints),
             "objects": list(names.objects),
             "modalities": list(names.modalities),
         },
+    )
+
+
+def _decode_header(doc, expected_format, layout_raw, where):
+    """Check a file's format and version, then rebuild its layout and group names.
+
+    layout_raw holds the three layout keys: the dataset header itself, or
+    the model's "layout" object.  Absent names decode to None.  where
+    prefixes every message.
+    """
+    if doc.get("format") != expected_format:
+        raise DataFormatError(
+            f"{where}format is {doc.get('format')!r}, expected {expected_format!r}"
+        )
+    if doc.get("version") != FORMAT_VERSION:
+        raise DataFormatError(
+            f"{where}unsupported version {doc.get('version')!r}, expected {FORMAT_VERSION}"
+        )
+    if not isinstance(layout_raw, dict):
+        raise DataFormatError(f"{where}layout must be an object")
+    try:
+        layout = FeatureLayout(
+            joint_dims=tuple(layout_raw["joint_dims"]),
+            object_count=layout_raw["object_count"],
+            modality_dims=tuple(layout_raw["modality_dims"]),
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"{where}layout is missing {exc}") from None
+    except (LayoutError, TypeError) as exc:
+        raise DataFormatError(f"{where}bad layout ({exc})") from exc
+    names_raw = doc.get("names")
+    if names_raw is None:
+        return layout, None
+    if not isinstance(names_raw, dict):
+        raise DataFormatError(f"{where}names must be an object or null")
+    try:
+        names = GroupNames(
+            joints=tuple(names_raw.get("joints", ())),
+            objects=tuple(names_raw.get("objects", ())),
+            modalities=tuple(names_raw.get("modalities", ())),
+        )
+        names.check_against(layout)
+    except (LayoutError, ValidationError, TypeError) as exc:
+        raise DataFormatError(f"{where}bad names ({exc})") from exc
+    return layout, names
+
+
+# --- dataset files -----------------------------------------------------------
+
+
+def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
+    """Write a dataset file; see the module docstring for the format."""
+    layout, names = _encode_header(dataset.layout, dataset.names)
+    header = {
+        "format": DATASET_FORMAT,
+        "version": FORMAT_VERSION,
+        **layout,
+        "classes": list(dataset.class_names) if dataset.class_names else [],
+        "names": names,
     }
     lines = [json.dumps(header)]
     labeled = dataset.labels is not None
@@ -371,54 +416,20 @@ def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
         if labeled:
             row.append(dataset.class_names[int(winners[i])])
         lines.append(json.dumps(row))
-    _atomic_write(path, "\n".join(lines) + "\n", overwrite)
+    lines.append("")  # the final newline, without a second copy of the whole text
+    _atomic_write(path, "\n".join(lines), overwrite)
 
 
 def _parse_header(line):
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"line 1: header is not valid JSON ({exc.msg})") from exc
+    header = _parse_json(line, "line 1: header")
     if not isinstance(header, dict):
         raise DataFormatError("line 1: header must be a JSON object")
-    if header.get("format") != DATASET_FORMAT:
-        raise DataFormatError(
-            f"line 1: format is {header.get('format')!r}, expected {DATASET_FORMAT!r}"
-        )
-    if header.get("version") != FORMAT_VERSION:
-        raise DataFormatError(
-            f"line 1: unsupported version {header.get('version')!r}, expected {FORMAT_VERSION}"
-        )
-    for key in ("joint_dims", "object_count", "modality_dims", "classes"):
-        if key not in header:
-            raise DataFormatError(f"line 1: header is missing {key!r}")
-    try:
-        layout = FeatureLayout(
-            joint_dims=tuple(header["joint_dims"]),
-            object_count=header["object_count"],
-            modality_dims=tuple(header["modality_dims"]),
-        )
-    except (LayoutError, TypeError) as exc:
-        raise DataFormatError(f"line 1: bad layout ({exc})") from exc
-    classes = header["classes"]
+    layout, names = _decode_header(header, DATASET_FORMAT, header, "line 1: ")
+    classes = header.get("classes")
     if not isinstance(classes, list) or not all(isinstance(c, str) and c for c in classes):
         raise DataFormatError("line 1: classes must be a list of non-empty strings")
     if len(set(classes)) != len(classes):
         raise DataFormatError("line 1: classes contains duplicates")
-    names_raw = header.get("names")
-    names = None
-    if names_raw is not None:
-        if not isinstance(names_raw, dict):
-            raise DataFormatError("line 1: names must be an object")
-        try:
-            names = GroupNames(
-                joints=tuple(names_raw.get("joints", ())),
-                objects=tuple(names_raw.get("objects", ())),
-                modalities=tuple(names_raw.get("modalities", ())),
-            )
-            names.check_against(layout)
-        except (LayoutError, ValidationError, TypeError) as exc:
-            raise DataFormatError(f"line 1: bad names ({exc})") from exc
     return layout, tuple(classes), names
 
 
@@ -426,11 +437,21 @@ def _row_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_numbers(values, where):
+    """Raise DataFormatError unless every entry is a finite int or float."""
+    try:
+        for k, v in enumerate(values):
+            if not _row_number(v):
+                raise DataFormatError(f"{where}: entry {k} is not a number ({v!r})")
+            if not math.isfinite(v):
+                raise DataFormatError(f"{where}: entry {k} is not finite ({v!r})")
+    except OverflowError:  # isfinite on an integer literal beyond the float range
+        raise DataFormatError(f"{where}: entry {k} is too large for a float") from None
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset file back into memory; inverse of save_dataset."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = _read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -443,10 +464,7 @@ def load_dataset(path) -> Dataset:
     class_index = {name: c for c, name in enumerate(classes)}
     for offset, raw in enumerate(lines[1:]):
         row_id = f"row {offset} (line {offset + 2})"
-        try:
-            row = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{row_id}: not valid JSON ({exc.msg})") from exc
+        row = _parse_json(raw, row_id)
         if not isinstance(row, list):
             raise DataFormatError(f"{row_id}: expected a JSON array")
         has_label = len(row) == width + 1
@@ -460,11 +478,7 @@ def load_dataset(path) -> Dataset:
         elif labeled != has_label:
             raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
         values = row[:width]
-        for k, v in enumerate(values):
-            if not _row_number(v):
-                raise DataFormatError(f"{row_id}: entry {k} is not a number ({v!r})")
-            if not math.isfinite(v):
-                raise DataFormatError(f"{row_id}: entry {k} is not finite ({v!r})")
+        _check_numbers(values, row_id)
         if has_label:
             label = row[width]
             if not isinstance(label, str):
@@ -500,14 +514,7 @@ def load_dataset(path) -> Dataset:
 def _standardizer_to_dict(transform: Standardizer | None):
     if transform is None:
         return None
-    return {
-        "skeleton_mean": transform.skeleton_mean.tolist(),
-        "skeleton_scale": transform.skeleton_scale.tolist(),
-        "object_mean": transform.object_mean.tolist(),
-        "object_scale": transform.object_scale.tolist(),
-        "skeleton_constant": list(transform.skeleton_constant),
-        "object_constant": list(transform.object_constant),
-    }
+    return {f.name: np.asarray(getattr(transform, f.name)).tolist() for f in fields(Standardizer)}
 
 
 def _standardizer_from_dict(raw):
@@ -524,35 +531,20 @@ def _standardizer_from_dict(raw):
             skeleton_constant=tuple(raw.get("skeleton_constant", ())),
             object_constant=tuple(raw.get("object_constant", ())),
         )
-    except (KeyError, LayoutError, ValidationError, TypeError, ValueError) as exc:
+    except (KeyError, LayoutError, ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad standardizer ({exc})") from exc
 
 
 def save_model(model: Model, path, overwrite: bool = False) -> None:
     """Write a model as one JSON document with row-major weight arrays."""
-    config = model.hyperparams
+    layout, names = _encode_header(model.layout, model.names)
     doc = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
-        "layout": {
-            "joint_dims": list(model.layout.joint_dims),
-            "object_count": model.layout.object_count,
-            "modality_dims": list(model.layout.modality_dims),
-        },
+        "layout": layout,
         "classes": list(model.class_names),
-        "names": {
-            "joints": list(model.names.joints),
-            "objects": list(model.names.objects),
-            "modalities": list(model.names.modalities),
-        },
-        "hyperparams": {
-            "lambda1": config.lambda1,
-            "lambda2": config.lambda2,
-            "tol": config.tol,
-            "max_iters": config.max_iters,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-        },
+        "names": names,
+        "hyperparams": asdict(model.hyperparams),
         "w": model.w.ravel(order="C").tolist(),
         "u": model.u.ravel(order="C").tolist(),
         "standardizer": _standardizer_to_dict(model.standardizer),
@@ -561,33 +553,15 @@ def save_model(model: Model, path, overwrite: bool = False) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model file back into memory; inverse of save_model."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"model file is not valid JSON ({exc.msg})") from exc
+    """Read a model file back into memory; inverse of save_model.
+
+    A hyperparameter missing from the file takes its SolverConfig default;
+    unknown hyperparameter keys are ignored.
+    """
+    doc = _parse_json(_read_text(path), "model file")
     if not isinstance(doc, dict):
         raise DataFormatError("model file must hold a JSON object")
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataFormatError(
-            f"format is {doc.get('format')!r}, expected {MODEL_FORMAT!r}"
-        )
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported version {doc.get('version')!r}, expected {FORMAT_VERSION}"
-        )
-    layout_raw = doc.get("layout")
-    if not isinstance(layout_raw, dict):
-        raise DataFormatError("layout must be an object")
-    try:
-        layout = FeatureLayout(
-            joint_dims=tuple(layout_raw.get("joint_dims", ())),
-            object_count=layout_raw.get("object_count", 0),
-            modality_dims=tuple(layout_raw.get("modality_dims", ())),
-        )
-    except (LayoutError, TypeError) as exc:
-        raise DataFormatError(f"bad layout ({exc})") from exc
+    layout, names = _decode_header(doc, MODEL_FORMAT, doc.get("layout"), "")
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
         raise DataFormatError("classes must be a non-empty list")
@@ -595,14 +569,7 @@ def load_model(path) -> Model:
     if not isinstance(hp, dict):
         raise DataFormatError("hyperparams must be an object")
     try:
-        config = SolverConfig(
-            lambda1=hp.get("lambda1", 0.1),
-            lambda2=hp.get("lambda2", 0.1),
-            tol=hp.get("tol", 1e-6),
-            max_iters=hp.get("max_iters", 100),
-            epsilon=hp.get("epsilon", 1e-8),
-            seed=hp.get("seed", 0),
-        )
+        config = SolverConfig(**{f.name: hp.get(f.name, f.default) for f in fields(SolverConfig)})
     except ConfigError as exc:
         raise DataFormatError(f"bad hyperparams ({exc})") from exc
     n_classes = len(classes)
@@ -617,23 +584,7 @@ def load_model(path) -> Model:
             f"u must hold {layout.d_o * n_classes} values for this layout and class count"
         )
     for label, flat in (("w", w_flat), ("u", u_flat)):
-        for v in flat:
-            if not _row_number(v) or not math.isfinite(v):
-                raise DataFormatError(f"{label} contains a non-finite or non-numeric entry")
-    names_raw = doc.get("names")
-    names = None
-    if names_raw is not None:
-        if not isinstance(names_raw, dict):
-            raise DataFormatError("names must be an object or null")
-        try:
-            names = GroupNames(
-                joints=tuple(names_raw.get("joints", ())),
-                objects=tuple(names_raw.get("objects", ())),
-                modalities=tuple(names_raw.get("modalities", ())),
-            )
-            names.check_against(layout)
-        except (LayoutError, ValidationError, TypeError) as exc:
-            raise DataFormatError(f"bad names ({exc})") from exc
+        _check_numbers(flat, f"{label} has a non-finite or non-numeric entry")
     try:
         return Model(
             layout=layout,

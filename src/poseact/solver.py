@@ -12,15 +12,24 @@ shrinks.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import Dataset, FeatureLayout, Model, _block_norm_sum, _check_weight_matrix
-from .errors import ConfigError, LayoutError, SingularityError, ValidationError
+from .core import (
+    SEED_RANGE,
+    Dataset,
+    FeatureLayout,
+    Model,
+    _block_norm_sum,
+    _check_weight_matrix,
+    _residual,
+    check_int,
+    check_number,
+)
+from .errors import LayoutError, SingularityError, ValidationError
 
 __all__ = [
     "SolverConfig",
@@ -38,19 +47,6 @@ __all__ = [
 
 # absolute slack allowed when checking the surrogate-decrease inequality
 _INEQUALITY_SLACK = 1e-12
-
-_MAX_SEED = 2**64
-
-
-def _checked_float(value, name, low=0.0, strict=False):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(out) or out < low or (strict and out <= low):
-        bound = f"> {low}" if strict else f">= {low}"
-        raise ConfigError(f"{name} must be finite and {bound}, got {value!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,22 +67,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda1", _checked_float(self.lambda1, "lambda1"))
-        object.__setattr__(self, "lambda2", _checked_float(self.lambda2, "lambda2"))
-        object.__setattr__(self, "tol", _checked_float(self.tol, "tol", strict=True))
-        object.__setattr__(
-            self, "epsilon", _checked_float(self.epsilon, "epsilon", strict=True)
-        )
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ConfigError(f"max_iters must be an integer >= 1, got {iters!r}")
-        object.__setattr__(self, "max_iters", int(iters))
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed < _MAX_SEED:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "lambda1", check_number(self.lambda1, "lambda1"))
+        object.__setattr__(self, "lambda2", check_number(self.lambda2, "lambda2"))
+        object.__setattr__(self, "tol", check_number(self.tol, "tol", strict=True))
+        object.__setattr__(self, "epsilon", check_number(self.epsilon, "epsilon", strict=True))
+        object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters", 1))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", *SEED_RANGE))
 
 
 @dataclass(frozen=True)
@@ -98,6 +84,13 @@ class FitReport:
     iterations_run: int
     converged: bool
     wall_time: float
+
+
+def _check_column(vec, length, what):
+    arr = np.asarray(vec, dtype=np.float64)
+    if arr.shape != (length,):
+        raise LayoutError(f"{what} has shape {arr.shape}, expected ({length},)")
+    return arr
 
 
 def _reweight_into(diag, vec, slices, epsilon):
@@ -112,19 +105,15 @@ def skeletal_reweights(w_c, layout: FeatureLayout, epsilon: float) -> np.ndarray
     Every coordinate of joint block j gets 1 / (2 * max(||w_c block j||, epsilon)),
     so shrinking blocks are penalized ever harder on the next solve.
     """
-    epsilon = _checked_float(epsilon, "epsilon", strict=True)
-    w = np.asarray(w_c, dtype=np.float64)
-    if w.shape != (layout.d_t,):
-        raise LayoutError(f"weight column has shape {w.shape}, expected ({layout.d_t},)")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    w = _check_column(w_c, layout.d_t, "weight column")
     return _reweight_into(np.empty(layout.d_t), w, layout.joint_slices, epsilon)
 
 
 def attribute_reweights(u_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
     """Object-side analog of skeletal_reweights, one value per (object, modality) block."""
-    epsilon = _checked_float(epsilon, "epsilon", strict=True)
-    u = np.asarray(u_c, dtype=np.float64)
-    if u.shape != (layout.d_o,):
-        raise LayoutError(f"weight column has shape {u.shape}, expected ({layout.d_o},)")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    u = _check_column(u_c, layout.d_o, "weight column")
     return _reweight_into(np.empty(layout.d_o), u, layout.object_block_slices, epsilon)
 
 
@@ -147,20 +136,13 @@ def _penalized_gram_solve(gram, diag_scale, diag, rhs, describe):
     return _solve_spd(system, rhs, describe)
 
 
-def _check_column(vec, length, what):
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.shape != (length,):
-        raise LayoutError(f"{what} has shape {arr.shape}, expected ({length},)")
-    return arr
-
-
 def update_skeleton_weights(dataset: Dataset, u_c, y_c, reweights, lambda1: float) -> np.ndarray:
     """Closed-form refresh of one class column of W with the object side fixed.
 
     Solves (T T' + lambda1 diag(reweights)) w = T (y - O' u) where T and O are
     the dataset's skeleton and object matrices.
     """
-    lambda1 = _checked_float(lambda1, "lambda1")
+    lambda1 = check_number(lambda1, "lambda1")
     t_mat = dataset.skeleton
     u = _check_column(u_c, dataset.layout.d_o, "object weight column")
     y = _check_column(y_c, dataset.n_instances, "label column")
@@ -176,7 +158,7 @@ def update_object_weights(dataset: Dataset, w_c, y_c, reweights, lambda2: float)
 
     Solves (O O' + lambda2 diag(reweights)) u = O (y - T' w).
     """
-    lambda2 = _checked_float(lambda2, "lambda2")
+    lambda2 = check_number(lambda2, "lambda2")
     o_mat = dataset.objects
     w = _check_column(w_c, dataset.layout.d_t, "skeleton weight column")
     y = _check_column(y_c, dataset.n_instances, "label column")
@@ -185,6 +167,12 @@ def update_object_weights(dataset: Dataset, w_c, y_c, reweights, lambda2: float)
     return _penalized_gram_solve(
         o_mat @ o_mat.T, lambda2, d, rhs, "object-weight system (O O' + lambda2 D)"
     )
+
+
+def _gram_blocks(dataset: Dataset):
+    """TT', OO', TO', TY and OY: everything the normal equations need from the data."""
+    t_mat, o_mat, y_mat = dataset.skeleton, dataset.objects, dataset.labels
+    return t_mat @ t_mat.T, o_mat @ o_mat.T, t_mat @ o_mat.T, t_mat @ y_mat, o_mat @ y_mat
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
@@ -199,8 +187,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     layout = dataset.layout
     lam1, lam2 = config.lambda1, config.lambda2
     eps = config.epsilon
-    t_mat, o_mat, y_mat = dataset.skeleton, dataset.objects, dataset.labels
-    n_classes = y_mat.shape[1]
+    n_classes = dataset.labels.shape[1]
     jt_slices = layout.joint_slices
     ob_slices = layout.object_block_slices
 
@@ -209,15 +196,11 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     w_cur = 0.01 * rng.standard_normal((layout.d_t, n_classes))
     u_cur = 0.01 * rng.standard_normal((layout.d_o, n_classes))
 
-    gram_t = t_mat @ t_mat.T
-    gram_o = o_mat @ o_mat.T
-    cross = t_mat @ o_mat.T
+    gram_t, gram_o, cross, ty, oy = _gram_blocks(dataset)
     cross_t = np.ascontiguousarray(cross.T)
-    ty = t_mat @ y_mat
-    oy = o_mat @ y_mat
 
     def current_loss(w, u):
-        r = t_mat.T @ w + o_mat.T @ u - y_mat
+        r = _residual(dataset, w, u)
         return float(np.sum(r * r))
 
     def current_objective(w, u, loss_val):
@@ -316,16 +299,11 @@ def stationarity_residual(
         raise LayoutError(
             f"dataset has {dataset.labels.shape[1]} classes, model has {model.n_classes}"
         )
-    lambda1 = _checked_float(lambda1, "lambda1")
-    lambda2 = _checked_float(lambda2, "lambda2")
-    epsilon = _checked_float(epsilon, "epsilon", strict=True)
+    lambda1 = check_number(lambda1, "lambda1")
+    lambda2 = check_number(lambda2, "lambda2")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
     layout = dataset.layout
-    t_mat, o_mat, y_mat = dataset.skeleton, dataset.objects, dataset.labels
-    gram_t = t_mat @ t_mat.T
-    gram_o = o_mat @ o_mat.T
-    cross = t_mat @ o_mat.T
-    ty = t_mat @ y_mat
-    oy = o_mat @ y_mat
+    gram_t, gram_o, cross, ty, oy = _gram_blocks(dataset)
     worst = 0.0
     for c in range(model.n_classes):
         w = model.w[:, c]
@@ -347,6 +325,18 @@ def _smoothed_block_sum(mat, slices, epsilon):
     return total
 
 
+def _smoothed_inputs(dataset: Dataset, w, u, lambda1, lambda2, epsilon, what):
+    if dataset.labels is None:
+        raise ValidationError(f"{what} needs a labeled dataset")
+    return (
+        _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix"),
+        _check_weight_matrix(u, dataset.layout.d_o, "object weight matrix"),
+        check_number(lambda1, "lambda1"),
+        check_number(lambda2, "lambda2"),
+        check_number(epsilon, "epsilon", strict=True),
+    )
+
+
 def smoothed_objective(
     dataset: Dataset, w, u, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
@@ -355,15 +345,11 @@ def smoothed_objective(
     Everywhere differentiable, which makes finite-difference checks of
     smoothed_gradients meaningful.
     """
-    if dataset.labels is None:
-        raise ValidationError("smoothed_objective needs a labeled dataset")
-    epsilon = _checked_float(epsilon, "epsilon", strict=True)
-    lambda1 = _checked_float(lambda1, "lambda1")
-    lambda2 = _checked_float(lambda2, "lambda2")
+    w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
+        dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective"
+    )
     layout = dataset.layout
-    w = _check_weight_matrix(w, layout.d_t, "skeleton weight matrix")
-    u = _check_weight_matrix(u, layout.d_o, "object weight matrix")
-    r = dataset.skeleton.T @ w + dataset.objects.T @ u - dataset.labels
+    r = _residual(dataset, w, u)
     return (
         float(np.sum(r * r))
         + lambda1 * _smoothed_block_sum(w, layout.joint_slices, epsilon)
@@ -375,15 +361,11 @@ def smoothed_gradients(
     dataset: Dataset, w, u, lambda1: float, lambda2: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of smoothed_objective with respect to W and U."""
-    if dataset.labels is None:
-        raise ValidationError("smoothed_gradients needs a labeled dataset")
-    epsilon = _checked_float(epsilon, "epsilon", strict=True)
-    lambda1 = _checked_float(lambda1, "lambda1")
-    lambda2 = _checked_float(lambda2, "lambda2")
+    w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
+        dataset, w, u, lambda1, lambda2, epsilon, "smoothed_gradients"
+    )
     layout = dataset.layout
-    w = _check_weight_matrix(w, layout.d_t, "skeleton weight matrix")
-    u = _check_weight_matrix(u, layout.d_o, "object weight matrix")
-    r = dataset.skeleton.T @ w + dataset.objects.T @ u - dataset.labels
+    r = _residual(dataset, w, u)
     grad_w = 2.0 * (dataset.skeleton @ r)
     grad_u = 2.0 * (dataset.objects @ r)
     for sl in layout.joint_slices:

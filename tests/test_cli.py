@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poseact import Dataset, FeatureLayout, load_dataset, load_model, save_dataset
+from poseact import (
+    Dataset,
+    FeatureLayout,
+    SolverConfig,
+    load_dataset,
+    load_model,
+    save_dataset,
+)
 from poseact.cli import main
 
 
@@ -86,7 +97,8 @@ def test_train_writes_model_and_report(tmp_path, data_file, capsys):
     assert f"model written to {model_path}" in out
     model = load_model(model_path)
     assert model.w.shape[1] == 2
-    assert model.hyperparams.lambda1 == pytest.approx(0.1)
+    # no solver flags: every hyperparameter is the SolverConfig default
+    assert model.hyperparams == SolverConfig()
     report = json.loads((tmp_path / "model.report.json").read_text())
     assert report["schema_version"] == 1
     assert isinstance(report["converged"], bool)
@@ -364,6 +376,61 @@ def test_exit_code_1_for_bad_flag_values(tmp_path, data_file, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert flag in err, (argv, err)
+
+
+def test_exit_code_1_for_malformed_files(tmp_path, data_file, model_file, capsys):
+    huge = "9" * 401  # an integer literal one past the float range
+    lines = data_file.read_text().split("\n")
+    lines[1] = "[" + huge + lines[1][lines[1].index(",") :]
+    overflow_data = tmp_path / "overflow.txt"
+    overflow_data.write_text("\n".join(lines))
+    doc = json.loads(model_file.read_text())
+    overflow_model = tmp_path / "overflow.json"
+    overflow_model.write_text(json.dumps(doc).replace(json.dumps(doc["w"][0]), huge, 1))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(data_file.read_bytes().replace(b"class_1", b"class_\xe9", 1))
+    model_out = str(tmp_path / "m.json")
+    cases = [
+        (["train", "--data", str(overflow_data), "--model", model_out], "too large"),
+        (["predict", "--data", str(data_file), "--model", str(overflow_model)], "too large"),
+        (["predict", "--data", str(latin1), "--model", str(model_file)], "not UTF-8"),
+    ]
+    for argv, fragment in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert fragment in err, (argv, err)
+
+
+@pytest.fixture(scope="module")
+def scoring_files(tmp_path_factory):
+    """A small valid dataset file and a standardized model trained on it, as bytes."""
+    root = tmp_path_factory.mktemp("scoring")
+    data, model = root / "data.txt", root / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(synth_args(data, instances=8)) == 0
+        assert main(["train", "--data", str(data), "--model", str(model), "--standardize"]) == 0
+    return root, {"data": data.read_bytes(), "model": model.read_bytes()}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(draw=st.data())
+def test_predict_on_corrupted_files_exits_0_or_1(scoring_files, draw):
+    root, originals = scoring_files
+    which = draw.draw(st.sampled_from(sorted(originals)), label="file")
+    original = originals[which]
+    cut = draw.draw(st.integers(0, len(original) - 1), label="byte offset")
+    if draw.draw(st.booleans(), label="truncate"):
+        corrupted = original[:cut]
+    else:
+        byte = draw.draw(st.integers(0, 255), label="replacement byte")
+        corrupted = original[:cut] + bytes([byte]) + original[cut + 1 :]
+    paths = {}
+    for name, content in originals.items():
+        paths[name] = root / f"corrupted.{name}"
+        paths[name].write_bytes(corrupted if name == which else content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["predict", "--data", str(paths["data"]), "--model", str(paths["model"])])
+    assert code in (0, 1)
 
 
 def test_exit_code_1_for_usage_errors(capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -426,11 +428,19 @@ def test_load_dataset_row_errors(tmp_path):
         ('[0.0, 0.0, 0.0, "a"]', "expected 2 features"),
         ('[0.0, 0.0, "zzz"]', "unknown label"),
         ("[0.0, 0.0, 17]", "label must be a string"),
+        # one past the float range: isfinite would overflow converting it
+        ("[0.0, " + "9" * 401 + ', "a"]', "entry 1 is too large for a float"),
+        # past the interpreter's digit limit for integer literals
+        ("[0.0, " + "9" * 5000 + ', "a"]', r"row 0 \(line 2\) is not valid JSON"),
     ]
     for row, fragment in cases:
         path = write_lines(tmp_path, header, row)
         with pytest.raises(DataFormatError, match=fragment):
             load_dataset(path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(header.encode() + b'\n[0.0, 0.0, "\xe9"]\n')
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_mixed_labeled_rows(tmp_path):
@@ -556,3 +566,42 @@ def test_load_model_errors(tmp_path):
         load_model(mutated(standardizer={"skeleton_mean": [0.0]}))
     with pytest.raises(DataFormatError, match="bad names"):
         load_model(mutated(names={"joints": ["only-one"]}))
+    # integer literals one past the float range overflow a float conversion
+    huge = int("9" * 401)
+    with pytest.raises(DataFormatError, match="w has a non-finite.*too large for a float"):
+        load_model(mutated(w=[huge] + doc["w"][1:]))
+    with pytest.raises(DataFormatError, match="bad hyperparams"):
+        load_model(mutated(hyperparams={**doc["hyperparams"], "lambda1": huge}))
+    scaling = {"skeleton_scale": [1.0] * 3, "object_mean": [0.0] * 2, "object_scale": [1.0] * 2}
+    with pytest.raises(DataFormatError, match="bad standardizer"):
+        load_model(mutated(standardizer={**scaling, "skeleton_mean": [huge, 0.0, 0.0]}))
+    with pytest.raises(DataFormatError, match="layout is missing 'object_count'"):
+        load_model(mutated(layout={"joint_dims": [2, 1], "modality_dims": [2]}))
+    bad.write_bytes(path.read_bytes().replace(b"sit", b"s\xffs"))
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        load_model(bad)
+
+
+def test_load_model_fills_missing_hyperparams_from_solver_defaults(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(small_model(), path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"] = {"lambda1": 0.3, "seed": 5, "not_a_hyperparameter": "ignored"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).hyperparams == SolverConfig(lambda1=0.3, seed=5)
+    doc["hyperparams"] = {}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).hyperparams == SolverConfig()
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        save_dataset(named_dataset(), tmp_path / "data.txt")
+        save_model(small_model(), tmp_path / "model.json")
+    finally:
+        os.umask(old)
+    # the temp files are renamed into place, none is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "model.json"]
+    for name in ("data.txt", "model.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
