@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .bench import (
     BenchResult,
-    bench_fit,
     bench_predict,
     format_result_table,
     result_to_dict,
@@ -91,7 +90,6 @@ __all__ = [
     "ValidationError",
     "attribute_norm",
     "attribute_reweights",
-    "bench_fit",
     "bench_predict",
     "check_reweighting_inequality",
     "default_names",

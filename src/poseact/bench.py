@@ -1,4 +1,4 @@
-"""Throughput measurement for scoring and fitting.
+"""Throughput measurement for single-frame scoring.
 
 Prediction is timed per frame: one untimed warm-up pass over the dataset,
 then repeated passes on a monotonic clock until at least min_duration
@@ -14,28 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Model, check_int, check_number, predict
-from .errors import ValidationError
-from .solver import SolverConfig, fit
+from .core import Dataset, Model, check_number, predict
 
-__all__ = ["BenchResult", "bench_predict", "bench_fit", "result_to_dict", "format_result_table"]
+__all__ = ["BenchResult", "bench_predict", "result_to_dict", "format_result_table"]
 
 
 @dataclass(frozen=True)
 class BenchResult:
     """One timing measurement.
 
-    dims is (d_t, d_o, classes, instances).  For prediction runs,
-    repetitions counts full passes over the dataset and fit_seconds is None;
-    for fit runs a "frame" is one whole fit, so seconds_per_frame equals
-    fit_seconds and repetitions counts fits.
+    dims is (d_t, d_o, classes, instances); repetitions counts full passes
+    over the dataset.
     """
 
     predictions_per_second: float
     seconds_per_frame: float
     dims: tuple[int, int, int, int]
     repetitions: int
-    fit_seconds: float | None = None
 
 
 def bench_predict(model: Model, dataset: Dataset, min_duration_seconds: float = 2.0) -> BenchResult:
@@ -71,32 +66,6 @@ def bench_predict(model: Model, dataset: Dataset, min_duration_seconds: float = 
     )
 
 
-def bench_fit(dataset: Dataset, config: SolverConfig, repetitions: int = 3) -> BenchResult:
-    """Mean wall time of repeated identical fits (one untimed warm-up fit)."""
-    repetitions = check_int(repetitions, "repetitions", 1)
-    if dataset.labels is None:
-        raise ValidationError("bench_fit needs a labeled dataset")
-    fit(dataset, config)  # warm-up
-    total = 0.0
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        fit(dataset, config)
-        total += time.perf_counter() - start
-    mean = total / repetitions
-    return BenchResult(
-        predictions_per_second=1.0 / mean,
-        seconds_per_frame=mean,
-        dims=(
-            dataset.layout.d_t,
-            dataset.layout.d_o,
-            dataset.labels.shape[1],
-            dataset.n_instances,
-        ),
-        repetitions=repetitions,
-        fit_seconds=mean,
-    )
-
-
 def result_to_dict(result: BenchResult) -> dict:
     """JSON-ready view of a BenchResult."""
     d_t, d_o, n_classes, n_instances = result.dims
@@ -104,7 +73,6 @@ def result_to_dict(result: BenchResult) -> dict:
         "schema_version": 1,
         "predictions_per_second": result.predictions_per_second,
         "seconds_per_frame": result.seconds_per_frame,
-        "fit_seconds": result.fit_seconds,
         "dims": {
             "d_t": d_t,
             "d_o": d_o,
@@ -121,7 +89,5 @@ def format_result_table(result: BenchResult) -> str:
         ("Processing Speed (Hz)", f"{result.predictions_per_second:.3e}"),
         ("Time Per Frame (sec)", f"{result.seconds_per_frame:.3e}"),
     ]
-    if result.fit_seconds is not None:
-        rows.append(("Fit Time (sec)", f"{result.fit_seconds:.3e}"))
     width = max(len(label) for label, _ in rows) + 2
     return "\n".join(label.ljust(width) + value for label, value in rows)

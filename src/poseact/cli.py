@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import format_report_table, importance_report, report_to_dict
-from .bench import bench_fit, bench_predict, format_result_table, result_to_dict
+from .bench import bench_predict, format_result_table, result_to_dict
 from .core import SEED_RANGE, FeatureLayout, check_int, check_number, predict_batch
 from .data import (
     SynthSpec,
@@ -67,7 +67,7 @@ _COUNT = _flag_type(check_int, int, 1)
 _SEED = _flag_type(check_int, int, *SEED_RANGE)
 
 
-def _solver_config(args: argparse.Namespace, ablation: str = "full") -> SolverConfig:
+def _solver_config(args: argparse.Namespace, ablation: str) -> SolverConfig:
     config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     # dropping a norm means zeroing its weight; the loss always sees both sides
     if ablation == "skeletal-only":
@@ -255,12 +255,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.mode == "predict":
-        model, dataset = _load_for_scoring(args)
-        result = bench_predict(model, dataset, min_duration_seconds=args.min_duration)
-    else:
-        dataset = _load_labeled(args.data, "bench --mode fit")
-        result = bench_fit(dataset, _solver_config(args), repetitions=args.repetitions)
+    model, dataset = _load_for_scoring(args)
+    result = bench_predict(model, dataset, min_duration_seconds=args.min_duration)
     print(format_result_table(result))
     if args.out is not None:
         _write_json(args.out, result_to_dict(result))
@@ -392,14 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("bench", help="measure prediction or fit throughput")
+    p = sub.add_parser("bench", help="measure single-frame prediction throughput")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", default=None, help="required for --mode predict")
+    p.add_argument("--model", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--mode", choices=("predict", "fit"), default="predict")
     p.add_argument("--min-duration", type=_POSITIVE, default=2.0, dest="min_duration")
-    p.add_argument("--repetitions", type=_COUNT, default=3, help="fit repetitions for --mode fit")
-    _add_solver_flags(p)
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("ablate", help="compare full vs single-norm training on one split")
@@ -419,8 +412,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise ConfigError("a subcommand is required (train, predict, analyze, synth, bench, ablate)")
-        if args.subcommand == "bench" and args.mode == "predict" and args.model is None:
-            raise ConfigError("bench --mode predict needs --model")
         return args.handler(args)
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)

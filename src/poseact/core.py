@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "FeatureLayout",
     "GroupNames",
     "Dataset",
+    "NormalEquations",
     "Model",
     "default_names",
     "skeletal_norm",
@@ -214,6 +215,17 @@ def _require_finite(arr, what):
         raise ValidationError(f"{what} contains non-finite values")
 
 
+class NormalEquations(NamedTuple):
+    """T T', O O', T O', O T' (a contiguous copy of cross.T), T Y and O Y; read-only."""
+
+    gram_t: np.ndarray
+    gram_o: np.ndarray
+    cross: np.ndarray
+    cross_t: np.ndarray
+    ty: np.ndarray
+    oy: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable paired observations with optional one-hot labels.
@@ -294,6 +306,25 @@ class Dataset:
     def n_classes(self) -> int | None:
         return None if self.labels is None else self.labels.shape[1]
 
+    @cached_property
+    def normal_equations(self) -> NormalEquations:
+        """Everything the solver needs from the data, built on first use.
+
+        The data arrays are read-only, so the cached blocks cannot go stale;
+        a copy made by standardize, split or Standardizer.apply builds its own.
+        """
+        if self.labels is None:
+            raise ValidationError("the normal equations need a labeled dataset")
+        t_mat, o_mat, y_mat = self.skeleton, self.objects, self.labels
+        cross = t_mat @ o_mat.T
+        blocks = NormalEquations(
+            t_mat @ t_mat.T, o_mat @ o_mat.T, cross, np.ascontiguousarray(cross.T),
+            t_mat @ y_mat, o_mat @ y_mat,
+        )
+        for block in blocks:
+            block.setflags(write=False)
+        return blocks
+
     def instance(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Skeleton and object feature vectors of instance i (read-only views)."""
         if not 0 <= i < self.n_instances:
@@ -314,7 +345,7 @@ class Model:
 
     names and standardizer are optional metadata carried along so reports
     can label blocks and so raw inputs can be re-scaled the way the training
-    data was.  Scoring itself never touches either.
+    data was; both must match the layout.  Scoring itself never touches either.
     """
 
     layout: FeatureLayout
@@ -351,6 +382,18 @@ class Model:
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)
         object.__setattr__(self, "names", names)
+        transform = self.standardizer
+        sides = () if transform is None else (
+            ("skeleton", self.layout.d_t, transform.skeleton_mean, transform.skeleton_constant),
+            ("object", self.layout.d_o, transform.object_mean, transform.object_constant),
+        )
+        for side, dim, mean, constant in sides:
+            if mean.shape[0] != dim:
+                raise LayoutError(
+                    f"standardizer has {mean.shape[0]} {side} features, layout has {dim}"
+                )
+            if any(not 0 <= i < dim for i in constant):
+                raise LayoutError(f"standardizer {side}_constant indices outside [0, {dim})")
 
     @property
     def n_classes(self) -> int:

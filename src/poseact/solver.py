@@ -3,11 +3,11 @@
 Each iteration rebuilds per-class diagonal reweighting vectors from the
 current weights, then refreshes every class column of W with U held at its
 previous value, then every column of U against the just-updated W.  Both
-refreshes are closed-form symmetric positive definite solves, so the
-objective never moves uphill; a floor on block norms keeps the diagonals
-finite when a block collapses toward zero, at the price of optimizing a
-smoothed objective whose minimizers approach the exact ones as the floor
-shrinks.
+refreshes are closed-form symmetric positive definite solves on the
+dataset's cached normal equations, so the objective never moves uphill; a
+floor on block norms keeps the diagonals finite when a block collapses
+toward zero, at the price of optimizing a smoothed objective whose
+minimizers approach the exact ones as the floor shrinks.
 """
 
 from __future__ import annotations
@@ -93,7 +93,10 @@ def _check_column(vec, length, what):
     return arr
 
 
-def _reweight_into(diag, vec, slices, epsilon):
+def _reweights(vec, length, slices, epsilon):
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    vec = _check_column(vec, length, "weight column")
+    diag = np.empty(length)
     for sl in slices:
         diag[sl] = 0.5 / max(float(np.linalg.norm(vec[sl])), epsilon)
     return diag
@@ -105,20 +108,19 @@ def skeletal_reweights(w_c, layout: FeatureLayout, epsilon: float) -> np.ndarray
     Every coordinate of joint block j gets 1 / (2 * max(||w_c block j||, epsilon)),
     so shrinking blocks are penalized ever harder on the next solve.
     """
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    w = _check_column(w_c, layout.d_t, "weight column")
-    return _reweight_into(np.empty(layout.d_t), w, layout.joint_slices, epsilon)
+    return _reweights(w_c, layout.d_t, layout.joint_slices, epsilon)
 
 
 def attribute_reweights(u_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
     """Object-side analog of skeletal_reweights, one value per (object, modality) block."""
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    u = _check_column(u_c, layout.d_o, "weight column")
-    return _reweight_into(np.empty(layout.d_o), u, layout.object_block_slices, epsilon)
+    return _reweights(u_c, layout.d_o, layout.object_block_slices, epsilon)
 
 
-def _solve_spd(system, rhs, describe):
-    """Cholesky solve; the system matrix is consumed in place."""
+def _penalized_solve(gram, lam, reweights, rhs, describe):
+    """Cholesky solve of (gram + lam diag(reweights)) x = rhs; gram is not modified."""
+    system = gram.copy()
+    if lam != 0.0:
+        system[np.diag_indices_from(system)] += lam * reweights
     try:
         factor = scipy.linalg.cho_factor(system, lower=False, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -129,50 +131,39 @@ def _solve_spd(system, rhs, describe):
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
-def _penalized_gram_solve(gram, diag_scale, diag, rhs, describe):
-    system = gram.copy()
-    if diag_scale != 0.0:
-        system[np.diag_indices_from(system)] += diag_scale * diag
-    return _solve_spd(system, rhs, describe)
+def _class_blocks(dataset: Dataset, c):
+    """The dataset's normal equations and a checked class index into them."""
+    blocks = dataset.normal_equations  # ValidationError on unlabeled data
+    return blocks, check_int(c, "class index", 0, blocks.ty.shape[1], error=LayoutError)
 
 
-def update_skeleton_weights(dataset: Dataset, u_c, y_c, reweights, lambda1: float) -> np.ndarray:
-    """Closed-form refresh of one class column of W with the object side fixed.
+def update_skeleton_weights(dataset: Dataset, u_c, c: int, reweights, lambda1: float) -> np.ndarray:
+    """Closed-form refresh of class column c of W with the object side fixed at u_c.
 
-    Solves (T T' + lambda1 diag(reweights)) w = T (y - O' u) where T and O are
-    the dataset's skeleton and object matrices.
+    Solves (T T' + lambda1 diag(reweights)) w = T y_c - T O' u_c, where y_c is
+    label column c; every block comes from dataset.normal_equations.
     """
-    lambda1 = check_number(lambda1, "lambda1")
-    t_mat = dataset.skeleton
+    blocks, c = _class_blocks(dataset, c)
     u = _check_column(u_c, dataset.layout.d_o, "object weight column")
-    y = _check_column(y_c, dataset.n_instances, "label column")
     d = _check_column(reweights, dataset.layout.d_t, "reweighting diagonal")
-    rhs = t_mat @ (y - dataset.objects.T @ u)
-    return _penalized_gram_solve(
-        t_mat @ t_mat.T, lambda1, d, rhs, "skeleton-weight system (T T' + lambda1 D)"
+    return _penalized_solve(
+        blocks.gram_t, check_number(lambda1, "lambda1"), d, blocks.ty[:, c] - blocks.cross @ u,
+        f"skeleton-weight system (T T' + lambda1 D) for class {c}",
     )
 
 
-def update_object_weights(dataset: Dataset, w_c, y_c, reweights, lambda2: float) -> np.ndarray:
-    """Closed-form refresh of one class column of U with the skeleton side fixed.
+def update_object_weights(dataset: Dataset, w_c, c: int, reweights, lambda2: float) -> np.ndarray:
+    """Closed-form refresh of class column c of U with the skeleton side fixed at w_c.
 
-    Solves (O O' + lambda2 diag(reweights)) u = O (y - T' w).
+    Solves (O O' + lambda2 diag(reweights)) u = O y_c - O T' w_c.
     """
-    lambda2 = check_number(lambda2, "lambda2")
-    o_mat = dataset.objects
+    blocks, c = _class_blocks(dataset, c)
     w = _check_column(w_c, dataset.layout.d_t, "skeleton weight column")
-    y = _check_column(y_c, dataset.n_instances, "label column")
     d = _check_column(reweights, dataset.layout.d_o, "reweighting diagonal")
-    rhs = o_mat @ (y - dataset.skeleton.T @ w)
-    return _penalized_gram_solve(
-        o_mat @ o_mat.T, lambda2, d, rhs, "object-weight system (O O' + lambda2 D)"
+    return _penalized_solve(
+        blocks.gram_o, check_number(lambda2, "lambda2"), d, blocks.oy[:, c] - blocks.cross_t @ w,
+        f"object-weight system (O O' + lambda2 D) for class {c}",
     )
-
-
-def _gram_blocks(dataset: Dataset):
-    """TT', OO', TO', TY and OY: everything the normal equations need from the data."""
-    t_mat, o_mat, y_mat = dataset.skeleton, dataset.objects, dataset.labels
-    return t_mat @ t_mat.T, o_mat @ o_mat.T, t_mat @ o_mat.T, t_mat @ y_mat, o_mat @ y_mat
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
@@ -185,58 +176,38 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
     layout = dataset.layout
-    lam1, lam2 = config.lambda1, config.lambda2
-    eps = config.epsilon
+    lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
     n_classes = dataset.labels.shape[1]
-    jt_slices = layout.joint_slices
-    ob_slices = layout.object_block_slices
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     w_cur = 0.01 * rng.standard_normal((layout.d_t, n_classes))
     u_cur = 0.01 * rng.standard_normal((layout.d_o, n_classes))
 
-    gram_t, gram_o, cross, ty, oy = _gram_blocks(dataset)
-    cross_t = np.ascontiguousarray(cross.T)
-
-    def current_loss(w, u):
+    def loss_and_objective(w, u):
         r = _residual(dataset, w, u)
-        return float(np.sum(r * r))
+        loss_val = float(np.sum(r * r))
+        return loss_val, (
+            loss_val
+            + lam1 * _block_norm_sum(w, layout.joint_slices)
+            + lam2 * _block_norm_sum(u, layout.object_block_slices)
+        )
 
-    def current_objective(w, u, loss_val):
-        return loss_val + lam1 * _block_norm_sum(w, jt_slices) + lam2 * _block_norm_sum(u, ob_slices)
-
-    prev_obj = current_objective(w_cur, u_cur, current_loss(w_cur, u_cur))
+    prev_obj = loss_and_objective(w_cur, u_cur)[1]
     objective_trace: list[float] = []
     loss_trace: list[float] = []
     converged = False
-    w_next = np.empty_like(w_cur)
 
     for _ in range(config.max_iters):
-        # both reweighting diagonals come from the pre-update iterate
-        sk_diags = [
-            _reweight_into(np.empty(layout.d_t), w_cur[:, c], jt_slices, eps)
-            for c in range(n_classes)
-        ]
-        at_diags = [
-            _reweight_into(np.empty(layout.d_o), u_cur[:, c], ob_slices, eps)
-            for c in range(n_classes)
-        ]
+        # column c is overwritten only after its own reweighting diagonal is
+        # built, so both diagonals come from the pre-update iterate
         for c in range(n_classes):
-            rhs = ty[:, c] - cross @ u_cur[:, c]
-            w_next[:, c] = _penalized_gram_solve(
-                gram_t, lam1, sk_diags[c], rhs,
-                f"skeleton-weight system (T T' + lambda1 D) for class {c}",
-            )
-        w_cur, w_next = w_next, w_cur
+            d = skeletal_reweights(w_cur[:, c], layout, eps)
+            w_cur[:, c] = update_skeleton_weights(dataset, u_cur[:, c], c, d, lam1)
         for c in range(n_classes):
-            rhs = oy[:, c] - cross_t @ w_cur[:, c]
-            u_cur[:, c] = _penalized_gram_solve(
-                gram_o, lam2, at_diags[c], rhs,
-                f"object-weight system (O O' + lambda2 D) for class {c}",
-            )
-        loss_val = current_loss(w_cur, u_cur)
-        obj = current_objective(w_cur, u_cur, loss_val)
+            d = attribute_reweights(u_cur[:, c], layout, eps)
+            u_cur[:, c] = update_object_weights(dataset, w_cur[:, c], c, d, lam2)
+        loss_val, obj = loss_and_objective(w_cur, u_cur)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
         if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
@@ -301,15 +272,16 @@ def stationarity_residual(
         )
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
-    epsilon = check_number(epsilon, "epsilon", strict=True)
     layout = dataset.layout
-    gram_t, gram_o, cross, ty, oy = _gram_blocks(dataset)
+    # cross.T @ w runs the transposed BLAS kernel; the cached contiguous
+    # cross_t would sum in another order and move the result's last bits
+    gram_t, gram_o, cross, _, ty, oy = dataset.normal_equations
     worst = 0.0
     for c in range(model.n_classes):
         w = model.w[:, c]
         u = model.u[:, c]
-        dw = _reweight_into(np.empty(layout.d_t), w, layout.joint_slices, epsilon)
-        du = _reweight_into(np.empty(layout.d_o), u, layout.object_block_slices, epsilon)
+        dw = skeletal_reweights(w, layout, epsilon)
+        du = attribute_reweights(u, layout, epsilon)
         res_w = gram_t @ w + cross @ u - ty[:, c] + lambda1 * dw * w
         res_u = gram_o @ u + cross.T @ w - oy[:, c] + lambda2 * du * u
         worst = max(worst, float(np.linalg.norm(res_w)) / (1.0 + float(np.linalg.norm(w))))

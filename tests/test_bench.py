@@ -12,8 +12,6 @@ from poseact import (
     FeatureLayout,
     Model,
     SolverConfig,
-    ValidationError,
-    bench_fit,
     bench_predict,
     format_result_table,
     result_to_dict,
@@ -45,7 +43,6 @@ def test_bench_predict_reports_consistent_numbers():
     assert result.predictions_per_second == pytest.approx(1.0 / result.seconds_per_frame)
     assert result.repetitions >= 1
     assert result.dims == (LAYOUT.d_t, LAYOUT.d_o, 2, 32)
-    assert result.fit_seconds is None
 
 
 def test_bench_predict_runs_at_least_min_duration():
@@ -76,31 +73,6 @@ def test_bench_predict_rejects_bad_duration():
             bench_predict(model, dataset, min_duration_seconds=bad)
 
 
-def test_bench_fit_times_whole_fits():
-    dataset = build_dataset(LAYOUT, n=30, n_classes=2, seed=5)
-    config = SolverConfig(max_iters=5)
-    result = bench_fit(dataset, config, repetitions=2)
-    assert result.fit_seconds is not None
-    assert result.fit_seconds == result.seconds_per_frame
-    assert result.predictions_per_second == pytest.approx(1.0 / result.fit_seconds)
-    assert result.repetitions == 2
-    assert result.dims == (LAYOUT.d_t, LAYOUT.d_o, 2, 30)
-
-
-def test_bench_fit_validates_inputs():
-    dataset = build_dataset(LAYOUT, n=10, n_classes=2, seed=0)
-    with pytest.raises(ConfigError, match="repetitions"):
-        bench_fit(dataset, SolverConfig(), repetitions=0)
-    rng = np.random.default_rng(1)
-    unlabeled = Dataset(
-        layout=LAYOUT,
-        skeleton=rng.standard_normal((LAYOUT.d_t, 10)),
-        objects=rng.standard_normal((LAYOUT.d_o, 10)),
-    )
-    with pytest.raises(ValidationError, match="labeled"):
-        bench_fit(unlabeled, SolverConfig())
-
-
 def test_result_to_dict_schema():
     model = make_model()
     dataset = build_dataset(LAYOUT, n=8, n_classes=2, seed=3)
@@ -109,7 +81,6 @@ def test_result_to_dict_schema():
     assert payload["schema_version"] == 1
     assert payload["predictions_per_second"] == result.predictions_per_second
     assert payload["seconds_per_frame"] == result.seconds_per_frame
-    assert payload["fit_seconds"] is None
     assert payload["dims"] == {
         "d_t": LAYOUT.d_t,
         "d_o": LAYOUT.d_o,
@@ -125,6 +96,4 @@ def test_format_result_table_rows():
     predict_table = format_result_table(bench_predict(model, dataset, min_duration_seconds=0.01))
     assert "Processing Speed (Hz)" in predict_table
     assert "Time Per Frame (sec)" in predict_table
-    assert "Fit Time (sec)" not in predict_table
-    fit_table = format_result_table(bench_fit(dataset, SolverConfig(max_iters=3), repetitions=1))
-    assert "Fit Time (sec)" in fit_table
+    assert len(predict_table.splitlines()) == 2

@@ -244,25 +244,6 @@ def test_bench_predict_table_and_json(tmp_path, data_file, model_file, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["schema_version"] == 1
     assert doc["predictions_per_second"] > 0
-    assert doc["fit_seconds"] is None
-
-
-def test_bench_fit_mode(data_file, capsys):
-    code = main(
-        [
-            "bench",
-            "--data",
-            str(data_file),
-            "--mode",
-            "fit",
-            "--repetitions",
-            "1",
-            "--max-iters",
-            "5",
-        ]
-    )
-    assert code == 0
-    assert "Fit Time (sec)" in capsys.readouterr().out
 
 
 def test_bench_predict_requires_model(data_file, capsys):
@@ -342,7 +323,7 @@ def test_exit_code_1_for_missing_files(tmp_path, capsys):
     assert main(["analyze", "--model", str(tmp_path / "ghost.json")]) == 1
 
 
-def test_exit_code_1_for_bad_flag_values(tmp_path, data_file, capsys):
+def test_exit_code_1_for_bad_flag_values(tmp_path, data_file, model_file, capsys):
     model_path = str(tmp_path / "m.json")
     cases = [
         (["train", "--data", str(data_file), "--model", model_path, "--lambda1", "-0.5"], "--lambda1"),
@@ -364,8 +345,8 @@ def test_exit_code_1_for_bad_flag_values(tmp_path, data_file, capsys):
                 "bench",
                 "--data",
                 str(data_file),
-                "--mode",
-                "fit",
+                "--model",
+                str(model_file),
                 "--min-duration",
                 "0",
             ],
@@ -390,10 +371,20 @@ def test_exit_code_1_for_malformed_files(tmp_path, data_file, model_file, capsys
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(data_file.read_bytes().replace(b"class_1", b"class_\xe9", 1))
     model_out = str(tmp_path / "m.json")
+    standardized = tmp_path / "standardized.json"
+    train = ["train", "--data", str(data_file), "--model", str(standardized), "--standardize"]
+    assert main(train + ["--max-iters", "5"]) == 0
+    doc = json.loads(standardized.read_text())
+    for key in ("skeleton_mean", "skeleton_scale"):
+        doc["standardizer"][key] = doc["standardizer"][key][:-1]
+    short_standardizer = tmp_path / "short_standardizer.json"
+    short_standardizer.write_text(json.dumps(doc))
     cases = [
         (["train", "--data", str(overflow_data), "--model", model_out], "too large"),
         (["predict", "--data", str(data_file), "--model", str(overflow_model)], "too large"),
         (["predict", "--data", str(latin1), "--model", str(model_file)], "not UTF-8"),
+        (["analyze", "--model", str(short_standardizer)], "standardizer has"),
+        (["predict", "--data", str(data_file), "--model", str(short_standardizer)], "standardizer has"),
     ]
     for argv, fragment in cases:
         assert main(argv) == 1, argv

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,6 +492,16 @@ def small_model(with_standardizer=False):
     )
 
 
+def test_model_rejects_standardizer_for_another_layout():
+    transform = small_model(with_standardizer=True).standardizer
+    wider = replace(transform, object_mean=np.zeros(3), object_scale=np.ones(3))
+    with pytest.raises(LayoutError, match="standardizer has 3 object features, layout has 2"):
+        replace(small_model(), standardizer=wider)
+    outside = replace(transform, skeleton_constant=(3,))
+    with pytest.raises(LayoutError, match="skeleton_constant indices outside \\[0, 3\\)"):
+        replace(small_model(), standardizer=outside)
+
+
 def test_model_file_round_trip(tmp_path):
     model = small_model()
     path = tmp_path / "model.json"
@@ -575,6 +586,15 @@ def test_load_model_errors(tmp_path):
     scaling = {"skeleton_scale": [1.0] * 3, "object_mean": [0.0] * 2, "object_scale": [1.0] * 2}
     with pytest.raises(DataFormatError, match="bad standardizer"):
         load_model(mutated(standardizer={**scaling, "skeleton_mean": [huge, 0.0, 0.0]}))
+    fitted = {**scaling, "skeleton_mean": [0.0] * 3}
+    short = {**fitted, "skeleton_mean": [0.0] * 2, "skeleton_scale": [1.0] * 2}
+    with pytest.raises(DataFormatError, match="standardizer has 2 skeleton features, layout has 3"):
+        load_model(mutated(standardizer=short))
+    with pytest.raises(DataFormatError, match="object_constant indices outside"):
+        load_model(mutated(standardizer={**fitted, "object_constant": [2]}))
+    with pytest.raises(DataFormatError, match="skeleton_constant indices outside"):
+        load_model(mutated(standardizer={**fitted, "skeleton_constant": [-1]}))
+    assert load_model(mutated(standardizer={**fitted, "skeleton_constant": [2]})).standardizer
     with pytest.raises(DataFormatError, match="layout is missing 'object_count'"):
         load_model(mutated(layout={"joint_dims": [2, 1], "modality_dims": [2]}))
     bad.write_bytes(path.read_bytes().replace(b"sit", b"s\xffs"))

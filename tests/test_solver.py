@@ -26,6 +26,8 @@ from poseact import (
     skeletal_reweights,
     smoothed_gradients,
     smoothed_objective,
+    split,
+    standardize,
     stationarity_residual,
     update_object_weights,
     update_skeleton_weights,
@@ -137,7 +139,7 @@ def test_update_skeleton_identity_design_returns_labels():
         objects=np.random.default_rng(0).standard_normal((2, 4)),
         labels=labels,
     )
-    w = update_skeleton_weights(ds, np.zeros(2), labels[:, 0], np.ones(4), 0.0)
+    w = update_skeleton_weights(ds, np.zeros(2), 0, np.ones(4), 0.0)
     assert np.allclose(w, labels[:, 0], atol=1e-12)
 
 
@@ -150,7 +152,7 @@ def test_update_object_identity_design_returns_labels():
         objects=np.eye(3),
         labels=labels,
     )
-    u = update_object_weights(ds, np.zeros(2), labels[:, 1], np.ones(3), 0.0)
+    u = update_object_weights(ds, np.zeros(2), 1, np.ones(3), 0.0)
     assert np.allclose(u, labels[:, 1], atol=1e-12)
 
 
@@ -162,10 +164,10 @@ def test_updates_match_least_squares_oracle():
     for k in range(10):
         ds = build_dataset(layout, n=30, n_classes=2, seed=200 + k)
         y = ds.labels[:, 0]
-        w = update_skeleton_weights(ds, np.zeros(layout.d_o), y, np.ones(layout.d_t), 0.0)
+        w = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, np.ones(layout.d_t), 0.0)
         oracle, *_ = np.linalg.lstsq(ds.skeleton.T, y, rcond=None)
         assert np.allclose(w, oracle, atol=1e-9)
-        u = update_object_weights(ds, np.zeros(layout.d_t), y, np.ones(layout.d_o), 0.0)
+        u = update_object_weights(ds, np.zeros(layout.d_t), 0, np.ones(layout.d_o), 0.0)
         oracle_u, *_ = np.linalg.lstsq(ds.objects.T, y, rcond=None)
         assert np.allclose(u, oracle_u, atol=1e-9)
 
@@ -178,7 +180,7 @@ def test_update_with_cross_term_matches_oracle():
     u_c = rng.standard_normal(layout.d_o)
     y = ds.labels[:, 1]
     d = skeletal_reweights(rng.standard_normal(layout.d_t), layout, 1e-8)
-    w = update_skeleton_weights(ds, u_c, y, d, 0.7)
+    w = update_skeleton_weights(ds, u_c, 1, d, 0.7)
     t = ds.skeleton
     system = t @ t.T + 0.7 * np.diag(d)
     expected = np.linalg.solve(system, t @ (y - ds.objects.T @ u_c))
@@ -188,10 +190,9 @@ def test_update_with_cross_term_matches_oracle():
 def test_huge_penalty_crushes_the_solution():
     layout = FeatureLayout(joint_dims=(2, 3), object_count=1, modality_dims=(2,))
     ds = build_dataset(layout, n=40, n_classes=2, seed=303)
-    y = ds.labels[:, 0]
     d = np.ones(layout.d_t)
-    w_free = update_skeleton_weights(ds, np.zeros(layout.d_o), y, d, 0.0)
-    w_crushed = update_skeleton_weights(ds, np.zeros(layout.d_o), y, d, 1e8)
+    w_free = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, d, 0.0)
+    w_crushed = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, d, 1e8)
     assert np.linalg.norm(w_crushed) < 1e-4 * np.linalg.norm(w_free)
 
 
@@ -209,9 +210,8 @@ def test_update_symmetry_under_role_swap():
     ds_b = Dataset(layout=layout_b, skeleton=objects, objects=skeleton, labels=labels)
     fixed = rng.standard_normal(3)
     d = np.full(3, 0.25)
-    y = labels[:, 0]
-    from_a = update_object_weights(ds_a, fixed, y, d, 0.4)
-    from_b = update_skeleton_weights(ds_b, fixed, y, d, 0.4)
+    from_a = update_object_weights(ds_a, fixed, 0, d, 0.4)
+    from_b = update_skeleton_weights(ds_b, fixed, 0, d, 0.4)
     assert np.allclose(from_a, from_b, atol=1e-12)
 
 
@@ -227,7 +227,69 @@ def test_update_singular_gram_raises():
         labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     )
     with pytest.raises(SingularityError, match="positive definite"):
-        update_skeleton_weights(ds, np.zeros(1), ds.labels[:, 0], np.ones(5), 0.0)
+        update_skeleton_weights(ds, np.zeros(1), 0, np.ones(5), 0.0)
+
+
+def test_updates_reject_bad_class_index_and_unlabeled_data(small_layout):
+    ds = build_dataset(small_layout, n=20, n_classes=2, seed=307)
+    u0, w0 = np.zeros(small_layout.d_o), np.zeros(small_layout.d_t)
+    for bad in (2, -1, 0.0, True):
+        with pytest.raises(LayoutError, match="class index"):
+            update_skeleton_weights(ds, u0, bad, np.ones(small_layout.d_t), 0.1)
+        with pytest.raises(LayoutError, match="class index"):
+            update_object_weights(ds, w0, bad, np.ones(small_layout.d_o), 0.1)
+    unlabeled = Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects)
+    with pytest.raises(ValidationError, match="labeled"):
+        update_skeleton_weights(unlabeled, u0, 0, np.ones(small_layout.d_t), 0.1)
+    with pytest.raises(ValidationError, match="labeled"):
+        update_object_weights(unlabeled, w0, 0, np.ones(small_layout.d_o), 0.1)
+    with pytest.raises(ValidationError, match="labeled"):
+        unlabeled.normal_equations
+
+
+# --- the shared normal equations ---------------------------------------------
+
+
+def test_normal_equations_are_built_once_and_shared(monkeypatch, small_layout):
+    builds = []
+    build = Dataset.normal_equations.func
+    monkeypatch.setattr(
+        Dataset.normal_equations, "func", lambda ds: builds.append(ds) or build(ds)
+    )
+    ds = build_dataset(small_layout, n=40, n_classes=3, seed=311)
+    model, _ = fit(ds, SolverConfig(max_iters=5))
+    blocks = ds.normal_equations
+    update_skeleton_weights(ds, model.u[:, 0], 0, np.ones(small_layout.d_t), 0.1)
+    update_object_weights(ds, model.w[:, 1], 1, np.ones(small_layout.d_o), 0.1)
+    stationarity_residual(ds, model, 0.1, 0.1, 1e-8)
+    assert ds.normal_equations is blocks
+    assert builds == [ds]
+    t, o, y = ds.skeleton, ds.objects, ds.labels
+    for got, expected in zip(
+        blocks, (t @ t.T, o @ o.T, t @ o.T, o @ t.T, t @ y, o @ y)
+    ):
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert blocks.cross_t.flags.c_contiguous
+
+
+def test_normal_equations_are_read_only(small_dataset):
+    for block in small_dataset.normal_equations:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+
+def test_derived_datasets_build_their_own_normal_equations(small_layout):
+    ds = build_dataset(small_layout, n=40, n_classes=2, seed=313)
+    stale = ds.normal_equations
+    scaled, _ = standardize(ds)
+    train, test = split(ds, 0.5, seed=3)
+    for derived in (scaled, train, test):
+        blocks = derived.normal_equations
+        assert blocks is not stale
+        t, y = derived.skeleton, derived.labels
+        assert np.array_equal(blocks.gram_t, t @ t.T)
+        assert np.array_equal(blocks.ty, t @ y)
 
 
 # --- fit ---------------------------------------------------------------------
@@ -384,7 +446,7 @@ def test_half_iteration_update_never_raises_partial_objective():
         w_new = np.empty_like(w)
         for c in range(2):
             d = skeletal_reweights(w[:, c], layout, 1e-8)
-            w_new[:, c] = update_skeleton_weights(ds, u[:, c], ds.labels[:, c], d, lam1)
+            w_new[:, c] = update_skeleton_weights(ds, u[:, c], c, d, lam1)
         after = loss(ds, w_new, u) + lam1 * skeletal_norm(w_new, layout)
         assert after <= before + 1e-9 * max(1.0, before)
         # symmetric statement for the object side
@@ -393,7 +455,7 @@ def test_half_iteration_update_never_raises_partial_objective():
         u_new = np.empty_like(u)
         for c in range(2):
             d = attribute_reweights(u[:, c], layout, 1e-8)
-            u_new[:, c] = update_object_weights(ds, w[:, c], ds.labels[:, c], d, lam2)
+            u_new[:, c] = update_object_weights(ds, w[:, c], c, d, lam2)
         after_u = loss(ds, w, u_new) + lam2 * attribute_norm(u_new, layout)
         assert after_u <= before_u + 1e-9 * max(1.0, before_u)
 
