@@ -216,7 +216,8 @@ def _require_finite(arr, what):
 
 
 class NormalEquations(NamedTuple):
-    """T T', O O', T O', O T' (a contiguous copy of cross.T), T Y and O Y; read-only."""
+    """T T', O O', T O', O T' (a contiguous copy of cross.T), T Y, O Y and the
+    per-class ||y_c||^2; read-only."""
 
     gram_t: np.ndarray
     gram_o: np.ndarray
@@ -224,6 +225,7 @@ class NormalEquations(NamedTuple):
     cross_t: np.ndarray
     ty: np.ndarray
     oy: np.ndarray
+    yy: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +310,12 @@ class Dataset:
 
     @cached_property
     def normal_equations(self) -> NormalEquations:
-        """Everything the solver needs from the data, built on first use.
+        """Everything the loss and the solver need from the data, built on first use.
 
-        The data arrays are read-only, so the cached blocks cannot go stale;
-        a copy made by standardize, split or Standardizer.apply builds its own.
+        The build is one O(N d^2) pass over the instances; nothing after it
+        depends on N.  The data arrays are read-only, so the cached blocks
+        cannot go stale; a copy made by standardize, split or
+        Standardizer.apply builds its own.
         """
         if self.labels is None:
             raise ValidationError("the normal equations need a labeled dataset")
@@ -319,7 +323,7 @@ class Dataset:
         cross = t_mat @ o_mat.T
         blocks = NormalEquations(
             t_mat @ t_mat.T, o_mat @ o_mat.T, cross, np.ascontiguousarray(cross.T),
-            t_mat @ y_mat, o_mat @ y_mat,
+            t_mat @ y_mat, o_mat @ y_mat, np.sum(y_mat * y_mat, axis=0),
         )
         for block in blocks:
             block.setflags(write=False)
@@ -435,13 +439,28 @@ def attribute_norm(u, layout: FeatureLayout) -> float:
     return _block_norm_sum(u, layout.object_block_slices)
 
 
-def _residual(dataset: Dataset, w, u) -> np.ndarray:
-    """T'W + O'U - Y, the N x C misfit of the joint linear fit."""
-    return dataset.skeleton.T @ w + dataset.objects.T @ u - dataset.labels
+def _gram_loss(blocks: NormalEquations, w, u) -> float:
+    """||T'W + O'U - Y||^2 expanded over the normal equations, in O(C d^2).
+
+    The expansion rounds with an absolute error of about
+    eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
+    can come out slightly negative; it is clamped at 0.
+    """
+    total = (
+        np.sum(w * (blocks.gram_t @ w + 2.0 * (blocks.cross @ u - blocks.ty)))
+        + np.sum(u * (blocks.gram_o @ u - 2.0 * blocks.oy))
+        + np.sum(blocks.yy)
+    )
+    return max(0.0, float(total))
 
 
 def loss(dataset: Dataset, w, u) -> float:
-    """Squared Frobenius residual of the joint linear fit against the labels."""
+    """Squared Frobenius residual of the joint linear fit against the labels.
+
+    Read from dataset.normal_equations with no pass over the N instances;
+    the first call on a fresh dataset builds and caches those blocks
+    (O(N d^2)).
+    """
     if dataset.labels is None:
         raise ValidationError("loss needs a labeled dataset")
     w = _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix")
@@ -451,8 +470,7 @@ def loss(dataset: Dataset, w, u) -> float:
             f"weight matrices have {w.shape[1]} and {u.shape[1]} columns "
             f"for {dataset.labels.shape[1]} classes"
         )
-    r = _residual(dataset, w, u)
-    return float(np.sum(r * r))
+    return _gram_loss(dataset.normal_equations, w, u)
 
 
 def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:

@@ -265,18 +265,20 @@ def test_normal_equations_are_built_once_and_shared(monkeypatch, small_layout):
     assert ds.normal_equations is blocks
     assert builds == [ds]
     t, o, y = ds.skeleton, ds.objects, ds.labels
-    for got, expected in zip(
-        blocks, (t @ t.T, o @ o.T, t @ o.T, o @ t.T, t @ y, o @ y)
-    ):
-        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+    expected = (t @ t.T, o @ o.T, t @ o.T, o @ t.T, t @ y, o @ y, np.sum(y * y, axis=0))
+    assert len(blocks) == len(expected)
+    for got, want in zip(blocks, expected):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     assert blocks.cross_t.flags.c_contiguous
+    # one-hot labels: ||y_c||^2 is the class count
+    assert np.array_equal(blocks.yy, list(ds.class_counts().values()))
 
 
 def test_normal_equations_are_read_only(small_dataset):
     for block in small_dataset.normal_equations:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
-            block[0, 0] = 1.0
+            block[(0,) * block.ndim] = 1.0
 
 
 def test_derived_datasets_build_their_own_normal_equations(small_layout):
@@ -340,17 +342,16 @@ def test_fit_final_trace_entry_matches_objective_and_loss():
     )
     cfg = SolverConfig(lambda1=0.3, lambda2=0.2, max_iters=25)
     model, report = fit(ds, cfg)
-    assert report.objective_trace[-1] == pytest.approx(
-        objective(ds, model.w, model.u, 0.3, 0.2), rel=1e-12
-    )
-    assert report.loss_trace[-1] == pytest.approx(loss(ds, model.w, model.u), rel=1e-12)
+    # the trace and the public functions share one loss computation
+    assert report.objective_trace[-1] == objective(ds, model.w, model.u, 0.3, 0.2)
+    assert report.loss_trace[-1] == loss(ds, model.w, model.u)
 
 
-def test_fit_unpenalized_square_system_reaches_least_squares_loss():
-    # d_t + d_o = N and the stacked design is nonsingular: the flat minimum
-    # is exact interpolation, which the alternation must approach
+def square_system(seed):
+    """d_t + d_o = N = 6 with a nonsingular stacked design, so the unpenalized
+    minimum is exact interpolation; returns the dataset and its lstsq weights."""
     layout = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(3,))
-    rng = np.random.default_rng(131)
+    rng = np.random.default_rng(seed)
     n = 6
     skeleton = rng.standard_normal((3, n))
     objects = rng.standard_normal((3, n))
@@ -359,12 +360,62 @@ def test_fit_unpenalized_square_system_reaches_least_squares_loss():
     labels = np.zeros((n, 2))
     labels[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
     ds = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
+    return ds, coef[:3], coef[3:]
+
+
+def test_fit_unpenalized_square_system_reaches_least_squares_loss():
+    # the alternation must approach the exact interpolant
+    ds, w_ls, u_ls = square_system(131)
     model, report = fit(
         ds, SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-15, max_iters=20000)
     )
-    coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
-    oracle = float(np.sum((stacked.T @ coef - labels) ** 2))
+    stacked = np.vstack([ds.skeleton, ds.objects])
+    oracle = float(np.sum((stacked.T @ np.vstack([w_ls, u_ls]) - ds.labels) ** 2))
     assert loss(ds, model.w, model.u) <= oracle + 1e-6
+
+
+def test_loss_near_zero_is_never_negative():
+    # the loss expanded over the normal equations rounds with an absolute
+    # error of about eps * ||Y||^2, so near an interpolant it must be clamped
+    ds, w_ls, u_ls = square_system(131)
+    y_sq = float(np.sum(ds.labels * ds.labels))
+    _, report = fit(ds, SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-15, max_iters=20000))
+    assert min(report.loss_trace) >= 0.0
+    assert report.loss_trace[-1] <= 1e-12 * y_sq
+    # at these interpolants the unclamped expansion comes out below zero
+    for seed in (131, 1, 2, 4, 6, 8, 9):
+        ds, w_ls, u_ls = square_system(seed)
+        assert 0.0 <= loss(ds, w_ls, u_ls) <= 1e-12 * float(np.sum(ds.labels * ds.labels))
+
+
+def test_fit_and_diagnostics_never_touch_the_data_after_the_gram_build():
+    layout = FeatureLayout(joint_dims=(2, 3), object_count=2, modality_dims=(1, 2))
+    intact = build_dataset(layout, n=50, n_classes=3, seed=331)
+    stripped = build_dataset(layout, n=50, n_classes=3, seed=331)
+    stripped.normal_equations
+    object.__setattr__(stripped, "skeleton", None)
+    object.__setattr__(stripped, "objects", None)
+    cfg = SolverConfig(lambda1=0.2, lambda2=0.3, max_iters=30)
+    model_a, report_a = fit(intact, cfg)
+    model_b, report_b = fit(stripped, cfg)
+    assert np.array_equal(model_a.w, model_b.w)
+    assert np.array_equal(model_a.u, model_b.u)
+    assert report_a.objective_trace == report_b.objective_trace
+    assert report_a.loss_trace == report_b.loss_trace
+    assert stationarity_residual(intact, model_a, 0.2, 0.3, 1e-8) == stationarity_residual(
+        stripped, model_b, 0.2, 0.3, 1e-8
+    )
+    w, u = model_a.w, model_a.u
+    assert loss(intact, w, u) == loss(stripped, w, u)
+    assert smoothed_objective(intact, w, u, 0.2, 0.3, 1e-3) == smoothed_objective(
+        stripped, w, u, 0.2, 0.3, 1e-3
+    )
+    for a, b in zip(
+        smoothed_gradients(intact, w, u, 0.2, 0.3, 1e-3),
+        smoothed_gradients(stripped, w, u, 0.2, 0.3, 1e-3),
+    ):
+        assert np.array_equal(a, b)
 
 
 def test_fit_is_deterministic():
