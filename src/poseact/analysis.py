@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model
+from .core import Model, block_sums
 from .errors import ValidationError
 
 __all__ = [
@@ -26,14 +26,8 @@ __all__ = [
 ]
 
 
-def _block_scores(mat, slices, signed):
-    rows = []
-    for sl in slices:
-        if signed:
-            rows.append(mat[sl].sum(axis=0))
-        else:
-            rows.append(np.linalg.norm(mat[sl], axis=0))
-    return np.vstack(rows)
+def _block_scores(mat, dims, signed):
+    return block_sums(mat, dims) if signed else np.sqrt(block_sums(mat * mat, dims))
 
 
 def joint_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -43,13 +37,13 @@ def joint_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np
     entries instead, which can cancel to zero on a block that clearly
     matters; it exists for sign inspection, not ranking.
     """
-    by_class = _block_scores(model.w, model.layout.joint_slices, signed)
+    by_class = _block_scores(model.w, model.layout.joint_dims, signed)
     return by_class, by_class.sum(axis=1)
 
 
 def object_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-class block scores ((O*M) x C) and per-object totals (O x C)."""
-    by_class = _block_scores(model.u, model.layout.object_block_slices, signed)
+    by_class = _block_scores(model.u, model.layout.object_block_dims, signed)
     n_mod = model.layout.n_modalities
     per_object = by_class.reshape(model.layout.object_count, n_mod, -1).sum(axis=1)
     return by_class, per_object

@@ -11,6 +11,7 @@ as d_o x N, with one-hot labels as rows of an N x C matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,7 @@ __all__ = [
     "NormalEquations",
     "Model",
     "default_names",
+    "block_sums",
     "skeletal_norm",
     "attribute_norm",
     "loss",
@@ -83,6 +85,10 @@ def _positive_int_tuple(values, what):
     if not items:
         raise LayoutError(f"{what} must not be empty")
     return tuple(check_int(v, f"every entry of {what}", 1, error=LayoutError) for v in items)
+
+
+def _block_slices(dims):
+    return tuple(slice(stop - dim, stop) for dim, stop in zip(dims, itertools.accumulate(dims)))
 
 
 def _str_tuple(values, what):
@@ -141,23 +147,19 @@ class FeatureLayout:
         return self.object_count * sum(self.modality_dims)
 
     @cached_property
+    def object_block_dims(self) -> tuple[int, ...]:
+        """Row count of every (object, modality) block, object-major."""
+        return self.modality_dims * self.object_count
+
+    @cached_property
     def joint_slices(self) -> tuple[slice, ...]:
         """One slice into the skeleton axis per joint."""
-        slices, stop = [], 0
-        for dim in self.joint_dims:
-            slices.append(slice(stop, stop + dim))
-            stop += dim
-        return tuple(slices)
+        return _block_slices(self.joint_dims)
 
     @cached_property
     def object_block_slices(self) -> tuple[slice, ...]:
         """One slice into the object axis per (object, modality) block, object-major."""
-        slices, stop = [], 0
-        for _ in range(self.object_count):
-            for dim in self.modality_dims:
-                slices.append(slice(stop, stop + dim))
-                stop += dim
-        return tuple(slices)
+        return _block_slices(self.object_block_dims)
 
     def object_block_index(self, obj: int, modality: int) -> int:
         """Flat index of object obj's block for the given modality."""
@@ -416,11 +418,19 @@ def _check_weight_matrix(mat, rows, what):
     return arr
 
 
-def _block_norm_sum(mat: np.ndarray, slices: tuple[slice, ...]) -> float:
-    total = 0.0
-    for sl in slices:
-        total += float(np.linalg.norm(mat[sl], axis=0).sum())
-    return total
+def block_sums(mat, dims) -> np.ndarray:
+    """Row sums of mat over consecutive blocks of dims[k] rows, all columns at once.
+
+    mat is a vector or a d x C matrix with d == sum(dims); the result has
+    one row per block (len(dims), or len(dims) x C).  Every block quantity
+    goes through here: group norms are sqrt(block_sums(mat * mat, dims)).
+    """
+    return np.add.reduceat(mat, np.cumsum(dims) - dims, axis=0)
+
+
+def _block_norm_sum(mat, dims, epsilon=0.0) -> float:
+    """Sum over blocks and columns of sqrt(||block||^2 + epsilon^2)."""
+    return float(np.sum(np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon)))
 
 
 def skeletal_norm(w, layout: FeatureLayout) -> float:
@@ -430,13 +440,13 @@ def skeletal_norm(w, layout: FeatureLayout) -> float:
     which is what drives whole joints to zero under regularization.
     """
     w = _check_weight_matrix(w, layout.d_t, "skeleton weight matrix")
-    return _block_norm_sum(w, layout.joint_slices)
+    return _block_norm_sum(w, layout.joint_dims)
 
 
 def attribute_norm(u, layout: FeatureLayout) -> float:
     """Sum over classes, objects, and modalities of per-block Euclidean norms."""
     u = _check_weight_matrix(u, layout.d_o, "object weight matrix")
-    return _block_norm_sum(u, layout.object_block_slices)
+    return _block_norm_sum(u, layout.object_block_dims)
 
 
 def _gram_loss(blocks: NormalEquations, w, u) -> float:
@@ -454,15 +464,10 @@ def _gram_loss(blocks: NormalEquations, w, u) -> float:
     return max(0.0, float(total))
 
 
-def loss(dataset: Dataset, w, u) -> float:
-    """Squared Frobenius residual of the joint linear fit against the labels.
-
-    Read from dataset.normal_equations with no pass over the N instances;
-    the first call on a fresh dataset builds and caches those blocks
-    (O(N d^2)).
-    """
+def _labeled_weights(dataset: Dataset, w, u, what):
+    """W and U as float arrays, checked against the dataset's layout and class count."""
     if dataset.labels is None:
-        raise ValidationError("loss needs a labeled dataset")
+        raise ValidationError(f"{what} needs a labeled dataset")
     w = _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix")
     u = _check_weight_matrix(u, dataset.layout.d_o, "object weight matrix")
     if w.shape[1] != dataset.labels.shape[1] or u.shape[1] != dataset.labels.shape[1]:
@@ -470,6 +475,17 @@ def loss(dataset: Dataset, w, u) -> float:
             f"weight matrices have {w.shape[1]} and {u.shape[1]} columns "
             f"for {dataset.labels.shape[1]} classes"
         )
+    return w, u
+
+
+def loss(dataset: Dataset, w, u) -> float:
+    """Squared Frobenius residual of the joint linear fit against the labels.
+
+    Read from dataset.normal_equations with no pass over the N instances;
+    the first call on a fresh dataset builds and caches those blocks
+    (O(N d^2)).
+    """
+    w, u = _labeled_weights(dataset, w, u, "loss")
     return _gram_loss(dataset.normal_equations, w, u)
 
 

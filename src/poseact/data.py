@@ -85,12 +85,13 @@ class Standardizer:
             raise LayoutError("object mean and scale lengths disagree")
         if np.any(self.skeleton_scale <= 0) or np.any(self.object_scale <= 0):
             raise ValidationError("scales must be strictly positive")
-        object.__setattr__(
-            self, "skeleton_constant", tuple(int(i) for i in self.skeleton_constant)
-        )
-        object.__setattr__(
-            self, "object_constant", tuple(int(i) for i in self.object_constant)
-        )
+        for name in ("skeleton_constant", "object_constant"):
+            # integers only; Model checks their range against its layout
+            indices = (
+                check_int(i, f"{name} entry", -math.inf, error=LayoutError)
+                for i in getattr(self, name)
+            )
+            object.__setattr__(self, name, tuple(indices))
 
     def apply(self, dataset: Dataset) -> Dataset:
         """Transform a dataset exactly the way the training set was transformed."""
@@ -382,14 +383,13 @@ def _decode_header(doc, expected_format, layout_raw, where):
         return layout, None
     if not isinstance(names_raw, dict):
         raise DataFormatError(f"{where}names must be an object or null")
+    groups = [names_raw.get(key) for key in ("joints", "objects", "modalities")]
+    if not all(isinstance(group, list) for group in groups):
+        raise DataFormatError(f"{where}bad names (joints, objects and modalities must be lists)")
     try:
-        names = GroupNames(
-            joints=tuple(names_raw.get("joints", ())),
-            objects=tuple(names_raw.get("objects", ())),
-            modalities=tuple(names_raw.get("modalities", ())),
-        )
+        names = GroupNames(*map(tuple, groups))
         names.check_against(layout)
-    except (LayoutError, ValidationError, TypeError) as exc:
+    except (LayoutError, ValidationError) as exc:
         raise DataFormatError(f"{where}bad names ({exc})") from exc
     return layout, names
 

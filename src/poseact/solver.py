@@ -1,13 +1,13 @@
 """Alternating reweighted least-squares solver for the group-sparse model.
 
-Each iteration rebuilds per-class diagonal reweighting vectors from the
-current weights, then refreshes every class column of W with U held at its
-previous value, then every column of U against the just-updated W.  Both
-refreshes are closed-form symmetric positive definite solves on the
-dataset's cached normal equations, so the objective never moves uphill; a
-floor on block norms keeps the diagonals finite when a block collapses
-toward zero, at the price of optimizing a smoothed objective whose
-minimizers approach the exact ones as the floor shrinks.
+Each iteration builds the diagonal reweighting vectors of every class at
+once from the pre-update weights, then refreshes every class column of W
+with U held at its previous value, then every column of U against the
+just-updated W.  Both refreshes are closed-form symmetric positive definite
+solves on the dataset's cached normal equations, so the objective never
+moves uphill; a floor on block norms keeps the diagonals finite when a
+block collapses toward zero, at the price of optimizing a smoothed
+objective whose minimizers approach the exact ones as the floor shrinks.
 
 The solves, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read those cached
@@ -30,8 +30,9 @@ from .core import (
     FeatureLayout,
     Model,
     _block_norm_sum,
-    _check_weight_matrix,
     _gram_loss,
+    _labeled_weights,
+    block_sums,
     check_int,
     check_number,
 )
@@ -99,13 +100,10 @@ def _check_column(vec, length, what):
     return arr
 
 
-def _reweights(vec, length, slices, epsilon):
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    vec = _check_column(vec, length, "weight column")
-    diag = np.empty(length)
-    for sl in slices:
-        diag[sl] = 0.5 / max(float(np.linalg.norm(vec[sl])), epsilon)
-    return diag
+def _reweights(mat, dims, epsilon):
+    """Reweighting diagonals of every column of mat (a vector or a d x C matrix)."""
+    norms = np.sqrt(block_sums(mat * mat, dims))
+    return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
 
 
 def skeletal_reweights(w_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
@@ -114,12 +112,16 @@ def skeletal_reweights(w_c, layout: FeatureLayout, epsilon: float) -> np.ndarray
     Every coordinate of joint block j gets 1 / (2 * max(||w_c block j||, epsilon)),
     so shrinking blocks are penalized ever harder on the next solve.
     """
-    return _reweights(w_c, layout.d_t, layout.joint_slices, epsilon)
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    return _reweights(_check_column(w_c, layout.d_t, "weight column"), layout.joint_dims, epsilon)
 
 
 def attribute_reweights(u_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
     """Object-side analog of skeletal_reweights, one value per (object, modality) block."""
-    return _reweights(u_c, layout.d_o, layout.object_block_slices, epsilon)
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    return _reweights(
+        _check_column(u_c, layout.d_o, "weight column"), layout.object_block_dims, epsilon
+    )
 
 
 def _penalized_solve(gram, lam, reweights, rhs, describe):
@@ -199,8 +201,8 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         loss_val = _gram_loss(dataset.normal_equations, w, u)
         return loss_val, (
             loss_val
-            + lam1 * _block_norm_sum(w, layout.joint_slices)
-            + lam2 * _block_norm_sum(u, layout.object_block_slices)
+            + lam1 * _block_norm_sum(w, layout.joint_dims)
+            + lam2 * _block_norm_sum(u, layout.object_block_dims)
         )
 
     prev_obj = loss_and_objective(w_cur, u_cur)[1]
@@ -209,14 +211,12 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     converged = False
 
     for _ in range(config.max_iters):
-        # column c is overwritten only after its own reweighting diagonal is
-        # built, so both diagonals come from the pre-update iterate
+        d_w = _reweights(w_cur, layout.joint_dims, eps)
+        d_u = _reweights(u_cur, layout.object_block_dims, eps)
         for c in range(n_classes):
-            d = skeletal_reweights(w_cur[:, c], layout, eps)
-            w_cur[:, c] = update_skeleton_weights(dataset, u_cur[:, c], c, d, lam1)
+            w_cur[:, c] = update_skeleton_weights(dataset, u_cur[:, c], c, d_w[:, c], lam1)
         for c in range(n_classes):
-            d = attribute_reweights(u_cur[:, c], layout, eps)
-            u_cur[:, c] = update_object_weights(dataset, w_cur[:, c], c, d, lam2)
+            u_cur[:, c] = update_object_weights(dataset, w_cur[:, c], c, d_u[:, c], lam2)
         loss_val, obj = loss_and_objective(w_cur, u_cur)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
@@ -262,6 +262,14 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
     return lhs <= rhs + _INEQUALITY_SLACK
 
 
+def _half_gradients(blocks, w, u):
+    """T T'W + T O'U - T Y and O O'U + O T'W - O Y: half the loss gradients."""
+    return (
+        blocks.gram_t @ w + blocks.cross @ u - blocks.ty,
+        blocks.gram_o @ u + blocks.cross_t @ w - blocks.oy,
+    )
+
+
 def stationarity_residual(
     dataset: Dataset, model: Model, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
@@ -272,47 +280,25 @@ def stationarity_residual(
     scaled by 1 / (1 + ||w||); the object side mirrors it.  Near a fixed
     point of the alternating updates this goes to zero.
     """
-    if dataset.labels is None:
-        raise ValidationError("stationarity_residual needs a labeled dataset")
+    w, u = _labeled_weights(dataset, model.w, model.u, "stationarity_residual")
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
-    if dataset.labels.shape[1] != model.n_classes:
-        raise LayoutError(
-            f"dataset has {dataset.labels.shape[1]} classes, model has {model.n_classes}"
-        )
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
     layout = dataset.layout
-    # cross.T @ w runs the transposed BLAS kernel; the cached contiguous
-    # cross_t would sum in another order and move the result's last bits
-    gram_t, gram_o, cross, _, ty, oy, _ = dataset.normal_equations
-    worst = 0.0
-    for c in range(model.n_classes):
-        w = model.w[:, c]
-        u = model.u[:, c]
-        dw = skeletal_reweights(w, layout, epsilon)
-        du = attribute_reweights(u, layout, epsilon)
-        res_w = gram_t @ w + cross @ u - ty[:, c] + lambda1 * dw * w
-        res_u = gram_o @ u + cross.T @ w - oy[:, c] + lambda2 * du * u
-        worst = max(worst, float(np.linalg.norm(res_w)) / (1.0 + float(np.linalg.norm(w))))
-        worst = max(worst, float(np.linalg.norm(res_u)) / (1.0 + float(np.linalg.norm(u))))
-    return worst
-
-
-def _smoothed_block_sum(mat, slices, epsilon):
-    total = 0.0
-    for sl in slices:
-        norms_sq = np.sum(mat[sl] * mat[sl], axis=0)
-        total += float(np.sum(np.sqrt(norms_sq + epsilon * epsilon)))
-    return total
+    half_w, half_u = _half_gradients(dataset.normal_equations, w, u)
+    res_w = half_w + lambda1 * _reweights(w, layout.joint_dims, epsilon) * w
+    res_u = half_u + lambda2 * _reweights(u, layout.object_block_dims, epsilon) * u
+    return max(
+        float(np.max(np.linalg.norm(res, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
+        for res, mat in ((res_w, w), (res_u, u))
+    )
 
 
 def _smoothed_inputs(dataset: Dataset, w, u, lambda1, lambda2, epsilon, what):
-    if dataset.labels is None:
-        raise ValidationError(f"{what} needs a labeled dataset")
     return (
-        _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix"),
-        _check_weight_matrix(u, dataset.layout.d_o, "object weight matrix"),
+        *_labeled_weights(dataset, w, u, what),
         check_number(lambda1, "lambda1"),
         check_number(lambda2, "lambda2"),
         check_number(epsilon, "epsilon", strict=True),
@@ -333,8 +319,8 @@ def smoothed_objective(
     layout = dataset.layout
     return (
         _gram_loss(dataset.normal_equations, w, u)
-        + lambda1 * _smoothed_block_sum(w, layout.joint_slices, epsilon)
-        + lambda2 * _smoothed_block_sum(u, layout.object_block_slices, epsilon)
+        + lambda1 * _block_norm_sum(w, layout.joint_dims, epsilon)
+        + lambda2 * _block_norm_sum(u, layout.object_block_dims, epsilon)
     )
 
 
@@ -346,13 +332,12 @@ def smoothed_gradients(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_gradients"
     )
     layout = dataset.layout
-    blocks = dataset.normal_equations
-    grad_w = 2.0 * (blocks.gram_t @ w + blocks.cross @ u - blocks.ty)
-    grad_u = 2.0 * (blocks.gram_o @ u + blocks.cross_t @ w - blocks.oy)
-    for sl in layout.joint_slices:
-        scale = np.sqrt(np.sum(w[sl] * w[sl], axis=0) + epsilon * epsilon)
-        grad_w[sl] += lambda1 * w[sl] / scale
-    for sl in layout.object_block_slices:
-        scale = np.sqrt(np.sum(u[sl] * u[sl], axis=0) + epsilon * epsilon)
-        grad_u[sl] += lambda2 * u[sl] / scale
-    return grad_w, grad_u
+
+    def smoothed_norms(mat, dims):
+        return np.repeat(np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon), dims, axis=0)
+
+    half_w, half_u = _half_gradients(dataset.normal_equations, w, u)
+    return (
+        2.0 * half_w + lambda1 * w / smoothed_norms(w, layout.joint_dims),
+        2.0 * half_u + lambda2 * u / smoothed_norms(u, layout.object_block_dims),
+    )

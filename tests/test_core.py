@@ -20,6 +20,9 @@ from poseact import (
     predict,
     predict_batch,
     skeletal_norm,
+    smoothed_gradients,
+    smoothed_objective,
+    stationarity_residual,
 )
 from poseact.errors import ConfigError
 
@@ -61,6 +64,7 @@ def test_layout_slices_partition_both_axes():
     # block widths repeat the modality dims for every object
     widths = [sl.stop - sl.start for sl in layout.object_block_slices]
     assert widths == [2, 2, 1] * 3
+    assert layout.object_block_dims == tuple(widths)
 
 
 def test_layout_object_block_index_is_object_major():
@@ -315,6 +319,20 @@ def test_loss_requires_labels(small_layout):
     )
     with pytest.raises(ValidationError):
         loss(ds, np.zeros((small_layout.d_t, 2)), np.zeros((small_layout.d_o, 2)))
+    # one weight column for three classes must not broadcast
+    labeled = build_dataset(small_layout, n=4, n_classes=3, seed=41)
+    w, u = np.zeros((small_layout.d_t, 1)), np.zeros((small_layout.d_o, 1))
+    one_class = Model(
+        layout=small_layout, w=w, u=u, class_names=("a",), hyperparams=SolverConfig()
+    )
+    for call in (
+        lambda: loss(labeled, w, u),
+        lambda: smoothed_objective(labeled, w, u, 0.1, 0.1, 1e-3),
+        lambda: smoothed_gradients(labeled, w, u, 0.1, 0.1, 1e-3),
+        lambda: stationarity_residual(labeled, one_class, 0.1, 0.1, 1e-8),
+    ):
+        with pytest.raises(LayoutError, match="1 and 1 columns for 3 classes"):
+            call()
 
 
 def test_objective_combines_terms(small_dataset):

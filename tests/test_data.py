@@ -411,6 +411,8 @@ def test_load_dataset_header_errors(tmp_path):
         (good_header(joint_dims=[0]), "bad layout"),
         (good_header(classes=["a", "a"]), "duplicates"),
         (good_header(classes=["a", ""]), "non-empty strings"),
+        # a string is not split into one-character names
+        (good_header(names={"joints": "a", "objects": ["o"], "modalities": ["m"]}), "lists"),
     ]
     for header, fragment in cases:
         path = write_lines(tmp_path, header, '[0.0, 0.0, "a"]')
@@ -577,6 +579,8 @@ def test_load_model_errors(tmp_path):
         load_model(mutated(standardizer={"skeleton_mean": [0.0]}))
     with pytest.raises(DataFormatError, match="bad names"):
         load_model(mutated(names={"joints": ["only-one"]}))
+    with pytest.raises(DataFormatError, match="must be lists"):
+        load_model(mutated(names={**doc["names"], "joints": "ab"}))
     # integer literals one past the float range overflow a float conversion
     huge = int("9" * 401)
     with pytest.raises(DataFormatError, match="w has a non-finite.*too large for a float"):
@@ -595,6 +599,9 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(DataFormatError, match="skeleton_constant indices outside"):
         load_model(mutated(standardizer={**fitted, "skeleton_constant": [-1]}))
     assert load_model(mutated(standardizer={**fitted, "skeleton_constant": [2]})).standardizer
+    for index in (0.5, "1", True):
+        with pytest.raises(DataFormatError, match="skeleton_constant entry must be an integer"):
+            load_model(mutated(standardizer={**fitted, "skeleton_constant": [index]}))
     with pytest.raises(DataFormatError, match="layout is missing 'object_count'"):
         load_model(mutated(layout={"joint_dims": [2, 1], "modality_dims": [2]}))
     bad.write_bytes(path.read_bytes().replace(b"sit", b"s\xffs"))

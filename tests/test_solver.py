@@ -11,6 +11,7 @@ from poseact import (
     Dataset,
     FeatureLayout,
     LayoutError,
+    Model,
     SingularityError,
     SolverConfig,
     SynthSpec,
@@ -32,6 +33,7 @@ from poseact import (
     update_object_weights,
     update_skeleton_weights,
 )
+from poseact.solver import _reweights
 
 from conftest import build_dataset
 
@@ -115,6 +117,18 @@ def test_reweights_match_loop_oracle_and_stay_positive():
         for sl in layout.object_block_slices:
             expected = 0.5 / max(np.sqrt(np.sum(u_c[sl] ** 2)), 1e-8)
             assert np.allclose(du[sl], expected, rtol=1e-12)
+        # the all-classes helper fit uses equals one column call per class
+        w = rng.standard_normal((layout.d_t, 3))
+        u = rng.standard_normal((layout.d_o, 3))
+        w[layout.joint_slices[0], 1] = 0.0
+        u[layout.object_block_slices[-1], 2] = 0.0
+        for mat, dims, column_reweights in (
+            (w, layout.joint_dims, skeletal_reweights),
+            (u, layout.object_block_dims, attribute_reweights),
+        ):
+            at_once = _reweights(mat, dims, 1e-8)
+            for c in range(3):
+                assert np.array_equal(at_once[:, c], column_reweights(mat[:, c], layout, 1e-8))
 
 
 def test_reweights_reject_wrong_shape(small_layout):
@@ -580,6 +594,39 @@ def test_residual_is_small_after_tightly_converged_fit():
     model, report = fit(ds, SolverConfig(tol=1e-10, max_iters=500, seed=1))
     assert report.converged
     assert stationarity_residual(ds, model, 0.1, 0.1, 1e-8) < 1e-4
+
+
+def test_residual_matches_per_class_loop_oracle(small_dataset):
+    # the residual read from the normal equations, against one pass over the
+    # data per class with per-block diagonals
+    rng = np.random.default_rng(163)
+    layout = small_dataset.layout
+    t, o, y = small_dataset.skeleton, small_dataset.objects, small_dataset.labels
+    for lam1, lam2 in ((0.0, 0.0), (0.3, 0.7)):
+        w = rng.standard_normal((layout.d_t, 3))
+        u = rng.standard_normal((layout.d_o, 3))
+        w[layout.joint_slices[1], 0] = 0.0  # a block on the epsilon floor
+        model = Model(
+            layout=layout, w=w, u=u, class_names=small_dataset.class_names,
+            hyperparams=SolverConfig(),
+        )
+        worst = 0.0
+        for c in range(3):
+            dw, du = np.empty(layout.d_t), np.empty(layout.d_o)
+            for sl in layout.joint_slices:
+                dw[sl] = 0.5 / max(np.linalg.norm(w[sl, c]), 1e-8)
+            for sl in layout.object_block_slices:
+                du[sl] = 0.5 / max(np.linalg.norm(u[sl, c]), 1e-8)
+            misfit = t.T @ w[:, c] + o.T @ u[:, c] - y[:, c]
+            res_w = t @ misfit + lam1 * dw * w[:, c]
+            res_u = o @ misfit + lam2 * du * u[:, c]
+            worst = max(
+                worst,
+                np.linalg.norm(res_w) / (1.0 + np.linalg.norm(w[:, c])),
+                np.linalg.norm(res_u) / (1.0 + np.linalg.norm(u[:, c])),
+            )
+        got = stationarity_residual(small_dataset, model, lam1, lam2, 1e-8)
+        assert got == pytest.approx(worst, rel=1e-12)
 
 
 def test_residual_positive_for_unfitted_weights(small_dataset):
