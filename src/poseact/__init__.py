@@ -57,15 +57,11 @@ from .errors import (
 from .solver import (
     FitReport,
     SolverConfig,
-    attribute_reweights,
     check_reweighting_inequality,
     fit,
-    skeletal_reweights,
     smoothed_gradients,
     smoothed_objective,
     stationarity_residual,
-    update_object_weights,
-    update_skeleton_weights,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +85,6 @@ __all__ = [
     "SynthSpec",
     "ValidationError",
     "attribute_norm",
-    "attribute_reweights",
     "bench_predict",
     "check_reweighting_inequality",
     "default_names",
@@ -103,8 +98,8 @@ __all__ = [
     "load_model",
     "loss",
     "normalize_columns",
-    "objective",
     "object_importance",
+    "objective",
     "predict",
     "predict_batch",
     "report_to_dict",
@@ -112,12 +107,9 @@ __all__ = [
     "save_dataset",
     "save_model",
     "skeletal_norm",
-    "skeletal_reweights",
     "smoothed_gradients",
     "smoothed_objective",
     "split",
     "standardize",
     "stationarity_residual",
-    "update_object_weights",
-    "update_skeleton_weights",
 ]

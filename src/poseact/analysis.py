@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model, block_sums
+from .core import Model, block_sums, check_int
 from .errors import ValidationError
 
 __all__ = [
@@ -182,14 +182,15 @@ def format_report_table(
     joints / classes restrict which rows and class columns appear; both
     default to everything.
     """
-    joint_rows = list(range(model.layout.n_joints)) if joints is None else list(joints)
-    class_cols = list(range(model.n_classes)) if classes is None else list(classes)
-    for j in joint_rows:
-        if not 0 <= j < model.layout.n_joints:
-            raise ValidationError(f"joint selection {j} out of range")
-    for c in class_cols:
-        if not 0 <= c < model.n_classes:
-            raise ValidationError(f"class selection {c} out of range")
+    n_joints, n_classes = model.layout.n_joints, model.n_classes
+    joint_rows = [
+        check_int(j, "joint selection", 0, n_joints, error=ValidationError)
+        for j in (range(n_joints) if joints is None else joints)
+    ]
+    class_cols = [
+        check_int(c, "class selection", 0, n_classes, error=ValidationError)
+        for c in (range(n_classes) if classes is None else classes)
+    ]
     joint_labels = [model.names.joints[j] for j in joint_rows]
     class_labels = [model.class_names[c] for c in class_cols]
     kind = "signed sums" if report.signed else "block norms"

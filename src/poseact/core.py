@@ -73,7 +73,7 @@ def check_int(value, name, low, high=None, error=ConfigError):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low or (high is not None and value >= high):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise error(f"{name} must be {bound}, got {value}")
+        raise error(f"{name} out of range: must be {bound}, got {value}")
     return int(value)
 
 
@@ -433,6 +433,16 @@ def _block_norm_sum(mat, dims, epsilon=0.0) -> float:
     return float(np.sum(np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon)))
 
 
+def _penalty(layout: FeatureLayout, w, u, lam1, lam2, epsilon=0.0) -> float:
+    """lam1 times the skeletal norm plus lam2 times the attribute norm of W and U.
+
+    With epsilon > 0 every block norm is smoothed to sqrt(||block||^2 + epsilon^2).
+    """
+    return lam1 * _block_norm_sum(w, layout.joint_dims, epsilon) + lam2 * _block_norm_sum(
+        u, layout.object_block_dims, epsilon
+    )
+
+
 def skeletal_norm(w, layout: FeatureLayout) -> float:
     """Sum over classes and joints of the Euclidean norm of each joint block.
 
@@ -493,10 +503,9 @@ def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
-    return (
-        loss(dataset, w, u)
-        + lambda1 * skeletal_norm(w, dataset.layout)
-        + lambda2 * attribute_norm(u, dataset.layout)
+    w, u = _labeled_weights(dataset, w, u, "objective")
+    return _gram_loss(dataset.normal_equations, w, u) + _penalty(
+        dataset.layout, w, u, lambda1, lambda2
     )
 
 

@@ -169,15 +169,13 @@ class SynthSpec:
             raise ConfigError(
                 f"planted_joints lists {len(joints)} classes, expected {self.n_classes}"
             )
+        layout = self.layout
         cleaned_joints = []
         for c, entry in enumerate(joints):
-            idx = sorted({int(j) for j in entry})
+            what = f"planted joint for class {c}"
+            idx = sorted({check_int(j, what, 0, layout.n_joints) for j in entry})
             if not idx:
                 raise ConfigError(f"planted_joints for class {c} is empty")
-            if idx[0] < 0 or idx[-1] >= self.layout.n_joints:
-                raise ConfigError(
-                    f"planted_joints for class {c} outside [0, {self.layout.n_joints})"
-                )
             cleaned_joints.append(tuple(idx))
         object.__setattr__(self, "planted_joints", tuple(cleaned_joints))
 
@@ -188,18 +186,17 @@ class SynthSpec:
             )
         cleaned_blocks = []
         for c, entry in enumerate(blocks):
-            pairs = sorted({(int(o), int(m)) for o, m in entry})
+            pairs = sorted(
+                {
+                    (
+                        check_int(o, f"planted object for class {c}", 0, layout.object_count),
+                        check_int(m, f"planted modality for class {c}", 0, layout.n_modalities),
+                    )
+                    for o, m in entry
+                }
+            )
             if not pairs:
                 raise ConfigError(f"planted_blocks for class {c} is empty")
-            for o, m in pairs:
-                if not 0 <= o < self.layout.object_count:
-                    raise ConfigError(
-                        f"planted object {o} for class {c} outside [0, {self.layout.object_count})"
-                    )
-                if not 0 <= m < self.layout.n_modalities:
-                    raise ConfigError(
-                        f"planted modality {m} for class {c} outside [0, {self.layout.n_modalities})"
-                    )
             cleaned_blocks.append(tuple(pairs))
         object.__setattr__(self, "planted_blocks", tuple(cleaned_blocks))
 

@@ -1,13 +1,14 @@
 """Alternating reweighted least-squares solver for the group-sparse model.
 
 Each iteration builds the diagonal reweighting vectors of every class at
-once from the pre-update weights, then refreshes every class column of W
-with U held at its previous value, then every column of U against the
-just-updated W.  Both refreshes are closed-form symmetric positive definite
-solves on the dataset's cached normal equations, so the objective never
-moves uphill; a floor on block norms keeps the diagonals finite when a
-block collapses toward zero, at the price of optimizing a smoothed
-objective whose minimizers approach the exact ones as the floor shrinks.
+once from the pre-update weights, then makes two half-steps: one solve of
+all class columns of W with U held at its previous value, then one of all
+columns of U against the new W.  Each half-step is a closed-form symmetric
+positive definite solve per class on the dataset's cached normal
+equations, so the objective never moves uphill; a floor on block norms
+keeps the diagonals finite when a block collapses toward zero, at the
+price of optimizing a smoothed objective whose minimizers approach the
+exact ones as the floor shrinks.
 
 The solves, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read those cached
@@ -27,11 +28,10 @@ import scipy.linalg
 from .core import (
     SEED_RANGE,
     Dataset,
-    FeatureLayout,
     Model,
-    _block_norm_sum,
     _gram_loss,
     _labeled_weights,
+    _penalty,
     block_sums,
     check_int,
     check_number,
@@ -41,10 +41,6 @@ from .errors import LayoutError, SingularityError, ValidationError
 __all__ = [
     "SolverConfig",
     "FitReport",
-    "skeletal_reweights",
-    "attribute_reweights",
-    "update_skeleton_weights",
-    "update_object_weights",
     "fit",
     "check_reweighting_inequality",
     "stationarity_residual",
@@ -93,85 +89,39 @@ class FitReport:
     wall_time: float
 
 
-def _check_column(vec, length, what):
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.shape != (length,):
-        raise LayoutError(f"{what} has shape {arr.shape}, expected ({length},)")
-    return arr
-
-
 def _reweights(mat, dims, epsilon):
-    """Reweighting diagonals of every column of mat (a vector or a d x C matrix)."""
+    """Reweighting diagonals of every column of mat (a vector or a d x C matrix).
+
+    Every coordinate of block k in column c gets
+    1 / (2 * max(||block k of column c||, epsilon)), so shrinking blocks are
+    penalized ever harder on the next solve.
+    """
     norms = np.sqrt(block_sums(mat * mat, dims))
     return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
 
 
-def skeletal_reweights(w_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
-    """Diagonal of the skeleton reweighting matrix for one class column.
+def _half_step(gram, lam, reweights, rhs, describe):
+    """Solve (gram + lam diag(reweights[:, c])) x_c = rhs[:, c] for every class c.
 
-    Every coordinate of joint block j gets 1 / (2 * max(||w_c block j||, epsilon)),
-    so shrinking blocks are penalized ever harder on the next solve.
+    One Cholesky factorization per class; gram is not modified.  describe
+    names the system in the SingularityError raised when a factorization fails.
     """
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    return _reweights(_check_column(w_c, layout.d_t, "weight column"), layout.joint_dims, epsilon)
-
-
-def attribute_reweights(u_c, layout: FeatureLayout, epsilon: float) -> np.ndarray:
-    """Object-side analog of skeletal_reweights, one value per (object, modality) block."""
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    return _reweights(
-        _check_column(u_c, layout.d_o, "weight column"), layout.object_block_dims, epsilon
-    )
-
-
-def _penalized_solve(gram, lam, reweights, rhs, describe):
-    """Cholesky solve of (gram + lam diag(reweights)) x = rhs; gram is not modified."""
-    system = gram.copy()
-    if lam != 0.0:
-        system[np.diag_indices_from(system)] += lam * reweights
-    try:
-        factor = scipy.linalg.cho_factor(system, lower=False, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            f"{describe} is not positive definite (Cholesky failed: {exc}); "
-            "with a zero penalty weight this means the Gram matrix is rank deficient"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-
-def _class_blocks(dataset: Dataset, c):
-    """The dataset's normal equations and a checked class index into them."""
-    blocks = dataset.normal_equations  # ValidationError on unlabeled data
-    return blocks, check_int(c, "class index", 0, blocks.ty.shape[1], error=LayoutError)
-
-
-def update_skeleton_weights(dataset: Dataset, u_c, c: int, reweights, lambda1: float) -> np.ndarray:
-    """Closed-form refresh of class column c of W with the object side fixed at u_c.
-
-    Solves (T T' + lambda1 diag(reweights)) w = T y_c - T O' u_c, where y_c is
-    label column c; every block comes from dataset.normal_equations.
-    """
-    blocks, c = _class_blocks(dataset, c)
-    u = _check_column(u_c, dataset.layout.d_o, "object weight column")
-    d = _check_column(reweights, dataset.layout.d_t, "reweighting diagonal")
-    return _penalized_solve(
-        blocks.gram_t, check_number(lambda1, "lambda1"), d, blocks.ty[:, c] - blocks.cross @ u,
-        f"skeleton-weight system (T T' + lambda1 D) for class {c}",
-    )
-
-
-def update_object_weights(dataset: Dataset, w_c, c: int, reweights, lambda2: float) -> np.ndarray:
-    """Closed-form refresh of class column c of U with the skeleton side fixed at w_c.
-
-    Solves (O O' + lambda2 diag(reweights)) u = O y_c - O T' w_c.
-    """
-    blocks, c = _class_blocks(dataset, c)
-    w = _check_column(w_c, dataset.layout.d_t, "skeleton weight column")
-    d = _check_column(reweights, dataset.layout.d_o, "reweighting diagonal")
-    return _penalized_solve(
-        blocks.gram_o, check_number(lambda2, "lambda2"), d, blocks.oy[:, c] - blocks.cross_t @ w,
-        f"object-weight system (O O' + lambda2 D) for class {c}",
-    )
+    out = np.empty((gram.shape[0], rhs.shape[1]))
+    for c in range(rhs.shape[1]):
+        system = gram.copy()
+        if lam != 0.0:
+            system[np.diag_indices_from(system)] += lam * reweights[:, c]
+        try:
+            factor = scipy.linalg.cho_factor(
+                system, lower=False, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(
+                f"{describe} for class {c} is not positive definite (Cholesky failed: {exc}); "
+                "with a zero penalty weight this means the Gram matrix is rank deficient"
+            ) from exc
+        out[:, c] = scipy.linalg.cho_solve(factor, rhs[:, c], check_finite=False)
+    return out
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
@@ -181,10 +131,13 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     U).  Hitting max_iters without stalling is reported, not raised.  Given
     the same dataset and config the result is bit-for-bit reproducible.
 
-    Every iteration, its loss and objective included, works on
-    dataset.normal_equations and makes no pass over the N instances; on a
-    fresh dataset the first use builds and caches them (O(N d^2)), and that
-    build counts towards wall_time.
+    An iteration is two half-steps, each one all-classes solve: W from
+    (T T' + lambda1 D_W) W = T Y - T O' U, then U from
+    (O O' + lambda2 D_U) U = O Y - O T' W with the new W.  Every iteration,
+    its loss and objective included, works on dataset.normal_equations and
+    makes no pass over the N instances; on a fresh dataset the first use
+    builds and caches them (O(N d^2)), and that build counts towards
+    wall_time.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
@@ -193,17 +146,14 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     n_classes = dataset.labels.shape[1]
 
     start = time.perf_counter()
+    blocks = dataset.normal_equations
     rng = np.random.default_rng(config.seed)
     w_cur = 0.01 * rng.standard_normal((layout.d_t, n_classes))
     u_cur = 0.01 * rng.standard_normal((layout.d_o, n_classes))
 
     def loss_and_objective(w, u):
-        loss_val = _gram_loss(dataset.normal_equations, w, u)
-        return loss_val, (
-            loss_val
-            + lam1 * _block_norm_sum(w, layout.joint_dims)
-            + lam2 * _block_norm_sum(u, layout.object_block_dims)
-        )
+        loss_val = _gram_loss(blocks, w, u)
+        return loss_val, loss_val + _penalty(layout, w, u, lam1, lam2)
 
     prev_obj = loss_and_objective(w_cur, u_cur)[1]
     objective_trace: list[float] = []
@@ -213,10 +163,14 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     for _ in range(config.max_iters):
         d_w = _reweights(w_cur, layout.joint_dims, eps)
         d_u = _reweights(u_cur, layout.object_block_dims, eps)
-        for c in range(n_classes):
-            w_cur[:, c] = update_skeleton_weights(dataset, u_cur[:, c], c, d_w[:, c], lam1)
-        for c in range(n_classes):
-            u_cur[:, c] = update_object_weights(dataset, w_cur[:, c], c, d_u[:, c], lam2)
+        w_cur = _half_step(
+            blocks.gram_t, lam1, d_w, blocks.ty - blocks.cross @ u_cur,
+            "skeleton-weight system (T T' + lambda1 D)",
+        )
+        u_cur = _half_step(
+            blocks.gram_o, lam2, d_u, blocks.oy - blocks.cross_t @ w_cur,
+            "object-weight system (O O' + lambda2 D)",
+        )
         loss_val, obj = loss_and_objective(w_cur, u_cur)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
@@ -316,11 +270,8 @@ def smoothed_objective(
     w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective"
     )
-    layout = dataset.layout
-    return (
-        _gram_loss(dataset.normal_equations, w, u)
-        + lambda1 * _block_norm_sum(w, layout.joint_dims, epsilon)
-        + lambda2 * _block_norm_sum(u, layout.object_block_dims, epsilon)
+    return _gram_loss(dataset.normal_equations, w, u) + _penalty(
+        dataset.layout, w, u, lambda1, lambda2, epsilon
     )
 
 

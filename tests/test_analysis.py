@@ -198,6 +198,11 @@ def test_format_report_table_selection_and_validation():
         format_report_table(report, model, joints=(5,))
     with pytest.raises(ValidationError, match="class selection"):
         format_report_table(report, model, classes=(-1,))
+    # a float or a bool is not an index, even when it compares in range
+    with pytest.raises(ValidationError, match="class selection"):
+        format_report_table(report, model, classes=(0.0,))
+    with pytest.raises(ValidationError, match="joint selection"):
+        format_report_table(report, model, joints=(True,))
 
 
 def test_format_report_table_notes_zero_columns():

@@ -165,6 +165,13 @@ def test_synth_spec_rejects_bad_values():
         dict(planted_blocks=(((0, 0),), ())),
         dict(planted_blocks=(((0, 0),), ((2, 0),))),  # object out of range
         dict(planted_blocks=(((0, 0),), ((0, 2),))),  # modality out of range
+        # non-integer indices are rejected, not truncated or read as 0/1
+        dict(planted_joints=((0.7,), (1,))),
+        dict(planted_joints=((0,), ("1",))),
+        dict(planted_joints=((True,), (1,))),
+        dict(planted_blocks=(((0, True),), ((0, 0),))),
+        dict(planted_blocks=(((0, 0),), ((0.9, 0),))),
+        dict(planted_blocks=(((0, 0),), ((0, "1"),))),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):

@@ -1,5 +1,5 @@
-"""Reweighting diagonals, closed-form updates, the alternating fit loop,
-and the first-order diagnostics around it."""
+"""Reweighting diagonals, the closed-form half-steps, the alternating fit
+loop, and the first-order diagnostics around it."""
 
 from __future__ import annotations
 
@@ -10,32 +10,39 @@ from poseact import (
     ConfigError,
     Dataset,
     FeatureLayout,
-    LayoutError,
     Model,
     SingularityError,
     SolverConfig,
     SynthSpec,
     ValidationError,
     attribute_norm,
-    attribute_reweights,
     check_reweighting_inequality,
     fit,
     generate,
     loss,
     objective,
     skeletal_norm,
-    skeletal_reweights,
     smoothed_gradients,
     smoothed_objective,
     split,
     standardize,
     stationarity_residual,
-    update_object_weights,
-    update_skeleton_weights,
 )
-from poseact.solver import _reweights
+from poseact.solver import _half_step, _reweights
 
 from conftest import build_dataset
+
+
+def skeleton_step(ds, u, d, lam):
+    """fit's W half-step: every class column of W against U, diagonals d (d_t x C)."""
+    blocks = ds.normal_equations
+    return _half_step(blocks.gram_t, lam, d, blocks.ty - blocks.cross @ u, "skeleton system")
+
+
+def object_step(ds, w, d, lam):
+    """fit's U half-step: every class column of U against W, diagonals d (d_o x C)."""
+    blocks = ds.normal_equations
+    return _half_step(blocks.gram_o, lam, d, blocks.oy - blocks.cross_t @ w, "object system")
 
 
 # --- SolverConfig -----------------------------------------------------------
@@ -78,23 +85,23 @@ def test_config_validation():
 def test_skeletal_reweights_hand_example():
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(1,))
     w_c = np.array([3.0, 4.0, 5.0, 12.0])
-    diag = skeletal_reweights(w_c, layout, epsilon=1e-8)
+    diag = _reweights(w_c, layout.joint_dims, 1e-8)
     assert np.allclose(diag, [1 / 10, 1 / 10, 1 / 26, 1 / 26], rtol=1e-12)
 
 
 def test_skeletal_reweights_zero_block_hits_floor():
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(1,))
     w_c = np.array([0.0, 0.0, 3.0, 4.0])
-    diag = skeletal_reweights(w_c, layout, epsilon=1e-8)
+    diag = _reweights(w_c, layout.joint_dims, 1e-8)
     assert np.allclose(diag[:2], 1.0 / 2e-8)
     assert np.allclose(diag[2:], 1.0 / 10.0)
 
 
 def test_attribute_reweights_hand_example():
     layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(3,))
-    diag = attribute_reweights(np.array([0.0, 3.0, 4.0]), layout, epsilon=1e-8)
+    diag = _reweights(np.array([0.0, 3.0, 4.0]), layout.object_block_dims, 1e-8)
     assert np.allclose(diag, 1.0 / 10.0)
-    all_zero = attribute_reweights(np.zeros(3), layout, epsilon=1e-8)
+    all_zero = _reweights(np.zeros(3), layout.object_block_dims, 1e-8)
     assert np.allclose(all_zero, 1.0 / 2e-8)
 
 
@@ -108,8 +115,8 @@ def test_reweights_match_loop_oracle_and_stay_positive():
         )
         w_c = rng.standard_normal(layout.d_t)
         u_c = rng.standard_normal(layout.d_o)
-        dw = skeletal_reweights(w_c, layout, epsilon=1e-8)
-        du = attribute_reweights(u_c, layout, epsilon=1e-8)
+        dw = _reweights(w_c, layout.joint_dims, 1e-8)
+        du = _reweights(u_c, layout.object_block_dims, 1e-8)
         assert np.all(dw > 0) and np.all(du > 0)
         for sl in layout.joint_slices:
             expected = 0.5 / max(np.sqrt(np.sum(w_c[sl] ** 2)), 1e-8)
@@ -117,30 +124,18 @@ def test_reweights_match_loop_oracle_and_stay_positive():
         for sl in layout.object_block_slices:
             expected = 0.5 / max(np.sqrt(np.sum(u_c[sl] ** 2)), 1e-8)
             assert np.allclose(du[sl], expected, rtol=1e-12)
-        # the all-classes helper fit uses equals one column call per class
+        # the all-classes call fit makes equals one column call per class
         w = rng.standard_normal((layout.d_t, 3))
         u = rng.standard_normal((layout.d_o, 3))
         w[layout.joint_slices[0], 1] = 0.0
         u[layout.object_block_slices[-1], 2] = 0.0
-        for mat, dims, column_reweights in (
-            (w, layout.joint_dims, skeletal_reweights),
-            (u, layout.object_block_dims, attribute_reweights),
-        ):
+        for mat, dims in ((w, layout.joint_dims), (u, layout.object_block_dims)):
             at_once = _reweights(mat, dims, 1e-8)
             for c in range(3):
-                assert np.array_equal(at_once[:, c], column_reweights(mat[:, c], layout, 1e-8))
+                assert np.array_equal(at_once[:, c], _reweights(mat[:, c], dims, 1e-8))
 
 
-def test_reweights_reject_wrong_shape(small_layout):
-    with pytest.raises(LayoutError):
-        skeletal_reweights(np.zeros(small_layout.d_t + 1), small_layout, 1e-8)
-    with pytest.raises(LayoutError):
-        attribute_reweights(np.zeros((small_layout.d_o, 1)), small_layout, 1e-8)
-    with pytest.raises(ConfigError):
-        skeletal_reweights(np.zeros(small_layout.d_t), small_layout, 0.0)
-
-
-# --- closed-form updates ------------------------------------------------------
+# --- closed-form half-steps -----------------------------------------------------
 
 
 def test_update_skeleton_identity_design_returns_labels():
@@ -153,8 +148,8 @@ def test_update_skeleton_identity_design_returns_labels():
         objects=np.random.default_rng(0).standard_normal((2, 4)),
         labels=labels,
     )
-    w = update_skeleton_weights(ds, np.zeros(2), 0, np.ones(4), 0.0)
-    assert np.allclose(w, labels[:, 0], atol=1e-12)
+    w = skeleton_step(ds, np.zeros((2, 2)), np.ones((4, 2)), 0.0)
+    assert np.allclose(w, labels, atol=1e-12)
 
 
 def test_update_object_identity_design_returns_labels():
@@ -166,22 +161,22 @@ def test_update_object_identity_design_returns_labels():
         objects=np.eye(3),
         labels=labels,
     )
-    u = update_object_weights(ds, np.zeros(2), 1, np.ones(3), 0.0)
-    assert np.allclose(u, labels[:, 1], atol=1e-12)
+    u = object_step(ds, np.zeros((2, 2)), np.ones((3, 2)), 0.0)
+    assert np.allclose(u, labels, atol=1e-12)
 
 
 def test_updates_match_least_squares_oracle():
-    """With no penalty and the other side silenced, each update is the
+    """With no penalty and the other side silenced, each half-step is the
     ordinary normal-equations solution."""
     rng = np.random.default_rng(107)
     layout = FeatureLayout(joint_dims=(3, 2), object_count=2, modality_dims=(2,))
     for k in range(10):
         ds = build_dataset(layout, n=30, n_classes=2, seed=200 + k)
-        y = ds.labels[:, 0]
-        w = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, np.ones(layout.d_t), 0.0)
+        y = ds.labels
+        w = skeleton_step(ds, np.zeros((layout.d_o, 2)), np.ones((layout.d_t, 2)), 0.0)
         oracle, *_ = np.linalg.lstsq(ds.skeleton.T, y, rcond=None)
         assert np.allclose(w, oracle, atol=1e-9)
-        u = update_object_weights(ds, np.zeros(layout.d_t), 0, np.ones(layout.d_o), 0.0)
+        u = object_step(ds, np.zeros((layout.d_t, 2)), np.ones((layout.d_o, 2)), 0.0)
         oracle_u, *_ = np.linalg.lstsq(ds.objects.T, y, rcond=None)
         assert np.allclose(u, oracle_u, atol=1e-9)
 
@@ -191,28 +186,28 @@ def test_update_with_cross_term_matches_oracle():
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(3,))
     ds = build_dataset(layout, n=25, n_classes=2, seed=300)
     rng = np.random.default_rng(301)
-    u_c = rng.standard_normal(layout.d_o)
-    y = ds.labels[:, 1]
-    d = skeletal_reweights(rng.standard_normal(layout.d_t), layout, 1e-8)
-    w = update_skeleton_weights(ds, u_c, 1, d, 0.7)
+    u = rng.standard_normal((layout.d_o, 2))
+    d = _reweights(rng.standard_normal((layout.d_t, 2)), layout.joint_dims, 1e-8)
+    w = skeleton_step(ds, u, d, 0.7)
     t = ds.skeleton
-    system = t @ t.T + 0.7 * np.diag(d)
-    expected = np.linalg.solve(system, t @ (y - ds.objects.T @ u_c))
-    assert np.allclose(w, expected, atol=1e-10)
+    for c in range(2):
+        system = t @ t.T + 0.7 * np.diag(d[:, c])
+        expected = np.linalg.solve(system, t @ (ds.labels[:, c] - ds.objects.T @ u[:, c]))
+        assert np.allclose(w[:, c], expected, atol=1e-10)
 
 
 def test_huge_penalty_crushes_the_solution():
     layout = FeatureLayout(joint_dims=(2, 3), object_count=1, modality_dims=(2,))
     ds = build_dataset(layout, n=40, n_classes=2, seed=303)
-    d = np.ones(layout.d_t)
-    w_free = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, d, 0.0)
-    w_crushed = update_skeleton_weights(ds, np.zeros(layout.d_o), 0, d, 1e8)
+    d, u = np.ones((layout.d_t, 2)), np.zeros((layout.d_o, 2))
+    w_free = skeleton_step(ds, u, d, 0.0)
+    w_crushed = skeleton_step(ds, u, d, 1e8)
     assert np.linalg.norm(w_crushed) < 1e-4 * np.linalg.norm(w_free)
 
 
 def test_update_symmetry_under_role_swap():
     """Swapping the two data matrices (and block structures) swaps the roles
-    of the two update rules exactly."""
+    of the two half-steps exactly."""
     layout_a = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(3,))
     layout_b = FeatureLayout(joint_dims=(3,), object_count=1, modality_dims=(2, 1))
     rng = np.random.default_rng(109)
@@ -222,10 +217,10 @@ def test_update_symmetry_under_role_swap():
     labels[np.arange(20), rng.integers(0, 2, size=20)] = 1.0
     ds_a = Dataset(layout=layout_a, skeleton=skeleton, objects=objects, labels=labels)
     ds_b = Dataset(layout=layout_b, skeleton=objects, objects=skeleton, labels=labels)
-    fixed = rng.standard_normal(3)
-    d = np.full(3, 0.25)
-    from_a = update_object_weights(ds_a, fixed, 0, d, 0.4)
-    from_b = update_skeleton_weights(ds_b, fixed, 0, d, 0.4)
+    fixed = rng.standard_normal((3, 2))
+    d = np.full((3, 2), 0.25)
+    from_a = object_step(ds_a, fixed, d, 0.4)
+    from_b = skeleton_step(ds_b, fixed, d, 0.4)
     assert np.allclose(from_a, from_b, atol=1e-12)
 
 
@@ -240,23 +235,13 @@ def test_update_singular_gram_raises():
         objects=rng.standard_normal((1, 3)),
         labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     )
-    with pytest.raises(SingularityError, match="positive definite"):
-        update_skeleton_weights(ds, np.zeros(1), 0, np.ones(5), 0.0)
+    with pytest.raises(SingularityError, match="class 0 is not positive definite"):
+        skeleton_step(ds, np.zeros((1, 2)), np.ones((5, 2)), 0.0)
 
 
-def test_updates_reject_bad_class_index_and_unlabeled_data(small_layout):
+def test_normal_equations_reject_unlabeled_data(small_layout):
     ds = build_dataset(small_layout, n=20, n_classes=2, seed=307)
-    u0, w0 = np.zeros(small_layout.d_o), np.zeros(small_layout.d_t)
-    for bad in (2, -1, 0.0, True):
-        with pytest.raises(LayoutError, match="class index"):
-            update_skeleton_weights(ds, u0, bad, np.ones(small_layout.d_t), 0.1)
-        with pytest.raises(LayoutError, match="class index"):
-            update_object_weights(ds, w0, bad, np.ones(small_layout.d_o), 0.1)
     unlabeled = Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects)
-    with pytest.raises(ValidationError, match="labeled"):
-        update_skeleton_weights(unlabeled, u0, 0, np.ones(small_layout.d_t), 0.1)
-    with pytest.raises(ValidationError, match="labeled"):
-        update_object_weights(unlabeled, w0, 0, np.ones(small_layout.d_o), 0.1)
     with pytest.raises(ValidationError, match="labeled"):
         unlabeled.normal_equations
 
@@ -273,8 +258,6 @@ def test_normal_equations_are_built_once_and_shared(monkeypatch, small_layout):
     ds = build_dataset(small_layout, n=40, n_classes=3, seed=311)
     model, _ = fit(ds, SolverConfig(max_iters=5))
     blocks = ds.normal_equations
-    update_skeleton_weights(ds, model.u[:, 0], 0, np.ones(small_layout.d_t), 0.1)
-    update_object_weights(ds, model.w[:, 1], 1, np.ones(small_layout.d_o), 0.1)
     stationarity_residual(ds, model, 0.1, 0.1, 1e-8)
     assert ds.normal_equations is blocks
     assert builds == [ds]
@@ -508,19 +491,13 @@ def test_half_iteration_update_never_raises_partial_objective():
         u = 0.5 * rng.standard_normal((layout.d_o, 2))
         lam1 = 0.3
         before = loss(ds, w, u) + lam1 * skeletal_norm(w, layout)
-        w_new = np.empty_like(w)
-        for c in range(2):
-            d = skeletal_reweights(w[:, c], layout, 1e-8)
-            w_new[:, c] = update_skeleton_weights(ds, u[:, c], c, d, lam1)
+        w_new = skeleton_step(ds, u, _reweights(w, layout.joint_dims, 1e-8), lam1)
         after = loss(ds, w_new, u) + lam1 * skeletal_norm(w_new, layout)
         assert after <= before + 1e-9 * max(1.0, before)
         # symmetric statement for the object side
         lam2 = 0.25
         before_u = loss(ds, w, u) + lam2 * attribute_norm(u, layout)
-        u_new = np.empty_like(u)
-        for c in range(2):
-            d = attribute_reweights(u[:, c], layout, 1e-8)
-            u_new[:, c] = update_object_weights(ds, w[:, c], c, d, lam2)
+        u_new = object_step(ds, w, _reweights(u, layout.object_block_dims, 1e-8), lam2)
         after_u = loss(ds, w, u_new) + lam2 * attribute_norm(u_new, layout)
         assert after_u <= before_u + 1e-9 * max(1.0, before_u)
 
