@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model, block_sums, check_int
+from .core import Model, block_sums, check_int, check_sequence
 from .errors import ValidationError
 
 __all__ = [
@@ -183,14 +183,15 @@ def format_report_table(
     default to everything.
     """
     n_joints, n_classes = model.layout.n_joints, model.n_classes
-    joint_rows = [
-        check_int(j, "joint selection", 0, n_joints, error=ValidationError)
-        for j in (range(n_joints) if joints is None else joints)
-    ]
-    class_cols = [
-        check_int(c, "class selection", 0, n_classes, error=ValidationError)
-        for c in (range(n_classes) if classes is None else classes)
-    ]
+
+    def selection(chosen, what, count):
+        if chosen is None:
+            return list(range(count))
+        chosen = check_sequence(chosen, what, ValidationError)
+        return [check_int(i, what, 0, count, error=ValidationError) for i in chosen]
+
+    joint_rows = selection(joints, "joint selection", n_joints)
+    class_cols = selection(classes, "class selection", n_classes)
     joint_labels = [model.names.joints[j] for j in joint_rows]
     class_labels = [model.class_names[c] for c in class_cols]
     kind = "signed sums" if report.signed else "block norms"

@@ -77,11 +77,16 @@ def check_int(value, name, low, high=None, error=ConfigError):
     return int(value)
 
 
-def _positive_int_tuple(values, what):
+def check_sequence(values, name, error=ConfigError):
+    """tuple(values) when values is iterable, else raise error."""
     try:
-        items = tuple(values)
+        return tuple(values)
     except TypeError:
-        raise LayoutError(f"{what} must be a sequence of positive integers") from None
+        raise error(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _positive_int_tuple(values, what):
+    items = check_sequence(values, what, LayoutError)
     if not items:
         raise LayoutError(f"{what} must not be empty")
     return tuple(check_int(v, f"every entry of {what}", 1, error=LayoutError) for v in items)
@@ -92,7 +97,7 @@ def _block_slices(dims):
 
 
 def _str_tuple(values, what):
-    items = tuple(values)
+    items = check_sequence(values, what, ValidationError)
     for v in items:
         if not isinstance(v, str) or not v:
             raise ValidationError(f"{what} must be non-empty strings, got {v!r}")

@@ -8,10 +8,18 @@ atomic and durable (fsynced temp file plus rename), create files the way
 open() does under the current umask, and are byte-deterministic, so saving
 what load returned reproduces the file exactly.  Both readers turn every
 malformed input, including bytes that are not UTF-8, into DataFormatError.
+
+The dataset reader parses each row with one json.loads, then checks the
+whole file at once: every row a list of one width, every label a known
+class, every entry an int or float, one float64 conversion, one finiteness
+test.  Only when one of these fails does it re-read the rows one at a time,
+in file order, to raise the first error by row and line; a valid file never
+takes that loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -30,6 +38,7 @@ from .core import (
     _require_finite,
     check_int,
     check_number,
+    check_sequence,
 )
 from .errors import ConfigError, DataFormatError, LayoutError, ValidationError
 from .solver import SolverConfig
@@ -164,7 +173,7 @@ class SynthSpec:
         object.__setattr__(self, "noise_sigma", check_number(self.noise_sigma, "noise_sigma"))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", *SEED_RANGE))
 
-        joints = tuple(self.planted_joints)
+        joints = check_sequence(self.planted_joints, "planted_joints")
         if len(joints) != self.n_classes:
             raise ConfigError(
                 f"planted_joints lists {len(joints)} classes, expected {self.n_classes}"
@@ -173,31 +182,32 @@ class SynthSpec:
         cleaned_joints = []
         for c, entry in enumerate(joints):
             what = f"planted joint for class {c}"
-            idx = sorted({check_int(j, what, 0, layout.n_joints) for j in entry})
+            idx = {check_int(j, what, 0, layout.n_joints) for j in check_sequence(entry, what)}
             if not idx:
                 raise ConfigError(f"planted_joints for class {c} is empty")
-            cleaned_joints.append(tuple(idx))
+            cleaned_joints.append(tuple(sorted(idx)))
         object.__setattr__(self, "planted_joints", tuple(cleaned_joints))
 
-        blocks = tuple(self.planted_blocks)
+        blocks = check_sequence(self.planted_blocks, "planted_blocks")
         if len(blocks) != self.n_classes:
             raise ConfigError(
                 f"planted_blocks lists {len(blocks)} classes, expected {self.n_classes}"
             )
         cleaned_blocks = []
         for c, entry in enumerate(blocks):
-            pairs = sorted(
-                {
-                    (
-                        check_int(o, f"planted object for class {c}", 0, layout.object_count),
-                        check_int(m, f"planted modality for class {c}", 0, layout.n_modalities),
-                    )
-                    for o, m in entry
-                }
-            )
+            what = f"planted block for class {c}"
+            pairs = set()
+            for pair in check_sequence(entry, what):
+                pair = check_sequence(pair, what)
+                if len(pair) != 2:
+                    raise ConfigError(f"{what} must be an (object, modality) pair, got {pair!r}")
+                o, m = pair
+                o = check_int(o, f"planted object for class {c}", 0, layout.object_count)
+                m = check_int(m, f"planted modality for class {c}", 0, layout.n_modalities)
+                pairs.add((o, m))
             if not pairs:
                 raise ConfigError(f"planted_blocks for class {c} is empty")
-            cleaned_blocks.append(tuple(pairs))
+            cleaned_blocks.append(tuple(sorted(pairs)))
         object.__setattr__(self, "planted_blocks", tuple(cleaned_blocks))
 
 
@@ -446,20 +456,24 @@ def _check_numbers(values, where):
         raise DataFormatError(f"{where}: entry {k} is too large for a float") from None
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file back into memory; inverse of save_dataset."""
-    lines = _read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataFormatError("file is empty")
-    layout, classes, names = _parse_header(lines[0])
-    width = layout.d_t + layout.d_o
+def _one_hot(label_indices, n_classes):
+    labels = np.zeros((len(label_indices), n_classes))
+    labels[np.arange(len(label_indices)), label_indices] = 1.0
+    return labels
+
+
+def _checked_rows(lines, width, classes):
+    """Parse and check the instance rows one at a time, in file order.
+
+    The validator of record: it raises the first error the file holds, named
+    by row and line.  Returns the width x N feature matrix and the one-hot
+    labels (None for unlabeled rows).
+    """
     features = []
     label_indices: list[int] = []
     labeled = None
     class_index = {name: c for c, name in enumerate(classes)}
-    for offset, raw in enumerate(lines[1:]):
+    for offset, raw in enumerate(lines):
         row_id = f"row {offset} (line {offset + 2})"
         row = _parse_json(raw, row_id)
         if not isinstance(row, list):
@@ -493,8 +507,61 @@ def load_dataset(path) -> Dataset:
             raise DataFormatError(
                 "rows carry labels but the header declares fewer than two classes"
             )
-        labels = np.zeros((len(features), len(classes)))
-        labels[np.arange(len(features)), label_indices] = 1.0
+        labels = _one_hot(label_indices, len(classes))
+    return data, labels
+
+
+def _bulk_rows(lines, width, classes):
+    """What _checked_rows returns for a file it accepts, or None.
+
+    Every check runs over the whole file at once, with no Python loop over
+    values; None means one failed, and _checked_rows must find and name the
+    first error.  The entry types are exactly _row_number's: JSON numbers
+    parse to int or float, never to a subclass, and a bool is neither.
+    """
+    try:
+        rows = [json.loads(line) for line in lines]
+    except (ValueError, RecursionError):
+        return None
+    if set(map(type, rows)) != {list}:
+        return None
+    lengths = set(map(len, rows))
+    labels = None
+    if lengths == {width + 1}:
+        if len(classes) < 2:
+            return None
+        class_index = {name: c for c, name in enumerate(classes)}
+        try:  # a key is a str, so any other label misses, or is unhashable
+            labels = _one_hot([class_index[row.pop()] for row in rows], len(classes))
+        except (KeyError, TypeError):
+            return None
+    elif lengths != {width}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        return None
+    try:
+        data = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    if not np.isfinite(data).all():
+        return None
+    return data.T, labels
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset file back into memory; inverse of save_dataset."""
+    lines = _read_text(path).split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataFormatError("file is empty")
+    layout, classes, names = _parse_header(lines.pop(0))
+    width = layout.d_t + layout.d_o
+    arrays = _bulk_rows(lines, width, classes)
+    if arrays is None:
+        arrays = _checked_rows(lines, width, classes)
+    del lines  # the text goes before Dataset copies the matrix
+    data, labels = arrays
     return Dataset(
         layout=layout,
         skeleton=data[: layout.d_t],

@@ -203,6 +203,11 @@ def test_format_report_table_selection_and_validation():
         format_report_table(report, model, classes=(0.0,))
     with pytest.raises(ValidationError, match="joint selection"):
         format_report_table(report, model, joints=(True,))
+    # a bare index is not a selection
+    with pytest.raises(ValidationError, match="joint selection must be a sequence"):
+        format_report_table(report, model, joints=1)
+    with pytest.raises(ValidationError, match="class selection must be a sequence"):
+        format_report_table(report, model, classes=0)
 
 
 def test_format_report_table_notes_zero_columns():

@@ -93,6 +93,8 @@ def test_layout_rejects_bad_dims():
         FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=())
     with pytest.raises(LayoutError):
         FeatureLayout(joint_dims=(2.5,), object_count=1, modality_dims=(1,))
+    with pytest.raises(LayoutError, match="joint_dims must be a sequence"):
+        FeatureLayout(joint_dims=2, object_count=1, modality_dims=(1,))
 
 
 def test_default_names_match_layout(small_layout):
@@ -103,6 +105,8 @@ def test_default_names_match_layout(small_layout):
     wrong = GroupNames(joints=("a",), objects=("b", "c"), modalities=("d", "e"))
     with pytest.raises(LayoutError):
         wrong.check_against(small_layout)
+    with pytest.raises(ValidationError, match="joint names must be a sequence"):
+        GroupNames(joints=5, objects=("b", "c"), modalities=("d",))
 
 
 # --- Dataset ----------------------------------------------------------------

@@ -6,10 +6,14 @@ import json
 import os
 import stat
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poseact.data
 from poseact import (
     Dataset,
     FeatureLayout,
@@ -172,6 +176,12 @@ def test_synth_spec_rejects_bad_values():
         dict(planted_blocks=(((0, True),), ((0, 0),))),
         dict(planted_blocks=(((0, 0),), ((0.9, 0),))),
         dict(planted_blocks=(((0, 0),), ((0, "1"),))),
+        # the nesting is checked too: flat lists, and pairs that are not pairs
+        dict(planted_joints=(0, 1)),
+        dict(planted_joints=3),
+        dict(planted_blocks=((0, 0), (0, 1))),
+        dict(planted_blocks=(((0,),), ((0, 0),))),
+        dict(planted_blocks=(((0, 0, 0),), ((0, 0),))),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -473,6 +483,146 @@ def test_load_dataset_labeled_rows_need_two_classes(tmp_path):
     path = write_lines(tmp_path, good_header(classes=["only"]), '[0.0, 0.0, "only"]')
     with pytest.raises(DataFormatError, match="fewer than two classes"):
         load_dataset(path)
+
+
+def load_outcome(path):
+    """load_dataset's arrays, or the type and message of what it raised."""
+    try:
+        back = load_dataset(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return back.skeleton, back.objects, back.labels
+
+
+def load_by_row_loop(path):
+    """load_outcome with every row read and checked by the row loop."""
+    with mock.patch.object(poseact.data, "_bulk_rows", lambda lines, width, classes: None):
+        return load_outcome(path)
+
+
+def assert_same_outcome(got, expected):
+    assert type(got[0]) is type(expected[0])
+    if isinstance(expected[0], type):  # both raised
+        assert got == expected
+        return
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_dataset_files(tmp_path_factory):
+    """Three small valid dataset files as bytes, and a scratch path to write variants to."""
+    root = tmp_path_factory.mktemp("oracle")
+    originals = {}
+    labeled = named_dataset(n=3, seed=21)
+    unlabeled = replace(labeled, labels=None, class_names=None)
+    for name, dataset in (("labeled", labeled), ("unlabeled", unlabeled)):
+        save_dataset(dataset, root / name)
+        originals[name] = (root / name).read_bytes()
+    # integers, a negative zero and exponents, which save_dataset never writes
+    originals["integers"] = (
+        "\n".join([good_header(), '[1, -2.5e3, "a"]', '[-0, 7E-1, "b"]']) + "\n"
+    ).encode()
+    return root / "variant.txt", originals
+
+
+JSON_BYTES = list(b'0123456789.-+eE,[]" \ntrufalsenNIa')
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(draw=st.data())
+def test_load_dataset_matches_the_row_loop_on_corrupted_files(small_dataset_files, draw):
+    path, originals = small_dataset_files
+    original = originals[draw.draw(st.sampled_from(sorted(originals)), label="file")]
+    at = draw.draw(st.integers(0, len(original) - 1), label="byte offset")
+    byte = bytes([draw.draw(st.sampled_from(JSON_BYTES) | st.integers(0, 255), label="byte")])
+    edit = draw.draw(st.sampled_from(["cut", "replace", "insert"]), label="edit")
+    tail = {"cut": original[at + 1 :], "replace": byte + original[at + 1 :], "insert": byte}[edit]
+    if edit == "insert":
+        tail += original[at:]
+    path.write_bytes(original[:at] + tail)
+    assert_same_outcome(load_outcome(path), load_by_row_loop(path))
+
+
+def test_load_dataset_accepts_the_row_loops_files_bit_for_bit(small_dataset_files):
+    path, originals = small_dataset_files
+    for content in originals.values():
+        path.write_bytes(content)
+        got = load_outcome(path)
+        assert not isinstance(got[0], type), got
+        assert_same_outcome(got, load_by_row_loop(path))
+
+
+ROW = '[0.0, 0.0, "a"]'
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        (good_header(classes=["only"]), '[0.0, 0.0, "only"]'),
+        (good_header(classes=[]), '[0.0, 0.0, "a"]'),
+        (good_header(), ROW, "5"),
+        (good_header(), "[0.0]", "[1.0]"),
+        (good_header(), ROW, "[0.0, 0.0]"),
+        (good_header(), ROW, '[0.0, 0.0, "zzz"]'),
+        (good_header(), ROW, '[0.0, 0.0, ["a"]]'),
+        (good_header(), ROW, "[0.0, 0.0, 17]"),
+        (good_header(), ROW, '[0.0, null, "a"]', '[0.0, "x", "a"]'),
+        (good_header(), ROW, '[1e400, 0.0, "a"]'),
+        (good_header(), ROW, '[-Infinity, 0.0, "a"]'),
+        (good_header(), ROW, "[0.0, " + "9" * 401 + ', "a"]'),
+        (good_header(), ROW, "", ROW),
+        (good_header(), ROW, '[0.0, true, "a"]', "[" * 100_000),
+        (good_header(),),
+    ],
+)
+def test_load_dataset_matches_the_row_loop_on_each_rejected_check(tmp_path, lines):
+    path = write_lines(tmp_path, *lines)
+    expected = load_by_row_loop(path)
+    assert isinstance(expected[0], type)  # every case is a malformed file
+    assert_same_outcome(load_outcome(path), expected)
+
+
+@pytest.fixture
+def file_of_300_rows(tmp_path):
+    path = tmp_path / "rows.txt"
+    save_dataset(named_dataset(n=300, seed=4), path)
+    return path
+
+
+def test_valid_file_skips_the_per_value_check(file_of_300_rows, monkeypatch):
+    calls = []
+    check = poseact.data._check_numbers
+    monkeypatch.setattr(
+        poseact.data, "_check_numbers", lambda *args: calls.append(args) or check(*args)
+    )
+    back = load_dataset(file_of_300_rows)
+    assert back.n_instances == 300
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "k, value, message",
+    [
+        (0, "NaN", "entry 0 is not finite (nan)"),
+        (4, "true", "entry 4 is not a number (True)"),
+        (8, "9" * 401, "entry 8 is too large for a float"),
+    ],
+)
+def test_bad_value_in_the_last_row_is_named(file_of_300_rows, k, value, message):
+    lines = file_of_300_rows.read_text(encoding="utf-8").split("\n")
+    row = json.loads(lines[-2])
+    assert len(row) == 10  # nine features and a label
+    row[k] = value
+    lines[-2] = "[" + ", ".join(v if i == k else json.dumps(v) for i, v in enumerate(row)) + "]"
+    file_of_300_rows.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataFormatError) as caught:
+        load_dataset(file_of_300_rows)
+    assert str(caught.value) == f"row 299 (line 301): {message}"
 
 
 # --- model files ------------------------------------------------------------------
