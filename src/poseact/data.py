@@ -9,17 +9,15 @@ open() does under the current umask, and are byte-deterministic, so saving
 what load returned reproduces the file exactly.  Both readers turn every
 malformed input, including bytes that are not UTF-8, into DataFormatError.
 
-The dataset reader parses each row with one json.loads, then checks the
-whole file at once: every row a list of one width, every label a known
-class, every entry an int or float, one float64 conversion, one finiteness
-test.  Only when one of these fails does it re-read the rows one at a time,
-in file order, to raise the first error by row and line; a valid file never
-takes that loop.
+The dataset reader parses each row with one json.loads and checks it in
+file order, so the first error is the one named, by row and line.  A row's
+numbers are checked as a whole (their types as one set, their finiteness
+in one C-level pass); only a row that fails is walked value by value to
+name the bad entry, so a valid file never runs a Python loop per value.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -338,7 +336,8 @@ def _read_text(path) -> str:
 def _parse_json(text, what):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    # JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{what} is not valid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
@@ -445,7 +444,16 @@ def _row_number(value):
 
 
 def _check_numbers(values, where):
-    """Raise DataFormatError unless every entry is a finite int or float."""
+    """Raise DataFormatError unless every entry is a finite int or float.
+
+    The whole list is checked first with no Python loop per value; only when
+    that fails does the loop below run, to name the first bad entry.
+    """
+    try:  # exact types: JSON gives int or float, never a subclass, and a bool is neither
+        if set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)):
+            return
+    except OverflowError:  # an integer literal beyond the float range
+        pass
     try:
         for k, v in enumerate(values):
             if not _row_number(v):
@@ -456,18 +464,12 @@ def _check_numbers(values, where):
         raise DataFormatError(f"{where}: entry {k} is too large for a float") from None
 
 
-def _one_hot(label_indices, n_classes):
-    labels = np.zeros((len(label_indices), n_classes))
-    labels[np.arange(len(label_indices)), label_indices] = 1.0
-    return labels
-
-
 def _checked_rows(lines, width, classes):
-    """Parse and check the instance rows one at a time, in file order.
+    """Parse and check the instance rows in file order, raising the first error.
 
-    The validator of record: it raises the first error the file holds, named
-    by row and line.  Returns the width x N feature matrix and the one-hot
-    labels (None for unlabeled rows).
+    Returns the width x N feature matrix and the one-hot labels (None for
+    unlabeled rows); the parsed rows are freed on return, before Dataset
+    copies the matrix.
     """
     features = []
     label_indices: list[int] = []
@@ -507,45 +509,9 @@ def _checked_rows(lines, width, classes):
             raise DataFormatError(
                 "rows carry labels but the header declares fewer than two classes"
             )
-        labels = _one_hot(label_indices, len(classes))
+        labels = np.zeros((len(features), len(classes)))
+        labels[np.arange(len(features)), label_indices] = 1.0
     return data, labels
-
-
-def _bulk_rows(lines, width, classes):
-    """What _checked_rows returns for a file it accepts, or None.
-
-    Every check runs over the whole file at once, with no Python loop over
-    values; None means one failed, and _checked_rows must find and name the
-    first error.  The entry types are exactly _row_number's: JSON numbers
-    parse to int or float, never to a subclass, and a bool is neither.
-    """
-    try:
-        rows = [json.loads(line) for line in lines]
-    except (ValueError, RecursionError):
-        return None
-    if set(map(type, rows)) != {list}:
-        return None
-    lengths = set(map(len, rows))
-    labels = None
-    if lengths == {width + 1}:
-        if len(classes) < 2:
-            return None
-        class_index = {name: c for c, name in enumerate(classes)}
-        try:  # a key is a str, so any other label misses, or is unhashable
-            labels = _one_hot([class_index[row.pop()] for row in rows], len(classes))
-        except (KeyError, TypeError):
-            return None
-    elif lengths != {width}:
-        return None
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
-        return None
-    try:
-        data = np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the float range
-        return None
-    if not np.isfinite(data).all():
-        return None
-    return data.T, labels
 
 
 def load_dataset(path) -> Dataset:
@@ -557,11 +523,8 @@ def load_dataset(path) -> Dataset:
         raise DataFormatError("file is empty")
     layout, classes, names = _parse_header(lines.pop(0))
     width = layout.d_t + layout.d_o
-    arrays = _bulk_rows(lines, width, classes)
-    if arrays is None:
-        arrays = _checked_rows(lines, width, classes)
+    data, labels = _checked_rows(lines, width, classes)
     del lines  # the text goes before Dataset copies the matrix
-    data, labels = arrays
     return Dataset(
         layout=layout,
         skeleton=data[: layout.d_t],

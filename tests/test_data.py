@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,6 +452,8 @@ def test_load_dataset_row_errors(tmp_path):
         ("[0.0, " + "9" * 401 + ', "a"]', "entry 1 is too large for a float"),
         # past the interpreter's digit limit for integer literals
         ("[0.0, " + "9" * 5000 + ', "a"]', r"row 0 \(line 2\) is not valid JSON"),
+        # nested past the interpreter's recursion limit
+        ("[" * 100_000, r"row 0 \(line 2\) is not valid JSON \(maximum recursion depth"),
     ]
     for row, fragment in cases:
         path = write_lines(tmp_path, header, row)
@@ -485,106 +487,44 @@ def test_load_dataset_labeled_rows_need_two_classes(tmp_path):
         load_dataset(path)
 
 
-def load_outcome(path):
-    """load_dataset's arrays, or the type and message of what it raised."""
-    try:
-        back = load_dataset(path)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return back.skeleton, back.objects, back.labels
+JSON_VALUES = (
+    st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=2)
+)
 
 
-def load_by_row_loop(path):
-    """load_outcome with every row read and checked by the row loop."""
-    with mock.patch.object(poseact.data, "_bulk_rows", lambda lines, width, classes: None):
-        return load_outcome(path)
-
-
-def assert_same_outcome(got, expected):
-    assert type(got[0]) is type(expected[0])
-    if isinstance(expected[0], type):  # both raised
-        assert got == expected
-        return
-    for a, b in zip(got, expected):
-        if b is None:
-            assert a is None
-        else:
-            assert a.shape == b.shape and a.strides == b.strides
-            assert a.tobytes() == b.tobytes()
-
-
-@pytest.fixture(scope="module")
-def small_dataset_files(tmp_path_factory):
-    """Three small valid dataset files as bytes, and a scratch path to write variants to."""
-    root = tmp_path_factory.mktemp("oracle")
-    originals = {}
-    labeled = named_dataset(n=3, seed=21)
-    unlabeled = replace(labeled, labels=None, class_names=None)
-    for name, dataset in (("labeled", labeled), ("unlabeled", unlabeled)):
-        save_dataset(dataset, root / name)
-        originals[name] = (root / name).read_bytes()
-    # integers, a negative zero and exponents, which save_dataset never writes
-    originals["integers"] = (
-        "\n".join([good_header(), '[1, -2.5e3, "a"]', '[-0, 7E-1, "b"]']) + "\n"
-    ).encode()
-    return root / "variant.txt", originals
-
-
-JSON_BYTES = list(b'0123456789.-+eE,[]" \ntrufalsenNIa')
+def first_bad_entry(values):
+    """The message _check_numbers must give for values, or None: the spec, value by value."""
+    for k, v in enumerate(values):
+        if type(v) not in (int, float):
+            return f"entry {k} is not a number ({v!r})"
+        try:
+            if not math.isfinite(float(v)):
+                return f"entry {k} is not finite ({v!r})"
+        except OverflowError:
+            return f"entry {k} is too large for a float"
+    return None
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(draw=st.data())
-def test_load_dataset_matches_the_row_loop_on_corrupted_files(small_dataset_files, draw):
-    path, originals = small_dataset_files
-    original = originals[draw.draw(st.sampled_from(sorted(originals)), label="file")]
-    at = draw.draw(st.integers(0, len(original) - 1), label="byte offset")
-    byte = bytes([draw.draw(st.sampled_from(JSON_BYTES) | st.integers(0, 255), label="byte")])
-    edit = draw.draw(st.sampled_from(["cut", "replace", "insert"]), label="edit")
-    tail = {"cut": original[at + 1 :], "replace": byte + original[at + 1 :], "insert": byte}[edit]
-    if edit == "insert":
-        tail += original[at:]
-    path.write_bytes(original[:at] + tail)
-    assert_same_outcome(load_outcome(path), load_by_row_loop(path))
-
-
-def test_load_dataset_accepts_the_row_loops_files_bit_for_bit(small_dataset_files):
-    path, originals = small_dataset_files
-    for content in originals.values():
-        path.write_bytes(content)
-        got = load_outcome(path)
-        assert not isinstance(got[0], type), got
-        assert_same_outcome(got, load_by_row_loop(path))
-
-
-ROW = '[0.0, 0.0, "a"]'
-
-
-@pytest.mark.parametrize(
-    "lines",
-    [
-        (good_header(classes=["only"]), '[0.0, 0.0, "only"]'),
-        (good_header(classes=[]), '[0.0, 0.0, "a"]'),
-        (good_header(), ROW, "5"),
-        (good_header(), "[0.0]", "[1.0]"),
-        (good_header(), ROW, "[0.0, 0.0]"),
-        (good_header(), ROW, '[0.0, 0.0, "zzz"]'),
-        (good_header(), ROW, '[0.0, 0.0, ["a"]]'),
-        (good_header(), ROW, "[0.0, 0.0, 17]"),
-        (good_header(), ROW, '[0.0, null, "a"]', '[0.0, "x", "a"]'),
-        (good_header(), ROW, '[1e400, 0.0, "a"]'),
-        (good_header(), ROW, '[-Infinity, 0.0, "a"]'),
-        (good_header(), ROW, "[0.0, " + "9" * 401 + ', "a"]'),
-        (good_header(), ROW, "", ROW),
-        (good_header(), ROW, '[0.0, true, "a"]', "[" * 100_000),
-        (good_header(),),
-    ],
+@given(
+    values=st.lists(st.floats(-1e9, 1e9) | st.integers(-(10**6), 10**6), max_size=8),
+    bad=st.data(),
 )
-def test_load_dataset_matches_the_row_loop_on_each_rejected_check(tmp_path, lines):
-    path = write_lines(tmp_path, *lines)
-    expected = load_by_row_loop(path)
-    assert isinstance(expected[0], type)  # every case is a malformed file
-    assert_same_outcome(load_outcome(path), expected)
+def test_check_numbers_matches_the_spec(values, bad):
+    """The whole-row check never accepts what the value-by-value loop would reject."""
+    if values and bad.draw(st.booleans(), label="corrupt"):
+        values[bad.draw(st.integers(0, len(values) - 1), label="at")] = bad.draw(JSON_VALUES)
+    expected = first_bad_entry(values)
+    if expected is None:
+        poseact.data._check_numbers(values, "row 0")
+    else:
+        with pytest.raises(DataFormatError) as caught:
+            poseact.data._check_numbers(values, "row 0")
+        assert str(caught.value) == f"row 0: {expected}"
 
 
 @pytest.fixture
@@ -594,12 +534,10 @@ def file_of_300_rows(tmp_path):
     return path
 
 
-def test_valid_file_skips_the_per_value_check(file_of_300_rows, monkeypatch):
+def test_valid_file_skips_the_per_value_loop(file_of_300_rows, monkeypatch):
     calls = []
-    check = poseact.data._check_numbers
-    monkeypatch.setattr(
-        poseact.data, "_check_numbers", lambda *args: calls.append(args) or check(*args)
-    )
+    check = poseact.data._row_number
+    monkeypatch.setattr(poseact.data, "_row_number", lambda v: calls.append(v) or check(v))
     back = load_dataset(file_of_300_rows)
     assert back.n_instances == 300
     assert calls == []
@@ -718,6 +656,9 @@ def test_load_model_errors(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text("{nope", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="not valid JSON"):
+        load_model(bad)
+    bad.write_text("[" * 100_000, encoding="utf-8")
     with pytest.raises(DataFormatError, match="not valid JSON"):
         load_model(bad)
     with pytest.raises(DataFormatError, match="format"):
