@@ -1,20 +1,25 @@
 """Alternating reweighted least-squares solver for the group-sparse model.
 
 Each iteration builds the diagonal reweighting vectors of every class at
-once from the pre-update weights, then makes two half-steps: one solve of
+once from the pre-update weights, then makes two half-steps: one update of
 all class columns of W with U held at its previous value, then one of all
-columns of U against the new W.  Each half-step is a closed-form symmetric
-positive definite solve per class on the dataset's cached normal
-equations, so the objective never moves uphill; a floor on block norms
-keeps the diagonals finite when a block collapses toward zero, at the
-price of optimizing a smoothed objective whose minimizers approach the
-exact ones as the floor shrinks.
+columns of U against the new W.  A penalised side (lambda > 0) takes a few
+Jacobi-preconditioned conjugate-gradient steps on its symmetric positive
+definite system, started from the current weights; CG never raises the
+quadratic surrogate above its value at the start, so the objective never
+moves uphill, and an exact solve of the surrogate is a fixed point of the
+step.  An unpenalised side (lambda = 0) has the same constant system in
+every iteration, so it is factored once per fit and solved exactly.  A
+floor on block norms keeps the diagonals finite when a block collapses
+toward zero, at the price of optimizing a smoothed objective whose
+minimizers approach the exact ones as the floor shrinks.
 
-The solves, the loss and objective behind the stopping test, the
-stationarity residual and the smoothed diagnostics all read those cached
-blocks, so an iteration makes no pass over the N instances: it costs
-O(C d^3) whatever N is.  The first call on a fresh dataset builds and
-caches the blocks, which is one O(N d^2) pass.
+The updates, the loss and objective behind the stopping test, the
+stationarity residual and the smoothed diagnostics all read the dataset's
+cached normal equations, so an iteration makes no pass over the N
+instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
+per fit for each unpenalised side.  The first call on a fresh dataset
+builds and caches the blocks, which is one O(N d^2) pass.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     SEED_RANGE,
@@ -50,6 +54,9 @@ __all__ = [
 
 # absolute slack allowed when checking the surrogate-decrease inequality
 _INEQUALITY_SLACK = 1e-12
+
+# preconditioned CG steps per half-step on a penalised side
+_CG_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -100,28 +107,58 @@ def _reweights(mat, dims, epsilon):
     return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
 
 
-def _half_step(gram, lam, reweights, rhs, describe):
-    """Solve (gram + lam diag(reweights[:, c])) x_c = rhs[:, c] for every class c.
+def _inverse_factor(gram, describe):
+    """Inverse of the Cholesky factor L of gram (gram = L L'), computed once.
 
-    One Cholesky factorization per class; gram is not modified.  describe
-    names the system in the SingularityError raised when a factorization fails.
+    An unpenalised half-step solves gram x = b as x = M' (M b) with M = L^-1.
+    describe names the system in the SingularityError raised when gram is
+    not positive definite.
     """
-    out = np.empty((gram.shape[0], rhs.shape[1]))
-    for c in range(rhs.shape[1]):
-        system = gram.copy()
-        if lam != 0.0:
-            system[np.diag_indices_from(system)] += lam * reweights[:, c]
-        try:
-            factor = scipy.linalg.cho_factor(
-                system, lower=False, overwrite_a=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(
-                f"{describe} for class {c} is not positive definite (Cholesky failed: {exc}); "
-                "with a zero penalty weight this means the Gram matrix is rank deficient"
-            ) from exc
-        out[:, c] = scipy.linalg.cho_solve(factor, rhs[:, c], check_finite=False)
-    return out
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(
+            f"{describe} is not positive definite (Cholesky failed: {exc}); "
+            "with a zero penalty weight this means the Gram matrix is rank deficient"
+        ) from exc
+    return np.linalg.inv(factor)
+
+
+def _columnwise_ratio(num, den):
+    """num / den per column, 0 where den is 0 (a column CG has already solved)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _half_step(gram, lam, reweights, rhs, start, inv_factor):
+    """Update every class column c of (gram + lam diag(reweights[:, c])) x_c = rhs[:, c].
+
+    With inv_factor (from _inverse_factor, for lam = 0) the solve is exact.
+    Otherwise the system is positive definite and the update is _CG_STEPS
+    conjugate-gradient steps from start, preconditioned by its diagonal, for
+    all columns at once.  gram is not modified.
+    """
+    if inv_factor is not None:
+        return inv_factor.T @ (inv_factor @ rhs)
+    shift = lam * reweights
+
+    def apply(p):
+        return gram @ p + shift * p
+
+    precond = 1.0 / (np.diag(gram)[:, None] + shift)
+    x = start
+    r = rhs - apply(x)
+    p = precond * r
+    rz = np.sum(r * p, axis=0)
+    for _ in range(_CG_STEPS):
+        q = apply(p)
+        alpha = _columnwise_ratio(rz, np.sum(p * q, axis=0))
+        x = x + alpha * p
+        r = r - alpha * q
+        z = precond * r
+        rz_next = np.sum(r * z, axis=0)
+        p = z + _columnwise_ratio(rz_next, rz) * p
+        rz = rz_next
+    return x
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
@@ -131,9 +168,13 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     U).  Hitting max_iters without stalling is reported, not raised.  Given
     the same dataset and config the result is bit-for-bit reproducible.
 
-    An iteration is two half-steps, each one all-classes solve: W from
-    (T T' + lambda1 D_W) W = T Y - T O' U, then U from
-    (O O' + lambda2 D_U) U = O Y - O T' W with the new W.  Every iteration,
+    An iteration is two half-steps, each one all-classes update: W for
+    (T T' + lambda1 D_W) W = T Y - T O' U, then U for
+    (O O' + lambda2 D_U) U = O Y - O T' W with the new W.  A penalised side
+    takes a fixed number of preconditioned CG steps from its current
+    weights; an unpenalised side is solved exactly with a factorization made
+    once, before the first iteration, which raises SingularityError when
+    that side's Gram matrix is rank deficient.  Every iteration,
     its loss and objective included, works on dataset.normal_equations and
     makes no pass over the N instances; on a fresh dataset the first use
     builds and caches them (O(N d^2)), and that build counts towards
@@ -147,6 +188,12 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
+    inv_t = (
+        _inverse_factor(blocks.gram_t, "skeleton-weight system (T T')") if lam1 == 0.0 else None
+    )
+    inv_o = (
+        _inverse_factor(blocks.gram_o, "object-weight system (O O')") if lam2 == 0.0 else None
+    )
     rng = np.random.default_rng(config.seed)
     w_cur = 0.01 * rng.standard_normal((layout.d_t, n_classes))
     u_cur = 0.01 * rng.standard_normal((layout.d_o, n_classes))
@@ -164,12 +211,10 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         d_w = _reweights(w_cur, layout.joint_dims, eps)
         d_u = _reweights(u_cur, layout.object_block_dims, eps)
         w_cur = _half_step(
-            blocks.gram_t, lam1, d_w, blocks.ty - blocks.cross @ u_cur,
-            "skeleton-weight system (T T' + lambda1 D)",
+            blocks.gram_t, lam1, d_w, blocks.ty - blocks.cross @ u_cur, w_cur, inv_t
         )
         u_cur = _half_step(
-            blocks.gram_o, lam2, d_u, blocks.oy - blocks.cross_t @ w_cur,
-            "object-weight system (O O' + lambda2 D)",
+            blocks.gram_o, lam2, d_u, blocks.oy - blocks.cross_t @ w_cur, u_cur, inv_o
         )
         loss_val, obj = loss_and_objective(w_cur, u_cur)
         loss_trace.append(loss_val)

@@ -379,6 +379,6 @@ def test_09_files_and_fits_are_deterministic(tmp_path):
         f"dataset file round-trip exact: {dataset_exact}, model file "
         f"round-trip exact: {model_exact}, weights reload exactly: "
         f"{reload_exact}, same-seed fits identical: {fits_identical} "
-        f"(all single-threaded, no parallel code paths)",
+        "(both fits in one process at one BLAS thread count)",
     )
     assert ok, line

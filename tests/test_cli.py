@@ -451,3 +451,13 @@ def test_exit_code_2_for_singular_systems(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_singular_object_system(tmp_path, capsys):
+    # 4 object features from 3 instances with no attribute penalty
+    path = tmp_path / "thin.txt"
+    assert main(synth_args(path, instances=3, noise="0.0")) == 0
+    model = tmp_path / "m.json"
+    code = main(["train", "--data", str(path), "--model", str(model), "--lambda2", "0"])
+    assert code == 2
+    assert "object-weight system" in capsys.readouterr().err

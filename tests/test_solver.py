@@ -1,4 +1,4 @@
-"""Reweighting diagonals, the closed-form half-steps, the alternating fit
+"""Reweighting diagonals, the all-classes half-steps, the alternating fit
 loop, and the first-order diagnostics around it."""
 
 from __future__ import annotations
@@ -28,21 +28,27 @@ from poseact import (
     standardize,
     stationarity_residual,
 )
-from poseact.solver import _half_step, _reweights
+from poseact.solver import _half_step, _inverse_factor, _reweights
 
 from conftest import build_dataset
+
+
+def side_step(gram, lam, d, rhs, describe):
+    """fit's half-step on one side from a zero start; a lam = 0 side is factored first."""
+    inv_factor = _inverse_factor(gram, describe) if lam == 0.0 else None
+    return _half_step(gram, lam, d, rhs, np.zeros_like(rhs), inv_factor)
 
 
 def skeleton_step(ds, u, d, lam):
     """fit's W half-step: every class column of W against U, diagonals d (d_t x C)."""
     blocks = ds.normal_equations
-    return _half_step(blocks.gram_t, lam, d, blocks.ty - blocks.cross @ u, "skeleton system")
+    return side_step(blocks.gram_t, lam, d, blocks.ty - blocks.cross @ u, "skeleton system")
 
 
 def object_step(ds, w, d, lam):
     """fit's U half-step: every class column of U against W, diagonals d (d_o x C)."""
     blocks = ds.normal_equations
-    return _half_step(blocks.gram_o, lam, d, blocks.oy - blocks.cross_t @ w, "object system")
+    return side_step(blocks.gram_o, lam, d, blocks.oy - blocks.cross_t @ w, "object system")
 
 
 # --- SolverConfig -----------------------------------------------------------
@@ -135,7 +141,7 @@ def test_reweights_match_loop_oracle_and_stay_positive():
                 assert np.array_equal(at_once[:, c], _reweights(mat[:, c], dims, 1e-8))
 
 
-# --- closed-form half-steps -----------------------------------------------------
+# --- half-steps ----------------------------------------------------------------
 
 
 def test_update_skeleton_identity_design_returns_labels():
@@ -235,7 +241,7 @@ def test_update_singular_gram_raises():
         objects=rng.standard_normal((1, 3)),
         labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     )
-    with pytest.raises(SingularityError, match="class 0 is not positive definite"):
+    with pytest.raises(SingularityError, match="skeleton system is not positive definite"):
         skeleton_step(ds, np.zeros((1, 2)), np.ones((5, 2)), 0.0)
 
 
@@ -465,6 +471,14 @@ def test_fit_propagates_singularity():
         fit(ds, SolverConfig(lambda1=0.0, lambda2=0.1))
 
 
+def test_fit_propagates_object_side_singularity():
+    # the mirror: unpenalized object side with more rows than instances
+    layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(4, 3))
+    ds = build_dataset(layout, n=4, n_classes=2, seed=29)
+    with pytest.raises(SingularityError, match="object-weight system"):
+        fit(ds, SolverConfig(lambda1=0.1, lambda2=0.0))
+
+
 def test_fit_model_carries_dataset_metadata():
     ds = build_dataset(
         FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(2,)),
@@ -500,6 +514,46 @@ def test_half_iteration_update_never_raises_partial_objective():
         u_new = object_step(ds, w, _reweights(u, layout.object_block_dims, 1e-8), lam2)
         after_u = loss(ds, w, u_new) + lam2 * attribute_norm(u_new, layout)
         assert after_u <= before_u + 1e-9 * max(1.0, before_u)
+
+
+def test_inexact_half_steps_at_paper_shape():
+    """At 45 + 297 features, where 5 CG steps are far from an exact solve:
+    every half-step from the current weights lowers loss + penalty on its
+    side, and an exact solve of the surrogate is a fixed point of the step.
+    Some blocks start at zero, so their diagonals sit at 0.5 / epsilon."""
+    layout = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    rng = np.random.default_rng(149)
+    for k, n in enumerate((150, 300, 600)):
+        ds = build_dataset(layout, n=n, n_classes=6, seed=600 + k)
+        blocks = ds.normal_equations
+        for lam in (1e-3, 0.1, 10.0):
+            w = 0.5 * rng.standard_normal((layout.d_t, 6))
+            u = 0.5 * rng.standard_normal((layout.d_o, 6))
+            w[:9] = 0.0
+            u[:48] = 0.0
+            for _ in range(10):
+                d_w = _reweights(w, layout.joint_dims, 1e-8)
+                before = loss(ds, w, u) + lam * skeletal_norm(w, layout)
+                w = _half_step(blocks.gram_t, lam, d_w, blocks.ty - blocks.cross @ u, w, None)
+                after = loss(ds, w, u) + lam * skeletal_norm(w, layout)
+                assert after <= before + 1e-12 * max(1.0, before)
+                d_u = _reweights(u, layout.object_block_dims, 1e-8)
+                before = loss(ds, w, u) + lam * attribute_norm(u, layout)
+                u = _half_step(blocks.gram_o, lam, d_u, blocks.oy - blocks.cross_t @ w, u, None)
+                after = loss(ds, w, u) + lam * attribute_norm(u, layout)
+                assert after <= before + 1e-12 * max(1.0, before)
+            for gram, d, rhs in (
+                (blocks.gram_t, d_w, blocks.ty - blocks.cross @ u),
+                (blocks.gram_o, d_u, blocks.oy - blocks.cross_t @ w),
+            ):
+                exact = np.column_stack(
+                    [np.linalg.solve(gram + lam * np.diag(d[:, c]), rhs[:, c]) for c in range(6)]
+                )
+                again = _half_step(gram, lam, d, rhs, exact, None)
+                assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
+                # a column with nothing to solve stays exactly zero, without a 0/0
+                zero = np.zeros_like(rhs)
+                assert not _half_step(gram, lam, d, zero, zero, None).any()
 
 
 # --- the scalar inequality behind the reweighting scheme ----------------------
