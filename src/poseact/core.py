@@ -47,12 +47,14 @@ SEED_RANGE = (0, 2**64)
 
 
 def check_number(value, name, low=0.0, strict=False, high=None):
-    """float(value) when it is finite and in range, else raise ConfigError.
+    """float(value) when value is a finite number in range, else raise ConfigError.
 
     The range is [low, inf), or (low, inf) when strict; high, when given,
     makes it the open interval (low, high).
     """
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):  # float() takes these too
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None

@@ -9,11 +9,22 @@ open() does under the current umask, and are byte-deterministic, so saving
 what load returned reproduces the file exactly.  Both readers turn every
 malformed input, including bytes that are not UTF-8, into DataFormatError.
 
-The dataset reader parses each row with one json.loads and checks it in
-file order, so the first error is the one named, by row and line.  A row's
-numbers are checked as a whole (their types as one set, their finiteness
-in one C-level pass); only a row that fails is walked value by value to
-name the bad entry, so a valid file never runs a Python loop per value.
+The dataset reader parses each row with orjson.loads, which reads float
+text about five times faster than json.loads, and checks the rows in file
+order, so the first error is the one named, by row and line.  A row that
+orjson rejects is parsed again with json.loads.  json accepts NaN,
+Infinity and integer literals past the float range, so the checks below
+can name such entries, and it writes every "is not valid JSON" message.
+Both parsers give bit-identical doubles.  What reaches a message differs in
+two cases only: an integer literal outside [-2**63, 2**64) where no number
+belongs is shown as orjson's float, and a row nested deeper than json's
+recursion limit but within orjson's 1024 levels gets a width or type
+message.  Headers and model files are small and go through json alone.
+
+A row's numbers are checked as a whole (their types as one set, their
+finiteness in one C-level pass); only a row that fails is walked value by
+value to name the bad entry, so a valid file never runs a Python loop per
+value.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .core import (
     SEED_RANGE,
@@ -439,6 +451,14 @@ def _parse_header(line):
     return layout, tuple(classes), names
 
 
+def _shown(value):
+    """repr(value) for a message; orjson parses rows nested deeper than repr can go."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
+
+
 def _row_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -457,7 +477,7 @@ def _check_numbers(values, where):
     try:
         for k, v in enumerate(values):
             if not _row_number(v):
-                raise DataFormatError(f"{where}: entry {k} is not a number ({v!r})")
+                raise DataFormatError(f"{where}: entry {k} is not a number ({_shown(v)})")
             if not math.isfinite(v):
                 raise DataFormatError(f"{where}: entry {k} is not finite ({v!r})")
     except OverflowError:  # isfinite on an integer literal beyond the float range
@@ -477,7 +497,10 @@ def _checked_rows(lines, width, classes):
     class_index = {name: c for c, name in enumerate(classes)}
     for offset, raw in enumerate(lines):
         row_id = f"row {offset} (line {offset + 2})"
-        row = _parse_json(raw, row_id)
+        try:
+            row = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            row = _parse_json(raw, row_id)
         if not isinstance(row, list):
             raise DataFormatError(f"{row_id}: expected a JSON array")
         has_label = len(row) == width + 1
@@ -495,7 +518,7 @@ def _checked_rows(lines, width, classes):
         if has_label:
             label = row[width]
             if not isinstance(label, str):
-                raise DataFormatError(f"{row_id}: label must be a string, got {label!r}")
+                raise DataFormatError(f"{row_id}: label must be a string, got {_shown(label)}")
             if label not in class_index:
                 raise DataFormatError(f"{row_id}: unknown label {label!r}")
             label_indices.append(class_index[label])
@@ -549,6 +572,10 @@ def _standardizer_from_dict(raw):
         return None
     if not isinstance(raw, dict):
         raise DataFormatError("standardizer must be an object or null")
+    for name in ("skeleton_mean", "skeleton_scale", "object_mean", "object_scale"):
+        vector = raw.get(name)
+        if isinstance(vector, list):  # anything else fails Standardizer's 1-d check
+            _check_numbers(vector, f"bad standardizer ({name})")
     try:
         return Standardizer(
             skeleton_mean=raw["skeleton_mean"],

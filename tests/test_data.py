@@ -9,6 +9,7 @@ import stat
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -563,6 +564,145 @@ def test_bad_value_in_the_last_row_is_named(file_of_300_rows, k, value, message)
     assert str(caught.value) == f"row 299 (line 301): {message}"
 
 
+# --- the row parser: orjson first, json for the rows orjson rejects ------------------
+
+
+def reject(text):
+    raise orjson.JSONDecodeError("rejected", text, 0)
+
+
+def load_outcome(path, json_only=False):
+    """load_dataset's arrays as bytes, or its DataFormatError message."""
+    with pytest.MonkeyPatch.context() as patch:
+        if json_only:
+            patch.setattr(poseact.data.orjson, "loads", reject)
+        try:
+            back = load_dataset(path)
+        except DataFormatError as exc:
+            return str(exc)
+    labels = None if back.labels is None else back.labels.tobytes()
+    return back.skeleton.tobytes(), back.objects.tobytes(), labels
+
+
+WIDE_HEADER = good_header(joint_dims=[3], modality_dims=[2])  # five features a row
+DIGITS = st.integers(1, 9).map(str)
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.integers(-(2**63), 2**64 - 1).map(str),
+    # decimal strings with 15-40 significant digits, down to the subnormals
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        DIGITS,
+        st.integers(10**13, 10**39),
+        st.integers(-340, 310),
+    ),
+    # 30-digit integer literals, past 64 bits
+    st.builds("{}{}{}".format, st.sampled_from(["", "-"]), DIGITS, st.integers(10**28, 10**29 - 1)),
+    st.sampled_from(["-0", "-0.0", "1E5", "1e-400", "5e-324", "2.4703282292062328e-324"]),
+)
+# past the float range, past the interpreter's digit limit, or not finite
+NOT_FINITE = st.sampled_from(
+    ["9" * 401, "-" + "9" * 401, "1" + "0" * 4999, "1e400", "-1e400", "NaN", "Infinity", "-Infinity"]
+)
+SMALL_NUMBERS = st.floats(-1e6, 1e6).map(repr) | st.integers(-99, 99).map(str)
+OTHERS = st.one_of(
+    st.sampled_from(["true", "false", "null", '"zzz"', '"\\u00e9"', '"\\ud800"', '"é"']),
+    st.sampled_from(['"\\ud800\\udc00"', '"a\\"b"', "[]", "{}", '{"a": 1, "a": 2}']),
+    st.text(max_size=3).map(json.dumps),
+    st.lists(SMALL_NUMBERS | st.just('"a"'), max_size=3).map(lambda v: "[" + ", ".join(v) + "]"),
+    st.builds('{{"k": [{}]}}'.format, SMALL_NUMBERS),
+)
+LABELS = st.sampled_from(['"a"', '"b"', '"\\u0061"']) | OTHERS | SMALL_NUMBERS
+SPACE = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def json_rows(draw, labeled):
+    """One row's text: five features and maybe a label, now and then spoiled.
+
+    Integer literals past 64 bits go only where a number belongs: orjson reads
+    them as floats, so elsewhere they would show up in a message differently
+    (pinned in test_known_parser_divergences).
+    """
+    entries = draw(st.lists(FINITE, min_size=5, max_size=5))
+    if labeled:
+        entries.append(draw(LABELS))
+    for spoiler in (NOT_FINITE, OTHERS):
+        if draw(st.integers(0, 5)) == 5:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(spoiler)
+    if draw(st.integers(0, 9)) == 9:  # a wrong width
+        entries = entries[: draw(st.integers(0, 4))]
+    text = draw(SPACE) + "["
+    for k, entry in enumerate(entries):
+        text += draw(SPACE) + entry + draw(SPACE) + ("," if k < len(entries) - 1 else "")
+    return text + "]" + draw(SPACE)
+
+
+@pytest.fixture(scope="module")
+def rows_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("rows") / "rows.txt"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(rows=st.booleans().flatmap(lambda labeled: st.lists(json_rows(labeled), min_size=1, max_size=3)))
+def test_orjson_rows_load_as_json_rows_do(rows, rows_path):
+    """Every row loads to bit-equal arrays, or fails with the same message, either way."""
+    path = rows_path
+    path.write_text("\n".join([WIDE_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert load_outcome(path) == load_outcome(path, json_only=True)
+
+
+DEEP = 1020  # past json's recursion limit, within orjson's 1024 levels
+
+
+@pytest.mark.parametrize(
+    "row, shipped, json_only",
+    [
+        # (a) an integer literal outside [-2**63, 2**64) where no number belongs
+        (
+            "[0.0, 0.0, 1" + "0" * 29 + "]",
+            ": label must be a string, got 1e+29",
+            ": label must be a string, got 1" + "0" * 29,
+        ),
+        (
+            "[0.0, [18446744073709551616], 0.0]",
+            ": entry 1 is not a number ([1.8446744073709552e+19])",
+            ": entry 1 is not a number ([18446744073709551616])",
+        ),
+        (
+            '[0.0, 0.0, [-9223372036854775809, "a"]]',
+            ": label must be a string, got [-9.223372036854776e+18, 'a']",
+            ": label must be a string, got [-9223372036854775809, 'a']",
+        ),
+        # (b) nesting deeper than json's recursion limit and repr's
+        (
+            "[" * DEEP + "]" * DEEP,
+            ": 1 entries, expected 2 features plus an optional label",
+            " is not valid JSON (maximum recursion depth exceeded",
+        ),
+        (
+            "[0.0, " + "[" * DEEP + "]" * DEEP + ', "a"]',
+            ": entry 1 is not a number (a list nested too deeply to show)",
+            " is not valid JSON (maximum recursion depth exceeded",
+        ),
+        (
+            '[0.0, 0.0, {"k": ' + "[" * DEEP + "]" * DEEP + "}]",
+            ": label must be a string, got a dict nested too deeply to show",
+            " is not valid JSON (maximum recursion depth exceeded",
+        ),
+    ],
+    ids=["a-label", "a-nested", "a-nested-label", "b-row", "b-entry", "b-label"],
+)
+def test_known_parser_divergences(tmp_path, row, shipped, json_only):
+    """The only two ways a row's message depends on which parser read it."""
+    path = write_lines(tmp_path, good_header(), row)
+    assert load_outcome(path) == "row 0 (line 2)" + shipped
+    # the recursion message goes on in the interpreter's own words
+    assert load_outcome(path, json_only=True).startswith("row 0 (line 2)" + json_only)
+
+
 # --- model files ------------------------------------------------------------------
 
 
@@ -700,6 +840,20 @@ def test_load_model_errors(tmp_path):
     for index in (0.5, "1", True):
         with pytest.raises(DataFormatError, match="skeleton_constant entry must be an integer"):
             load_model(mutated(standardizer={**fitted, "skeleton_constant": [index]}))
+    # strings and booleans are not numbers, in any standardizer vector
+    for name, vector, shown in (
+        ("skeleton_mean", ["0.5", "1", "2"], "'0.5'"),
+        ("object_scale", [True, False], "True"),
+        ("object_mean", [0.0, "2"], "'2'"),
+    ):
+        with pytest.raises(
+            DataFormatError,
+            match=rf"bad standardizer \({name}\): entry \d is not a number \({shown}\)",
+        ):
+            load_model(mutated(standardizer={**fitted, name: vector}))
+    for value in ("0.5", True):
+        with pytest.raises(DataFormatError, match=rf"lambda1 must be a number, got {value!r}"):
+            load_model(mutated(hyperparams={**doc["hyperparams"], "lambda1": value}))
     with pytest.raises(DataFormatError, match="layout is missing 'object_count'"):
         load_model(mutated(layout={"joint_dims": [2, 1], "modality_dims": [2]}))
     bad.write_bytes(path.read_bytes().replace(b"sit", b"s\xffs"))

@@ -81,6 +81,10 @@ def test_config_validation():
         SolverConfig(seed=-1)
     with pytest.raises(ConfigError):
         SolverConfig(seed=2**64)
+    # float() would take these, but a bool or a string is not a number
+    for field, value in (("lambda1", True), ("lambda2", "0.5"), ("tol", np.True_), ("epsilon", b"1")):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            SolverConfig(**{field: value})
     # zero penalties are legal; they switch the solver to plain least squares
     assert SolverConfig(lambda1=0.0, lambda2=0.0).lambda1 == 0.0
 
