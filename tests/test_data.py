@@ -634,10 +634,8 @@ def json_rows(draw, labeled):
             entries[draw(st.integers(0, len(entries) - 1))] = draw(spoiler)
     if draw(st.integers(0, 9)) == 9:  # a wrong width
         entries = entries[: draw(st.integers(0, 4))]
-    text = draw(SPACE) + "["
-    for k, entry in enumerate(entries):
-        text += draw(SPACE) + entry + draw(SPACE) + ("," if k < len(entries) - 1 else "")
-    return text + "]" + draw(SPACE)
+    text = ",".join(draw(SPACE) + entry + draw(SPACE) for entry in entries)
+    return draw(SPACE) + "[" + text + "]" + draw(SPACE)
 
 
 @pytest.fixture(scope="module")
@@ -649,9 +647,8 @@ def rows_path(tmp_path_factory):
 @given(rows=st.booleans().flatmap(lambda labeled: st.lists(json_rows(labeled), min_size=1, max_size=3)))
 def test_orjson_rows_load_as_json_rows_do(rows, rows_path):
     """Every row loads to bit-equal arrays, or fails with the same message, either way."""
-    path = rows_path
-    path.write_text("\n".join([WIDE_HEADER, *rows]) + "\n", encoding="utf-8")
-    assert load_outcome(path) == load_outcome(path, json_only=True)
+    rows_path.write_text("\n".join([WIDE_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert load_outcome(rows_path) == load_outcome(rows_path, json_only=True)
 
 
 DEEP = 1020  # past json's recursion limit, within orjson's 1024 levels
