@@ -1,9 +1,9 @@
 """Activity recognition from body-joint and object-attribute features.
 
 Linear per-class scoring over block-structured features, trained with a
-jointly regularized alternating solver that drives whole joints and whole
-object-attribute blocks to zero, plus the data, analysis, benchmark, and CLI
-plumbing around it.
+jointly regularized reweighted least-squares solver that drives whole
+joints and whole object-attribute blocks to zero, plus the data, analysis,
+benchmark, and CLI plumbing around it.
 """
 
 from .analysis import (

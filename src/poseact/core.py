@@ -212,7 +212,10 @@ def default_names(layout: FeatureLayout) -> GroupNames:
 
 
 def _frozen_array(value, what, ndim=2):
-    arr = np.array(value, dtype=np.float64, copy=True)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "fiu":  # bool, str, bytes, object, complex
+        raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=np.float64, copy=True)
     if arr.ndim != ndim:
         raise LayoutError(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -225,15 +228,11 @@ def _require_finite(arr, what):
 
 
 class NormalEquations(NamedTuple):
-    """T T', O O', T O', O T' (a contiguous copy of cross.T), T Y, O Y and the
-    per-class ||y_c||^2; read-only."""
+    """The stacked Gram G = [T; O][T; O]' (d x d, d = d_t + d_o), XY = [T Y; O Y]
+    and the per-class ||y_c||^2; read-only."""
 
-    gram_t: np.ndarray
-    gram_o: np.ndarray
-    cross: np.ndarray
-    cross_t: np.ndarray
-    ty: np.ndarray
-    oy: np.ndarray
+    gram: np.ndarray
+    xy: np.ndarray
     yy: np.ndarray
 
 
@@ -329,10 +328,17 @@ class Dataset:
         if self.labels is None:
             raise ValidationError("the normal equations need a labeled dataset")
         t_mat, o_mat, y_mat = self.skeleton, self.objects, self.labels
-        cross = t_mat @ o_mat.T
+        # G is filled block by block: stacking T and O would copy N x d floats
+        d_t = self.layout.d_t
+        gram = np.empty((d_t + self.layout.d_o,) * 2)
+        gram[:d_t, :d_t] = t_mat @ t_mat.T
+        gram[:d_t, d_t:] = t_mat @ o_mat.T
+        gram[d_t:, :d_t] = gram[:d_t, d_t:].T
+        gram[d_t:, d_t:] = o_mat @ o_mat.T
         blocks = NormalEquations(
-            t_mat @ t_mat.T, o_mat @ o_mat.T, cross, np.ascontiguousarray(cross.T),
-            t_mat @ y_mat, o_mat @ y_mat, np.sum(y_mat * y_mat, axis=0),
+            gram,
+            np.concatenate([t_mat @ y_mat, o_mat @ y_mat]),
+            np.sum(y_mat * y_mat, axis=0),
         )
         for block in blocks:
             block.setflags(write=False)
@@ -466,18 +472,15 @@ def attribute_norm(u, layout: FeatureLayout) -> float:
     return _block_norm_sum(u, layout.object_block_dims)
 
 
-def _gram_loss(blocks: NormalEquations, w, u) -> float:
-    """||T'W + O'U - Y||^2 expanded over the normal equations, in O(C d^2).
+def _gram_loss(blocks: NormalEquations, x) -> float:
+    """||[T; O]'X - Y||^2 for the stacked weights X = [W; U], expanded over the
+    normal equations in O(C d^2).
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
-    total = (
-        np.sum(w * (blocks.gram_t @ w + 2.0 * (blocks.cross @ u - blocks.ty)))
-        + np.sum(u * (blocks.gram_o @ u - 2.0 * blocks.oy))
-        + np.sum(blocks.yy)
-    )
+    total = np.sum(x * (blocks.gram @ x - 2.0 * blocks.xy)) + np.sum(blocks.yy)
     return max(0.0, float(total))
 
 
@@ -503,7 +506,7 @@ def loss(dataset: Dataset, w, u) -> float:
     (O(N d^2)).
     """
     w, u = _labeled_weights(dataset, w, u, "loss")
-    return _gram_loss(dataset.normal_equations, w, u)
+    return _gram_loss(dataset.normal_equations, np.vstack([w, u]))
 
 
 def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
@@ -511,7 +514,7 @@ def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     w, u = _labeled_weights(dataset, w, u, "objective")
-    return _gram_loss(dataset.normal_equations, w, u) + _penalty(
+    return _gram_loss(dataset.normal_equations, np.vstack([w, u])) + _penalty(
         dataset.layout, w, u, lambda1, lambda2
     )
 

@@ -1,25 +1,27 @@
-"""Alternating reweighted least-squares solver for the group-sparse model.
+"""Reweighted least-squares solver for the group-sparse model.
 
-Each iteration builds the diagonal reweighting vectors of every class at
-once from the pre-update weights, then makes two half-steps: one update of
-all class columns of W with U held at its previous value, then one of all
-columns of U against the new W.  A penalised side (lambda > 0) takes a few
-Jacobi-preconditioned conjugate-gradient steps on its symmetric positive
-definite system, started from the current weights; CG never raises the
-quadratic surrogate above its value at the start, so the objective never
-moves uphill, and an exact solve of the surrogate is a fixed point of the
-step.  An unpenalised side (lambda = 0) has the same constant system in
-every iteration, so it is factored once per fit and solved exactly.  A
-floor on block norms keeps the diagonals finite when a block collapses
-toward zero, at the price of optimizing a smoothed objective whose
-minimizers approach the exact ones as the floor shrinks.
+The model is one joint problem over the stacked weights X = [W; U]: the
+loss ||[T; O]'X - Y||^2 plus one group norm per joint and per (object,
+modality) block.  Each iteration builds the reweighting diagonals D of
+every block and every class at once from the current X and makes one
+all-classes step on (G + diag(lambda * D)) X = XY, where G = [T; O][T; O]'
+and lambda is lambda1 on skeleton rows and lambda2 on object rows.  The
+step is a few Jacobi-preconditioned conjugate-gradient steps started from
+the current weights; CG never raises the quadratic surrogate above its
+value at the start, so the objective never moves uphill, and an exact
+solve of the surrogate is a fixed point of the step.  With both weights
+zero the system is the same in every iteration, so it is factored once
+per fit and solved exactly.  A floor on block norms keeps the diagonals
+finite when a block collapses toward zero, at the price of optimizing a
+smoothed objective whose minimizers approach the exact ones as the floor
+shrinks.
 
 The updates, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read the dataset's
 cached normal equations, so an iteration makes no pass over the N
 instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
-per fit for each unpenalised side.  The first call on a fresh dataset
-builds and caches the blocks, which is one O(N d^2) pass.
+per fit when a weight is zero.  The first call on a fresh dataset builds
+and caches the normal equations, which is one O(N d^2) pass.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
 # absolute slack allowed when checking the surrogate-decrease inequality
 _INEQUALITY_SLACK = 1e-12
 
-# preconditioned CG steps per half-step on a penalised side
+# preconditioned CG steps per iteration
 _CG_STEPS = 5
 
 
@@ -107,21 +109,26 @@ def _reweights(mat, dims, epsilon):
     return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
 
 
-def _inverse_factor(gram, describe):
-    """Inverse of the Cholesky factor L of gram (gram = L L'), computed once.
+def _cholesky(gram, describe):
+    """Cholesky factor L of gram (gram = L L').
 
-    An unpenalised half-step solves gram x = b as x = M' (M b) with M = L^-1.
     describe names the system in the SingularityError raised when gram is
     not positive definite.
     """
     try:
-        factor = np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             f"{describe} is not positive definite (Cholesky failed: {exc}); "
             "with a zero penalty weight this means the Gram matrix is rank deficient"
         ) from exc
-    return np.linalg.inv(factor)
+
+
+def _joint_terms(layout, lam1, lam2):
+    """Block sizes of the stacked weights [W; U] and the d x 1 column of
+    per-row penalty weights (lam1 on skeleton rows, lam2 on object rows)."""
+    lam = np.repeat([lam1, lam2], [layout.d_t, layout.d_o])[:, None]
+    return layout.joint_dims + layout.object_block_dims, lam
 
 
 def _columnwise_ratio(num, den):
@@ -129,94 +136,93 @@ def _columnwise_ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def _half_step(gram, lam, reweights, rhs, start, inv_factor):
-    """Update every class column c of (gram + lam diag(reweights[:, c])) x_c = rhs[:, c].
+def _irls_step(blocks, layout, lam1, lam2):
+    """fit's update step(x, reweights) of the stacked weights x = [W; U].
 
-    With inv_factor (from _inverse_factor, for lam = 0) the solve is exact.
-    Otherwise the system is positive definite and the update is _CG_STEPS
-    conjugate-gradient steps from start, preconditioned by its diagonal, for
-    all columns at once.  gram is not modified.
+    For every class column c it moves x_c towards the solution of
+    (G + diag(lam * reweights[:, c])) x_c = XY[:, c].  With both weights
+    zero that system is G X = XY in every iteration, so it is factored here
+    once and step returns its exact solution.  Otherwise step takes
+    _CG_STEPS conjugate-gradient steps from x, preconditioned by the
+    system's diagonal, for all columns at once.  The system is positive
+    definite when the side of every zero weight has a positive definite
+    Gram block; that is checked here, and SingularityError names the
+    system that fails.
     """
-    if inv_factor is not None:
-        return inv_factor.T @ (inv_factor @ rhs)
-    shift = lam * reweights
+    gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
+    if lam1 == lam2 == 0.0:
+        factor = _cholesky(gram, "joint system (G = [T; O][T; O]')")
+        exact = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+        return lambda x, reweights: exact
+    if lam1 == 0.0:
+        _cholesky(gram[:d_t, :d_t], "skeleton-weight system (T T')")
+    if lam2 == 0.0:
+        _cholesky(gram[d_t:, d_t:], "object-weight system (O O')")
+    lam = _joint_terms(layout, lam1, lam2)[1]
+    diagonal = np.diag(gram)[:, None]
 
-    def apply(p):
-        return gram @ p + shift * p
+    def step(x, reweights):
+        shift = lam * reweights
+        precond = 1.0 / (diagonal + shift)
+        r = rhs - (gram @ x + shift * x)
+        p = precond * r
+        rz = np.sum(r * p, axis=0)
+        for _ in range(_CG_STEPS):
+            q = gram @ p + shift * p
+            alpha = _columnwise_ratio(rz, np.sum(p * q, axis=0))
+            x = x + alpha * p
+            r = r - alpha * q
+            z = precond * r
+            rz_next = np.sum(r * z, axis=0)
+            p = z + _columnwise_ratio(rz_next, rz) * p
+            rz = rz_next
+        return x
 
-    precond = 1.0 / (np.diag(gram)[:, None] + shift)
-    x = start
-    r = rhs - apply(x)
-    p = precond * r
-    rz = np.sum(r * p, axis=0)
-    for _ in range(_CG_STEPS):
-        q = apply(p)
-        alpha = _columnwise_ratio(rz, np.sum(p * q, axis=0))
-        x = x + alpha * p
-        r = r - alpha * q
-        z = precond * r
-        rz_next = np.sum(r * z, axis=0)
-        p = z + _columnwise_ratio(rz_next, rz) * p
-        rz = rz_next
-    return x
+    return step
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
-    """Run the alternating solver until the objective stalls or max_iters.
+    """Run the reweighted least-squares solver until the objective stalls or max_iters.
 
     Weights start at 0.01 times seeded standard-normal draws (W first, then
     U).  Hitting max_iters without stalling is reported, not raised.  Given
     the same dataset and config the result is bit-for-bit reproducible.
 
-    An iteration is two half-steps, each one all-classes update: W for
-    (T T' + lambda1 D_W) W = T Y - T O' U, then U for
-    (O O' + lambda2 D_U) U = O Y - O T' W with the new W.  A penalised side
-    takes a fixed number of preconditioned CG steps from its current
-    weights; an unpenalised side is solved exactly with a factorization made
-    once, before the first iteration, which raises SingularityError when
-    that side's Gram matrix is rank deficient.  Every iteration,
-    its loss and objective included, works on dataset.normal_equations and
-    makes no pass over the N instances; on a fresh dataset the first use
-    builds and caches them (O(N d^2)), and that build counts towards
-    wall_time.
+    An iteration is one all-classes update of the stacked weights X = [W; U]
+    for (G + diag(lambda * D)) X = XY, with the diagonals D rebuilt from the
+    current X.  It takes a fixed number of preconditioned CG steps from the
+    current weights, or, with both weights zero, solves exactly with a
+    factorization made once, before the first iteration.  A zero weight
+    whose side has a rank-deficient Gram block (T T' or O O', or G itself
+    when both are zero) raises SingularityError.  Every iteration, its loss
+    and objective included, works on dataset.normal_equations and makes no
+    pass over the N instances; on a fresh dataset the first use builds and
+    caches them (O(N d^2)), and that build counts towards wall_time.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
     layout = dataset.layout
     lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
-    n_classes = dataset.labels.shape[1]
+    d_t, dims = layout.d_t, _joint_terms(layout, lam1, lam2)[0]
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
-    inv_t = (
-        _inverse_factor(blocks.gram_t, "skeleton-weight system (T T')") if lam1 == 0.0 else None
-    )
-    inv_o = (
-        _inverse_factor(blocks.gram_o, "object-weight system (O O')") if lam2 == 0.0 else None
-    )
+    step = _irls_step(blocks, layout, lam1, lam2)
     rng = np.random.default_rng(config.seed)
-    w_cur = 0.01 * rng.standard_normal((layout.d_t, n_classes))
-    u_cur = 0.01 * rng.standard_normal((layout.d_o, n_classes))
+    x = 0.01 * rng.standard_normal(blocks.xy.shape)
 
-    def loss_and_objective(w, u):
-        loss_val = _gram_loss(blocks, w, u)
-        return loss_val, loss_val + _penalty(layout, w, u, lam1, lam2)
+    def loss_and_objective(x):
+        loss_val = _gram_loss(blocks, x)
+        return loss_val, loss_val + _penalty(layout, x[:d_t], x[d_t:], lam1, lam2)
 
-    prev_obj = loss_and_objective(w_cur, u_cur)[1]
+    prev_obj = loss_and_objective(x)[1]
     objective_trace: list[float] = []
     loss_trace: list[float] = []
     converged = False
 
     for _ in range(config.max_iters):
-        d_w = _reweights(w_cur, layout.joint_dims, eps)
-        d_u = _reweights(u_cur, layout.object_block_dims, eps)
-        w_cur = _half_step(
-            blocks.gram_t, lam1, d_w, blocks.ty - blocks.cross @ u_cur, w_cur, inv_t
-        )
-        u_cur = _half_step(
-            blocks.gram_o, lam2, d_u, blocks.oy - blocks.cross_t @ w_cur, u_cur, inv_o
-        )
-        loss_val, obj = loss_and_objective(w_cur, u_cur)
+        x = step(x, _reweights(x, dims, eps))
+        loss_val, obj = loss_and_objective(x)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
         if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
@@ -227,8 +233,8 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     wall = time.perf_counter() - start
     model = Model(
         layout=layout,
-        w=w_cur,
-        u=u_cur,
+        w=x[:d_t],
+        u=x[d_t:],
         class_names=dataset.class_names,
         hyperparams=config,
         names=dataset.names,
@@ -261,23 +267,17 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
     return lhs <= rhs + _INEQUALITY_SLACK
 
 
-def _half_gradients(blocks, w, u):
-    """T T'W + T O'U - T Y and O O'U + O T'W - O Y: half the loss gradients."""
-    return (
-        blocks.gram_t @ w + blocks.cross @ u - blocks.ty,
-        blocks.gram_o @ u + blocks.cross_t @ w - blocks.oy,
-    )
-
-
 def stationarity_residual(
     dataset: Dataset, model: Model, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
     """Worst normalized first-order residual over all classes and both sides.
 
-    For each class the skeleton residual is
-    T T' w + T O' u - T y + lambda1 D w with D rebuilt from the current w,
-    scaled by 1 / (1 + ||w||); the object side mirrors it.  Near a fixed
-    point of the alternating updates this goes to zero.
+    For each class the residual of the stacked weights x = [w; u] is
+    G x - XY + lambda * D x, with D rebuilt from the current x and lambda
+    being lambda1 on skeleton rows and lambda2 on object rows.  Its skeleton
+    rows are scaled by 1 / (1 + ||w||) and its object rows by
+    1 / (1 + ||u||).  Near a fixed point of the reweighted updates this
+    goes to zero.
     """
     w, u = _labeled_weights(dataset, model.w, model.u, "stationarity_residual")
     if dataset.layout != model.layout:
@@ -285,13 +285,13 @@ def stationarity_residual(
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
-    layout = dataset.layout
-    half_w, half_u = _half_gradients(dataset.normal_equations, w, u)
-    res_w = half_w + lambda1 * _reweights(w, layout.joint_dims, epsilon) * w
-    res_u = half_u + lambda2 * _reweights(u, layout.object_block_dims, epsilon) * u
+    blocks, d_t = dataset.normal_equations, dataset.layout.d_t
+    dims, lam = _joint_terms(dataset.layout, lambda1, lambda2)
+    x = np.vstack([w, u])
+    res = blocks.gram @ x - blocks.xy + lam * _reweights(x, dims, epsilon) * x
     return max(
-        float(np.max(np.linalg.norm(res, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
-        for res, mat in ((res_w, w), (res_u, u))
+        float(np.max(np.linalg.norm(side, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
+        for side, mat in ((res[:d_t], w), (res[d_t:], u))
     )
 
 
@@ -315,7 +315,7 @@ def smoothed_objective(
     w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective"
     )
-    return _gram_loss(dataset.normal_equations, w, u) + _penalty(
+    return _gram_loss(dataset.normal_equations, np.vstack([w, u])) + _penalty(
         dataset.layout, w, u, lambda1, lambda2, epsilon
     )
 
@@ -327,13 +327,9 @@ def smoothed_gradients(
     w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_gradients"
     )
-    layout = dataset.layout
-
-    def smoothed_norms(mat, dims):
-        return np.repeat(np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon), dims, axis=0)
-
-    half_w, half_u = _half_gradients(dataset.normal_equations, w, u)
-    return (
-        2.0 * half_w + lambda1 * w / smoothed_norms(w, layout.joint_dims),
-        2.0 * half_u + lambda2 * u / smoothed_norms(u, layout.object_block_dims),
-    )
+    blocks, d_t = dataset.normal_equations, dataset.layout.d_t
+    dims, lam = _joint_terms(dataset.layout, lambda1, lambda2)
+    x = np.vstack([w, u])
+    smoothed_norms = np.repeat(np.sqrt(block_sums(x * x, dims) + epsilon * epsilon), dims, axis=0)
+    grad = 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms
+    return grad[:d_t], grad[d_t:]

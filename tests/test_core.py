@@ -189,6 +189,31 @@ def test_dataset_rejects_non_finite_and_shape_mismatch(small_layout):
         Dataset(layout=small_layout, skeleton=skeleton, objects=objects[:, :3])
 
 
+def test_dataset_rejects_non_numeric_arrays():
+    # numeric strings and booleans would pass a float64 cast as numbers
+    layout = FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(2,))
+    with pytest.raises(ValidationError, match="skeleton matrix must hold real numbers"):
+        Dataset(layout=layout, skeleton=[["1"], [True]], objects=[[False], ["2e0"]])
+    for bad in (
+        np.ones((2, 1), dtype=bool),
+        np.ones((2, 1), dtype=complex),
+        np.array([[b"1"], [b"2"]]),
+        np.array([[1.0], [None]], dtype=object),
+    ):
+        with pytest.raises(ValidationError, match="object matrix must hold real numbers"):
+            Dataset(layout=layout, skeleton=np.ones((2, 1)), objects=bad)
+    with pytest.raises(ValidationError, match="label matrix must hold real numbers"):
+        Dataset(
+            layout=layout,
+            skeleton=np.ones((2, 1)),
+            objects=np.ones((2, 1)),
+            labels=np.array([[True, False]]),
+        )
+    # integers are numbers; numpy casts a mixed list such as [1, True] to int
+    ds = Dataset(layout=layout, skeleton=[[1], [True]], objects=np.ones((2, 1), dtype=np.uint8))
+    assert ds.skeleton.dtype == np.float64 and ds.skeleton[1, 0] == 1.0
+
+
 def test_unlabeled_dataset_is_fine(small_layout):
     rng = np.random.default_rng(8)
     ds = Dataset(

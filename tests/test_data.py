@@ -133,6 +133,11 @@ def test_standardizer_validates_its_fields():
         Standardizer(**{**good, "skeleton_mean": [0.0, 0.0, 0.0]})
     with pytest.raises(ValidationError, match="non-finite"):
         Standardizer(**{**good, "object_mean": [np.nan]})
+    # numeric strings and booleans are not numbers
+    with pytest.raises(ValidationError, match="skeleton_mean must hold real numbers"):
+        Standardizer(**{**good, "skeleton_mean": ["0.5", "1"], "skeleton_scale": [True, True]})
+    with pytest.raises(ValidationError, match="skeleton_scale must hold real numbers"):
+        Standardizer(**{**good, "skeleton_scale": [True, True]})
 
 
 # --- synthetic data -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reweighting diagonals, the all-classes half-steps, the alternating fit
+"""Reweighting diagonals, the all-classes joint step, the reweighted fit
 loop, and the first-order diagnostics around it."""
 
 from __future__ import annotations
@@ -15,40 +15,33 @@ from poseact import (
     SolverConfig,
     SynthSpec,
     ValidationError,
-    attribute_norm,
     check_reweighting_inequality,
     fit,
     generate,
     loss,
     objective,
-    skeletal_norm,
     smoothed_gradients,
     smoothed_objective,
     split,
     standardize,
     stationarity_residual,
 )
-from poseact.solver import _half_step, _inverse_factor, _reweights
+from poseact.solver import _irls_step, _reweights
 
 from conftest import build_dataset
 
 
-def side_step(gram, lam, d, rhs, describe):
-    """fit's half-step on one side from a zero start; a lam = 0 side is factored first."""
-    inv_factor = _inverse_factor(gram, describe) if lam == 0.0 else None
-    return _half_step(gram, lam, d, rhs, np.zeros_like(rhs), inv_factor)
-
-
-def skeleton_step(ds, u, d, lam):
-    """fit's W half-step: every class column of W against U, diagonals d (d_t x C)."""
+def joint_step(ds, lam1, lam2, d, start=None):
+    """fit's step on the stacked weights [W; U] with diagonals d (d x C), from
+    start (zero by default); with both weights zero it is the exact solve."""
     blocks = ds.normal_equations
-    return side_step(blocks.gram_t, lam, d, blocks.ty - blocks.cross @ u, "skeleton system")
+    step = _irls_step(blocks, ds.layout, lam1, lam2)
+    return step(np.zeros_like(blocks.xy) if start is None else start, d)
 
 
-def object_step(ds, w, d, lam):
-    """fit's U half-step: every class column of U against W, diagonals d (d_o x C)."""
-    blocks = ds.normal_equations
-    return side_step(blocks.gram_o, lam, d, blocks.oy - blocks.cross_t @ w, "object system")
+def stacked_objective(ds, x, lam1, lam2):
+    d_t = ds.layout.d_t
+    return objective(ds, x[:d_t], x[d_t:], lam1, lam2)
 
 
 # --- SolverConfig -----------------------------------------------------------
@@ -145,79 +138,75 @@ def test_reweights_match_loop_oracle_and_stay_positive():
                 assert np.array_equal(at_once[:, c], _reweights(mat[:, c], dims, 1e-8))
 
 
-# --- half-steps ----------------------------------------------------------------
+# --- the joint step ------------------------------------------------------------
 
 
 def test_update_skeleton_identity_design_returns_labels():
-    # T is the 4x4 identity, object side silenced, no penalty: w must equal y
+    # T is the 4x4 identity and O is zero, so the system is diagonal: with no
+    # skeletal penalty W must equal Y, and the penalised zero-feature U stays 0
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(2,))
     labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    ds = Dataset(
-        layout=layout,
-        skeleton=np.eye(4),
-        objects=np.random.default_rng(0).standard_normal((2, 4)),
-        labels=labels,
-    )
-    w = skeleton_step(ds, np.zeros((2, 2)), np.ones((4, 2)), 0.0)
-    assert np.allclose(w, labels, atol=1e-12)
+    ds = Dataset(layout=layout, skeleton=np.eye(4), objects=np.zeros((2, 4)), labels=labels)
+    x = joint_step(ds, 0.0, 1.0, np.ones((6, 2)))
+    assert np.allclose(x[:4], labels, atol=1e-12)
+    assert not x[4:].any()
 
 
 def test_update_object_identity_design_returns_labels():
     layout = FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(1, 2))
     labels = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    ds = Dataset(
-        layout=layout,
-        skeleton=np.random.default_rng(1).standard_normal((2, 3)),
-        objects=np.eye(3),
-        labels=labels,
-    )
-    u = object_step(ds, np.zeros((2, 2)), np.ones((3, 2)), 0.0)
-    assert np.allclose(u, labels, atol=1e-12)
+    ds = Dataset(layout=layout, skeleton=np.zeros((2, 3)), objects=np.eye(3), labels=labels)
+    x = joint_step(ds, 1.0, 0.0, np.ones((5, 2)))
+    assert not x[:2].any()
+    assert np.allclose(x[2:], labels, atol=1e-12)
 
 
 def test_updates_match_least_squares_oracle():
-    """With no penalty and the other side silenced, each half-step is the
-    ordinary normal-equations solution."""
+    """With no penalty the step is the ordinary least-squares solution of the
+    stacked design, whatever the start."""
     rng = np.random.default_rng(107)
     layout = FeatureLayout(joint_dims=(3, 2), object_count=2, modality_dims=(2,))
     for k in range(10):
         ds = build_dataset(layout, n=30, n_classes=2, seed=200 + k)
-        y = ds.labels
-        w = skeleton_step(ds, np.zeros((layout.d_o, 2)), np.ones((layout.d_t, 2)), 0.0)
-        oracle, *_ = np.linalg.lstsq(ds.skeleton.T, y, rcond=None)
-        assert np.allclose(w, oracle, atol=1e-9)
-        u = object_step(ds, np.zeros((layout.d_t, 2)), np.ones((layout.d_o, 2)), 0.0)
-        oracle_u, *_ = np.linalg.lstsq(ds.objects.T, y, rcond=None)
-        assert np.allclose(u, oracle_u, atol=1e-9)
+        start = rng.standard_normal((9, 2))
+        x = joint_step(ds, 0.0, 0.0, np.ones((9, 2)), start)
+        stacked = np.vstack([ds.skeleton, ds.objects])
+        oracle, *_ = np.linalg.lstsq(stacked.T, ds.labels, rcond=None)
+        assert np.allclose(x, oracle, atol=1e-9)
 
 
 def test_update_with_cross_term_matches_oracle():
-    # nonzero u shifts the target to y - O'u; check against a dense solve
-    layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(3,))
+    # the stacked system couples W and U through T O'; with d = 5 unknowns
+    # per class the 5 CG steps solve it, so check against a dense solve
+    layout = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(2,))
     ds = build_dataset(layout, n=25, n_classes=2, seed=300)
     rng = np.random.default_rng(301)
-    u = rng.standard_normal((layout.d_o, 2))
-    d = _reweights(rng.standard_normal((layout.d_t, 2)), layout.joint_dims, 1e-8)
-    w = skeleton_step(ds, u, d, 0.7)
-    t = ds.skeleton
+    d = _reweights(rng.standard_normal((5, 2)), layout.joint_dims + layout.object_block_dims, 1e-8)
+    x = joint_step(ds, 0.7, 0.4, d)
+    stacked = np.vstack([ds.skeleton, ds.objects])
+    lam = np.array([0.7, 0.7, 0.7, 0.4, 0.4])
     for c in range(2):
-        system = t @ t.T + 0.7 * np.diag(d[:, c])
-        expected = np.linalg.solve(system, t @ (ds.labels[:, c] - ds.objects.T @ u[:, c]))
-        assert np.allclose(w[:, c], expected, atol=1e-10)
+        system = stacked @ stacked.T + np.diag(lam * d[:, c])
+        expected = np.linalg.solve(system, stacked @ ds.labels[:, c])
+        assert np.allclose(x[:, c], expected, atol=1e-10)
 
 
 def test_huge_penalty_crushes_the_solution():
     layout = FeatureLayout(joint_dims=(2, 3), object_count=1, modality_dims=(2,))
     ds = build_dataset(layout, n=40, n_classes=2, seed=303)
-    d, u = np.ones((layout.d_t, 2)), np.zeros((layout.d_o, 2))
-    w_free = skeleton_step(ds, u, d, 0.0)
-    w_crushed = skeleton_step(ds, u, d, 1e8)
-    assert np.linalg.norm(w_crushed) < 1e-4 * np.linalg.norm(w_free)
+    d = np.ones((7, 2))
+    x_free = joint_step(ds, 0.0, 0.0, d)
+    x_crushed = joint_step(ds, 1e8, 1e8, d)
+    assert np.linalg.norm(x_crushed) < 1e-4 * np.linalg.norm(x_free)
+    # a huge weight on one side crushes that side alone
+    x_skeleton = joint_step(ds, 1e8, 0.0, d)
+    assert np.linalg.norm(x_skeleton[:5]) < 1e-4 * np.linalg.norm(x_free[:5])
+    assert np.linalg.norm(x_skeleton[5:]) > 0.1 * np.linalg.norm(x_free[5:])
 
 
 def test_update_symmetry_under_role_swap():
-    """Swapping the two data matrices (and block structures) swaps the roles
-    of the two half-steps exactly."""
+    """Swapping the two data matrices (and block structures) permutes the
+    rows of the joint system, and the step permutes with them."""
     layout_a = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(3,))
     layout_b = FeatureLayout(joint_dims=(3,), object_count=1, modality_dims=(2, 1))
     rng = np.random.default_rng(109)
@@ -227,16 +216,17 @@ def test_update_symmetry_under_role_swap():
     labels[np.arange(20), rng.integers(0, 2, size=20)] = 1.0
     ds_a = Dataset(layout=layout_a, skeleton=skeleton, objects=objects, labels=labels)
     ds_b = Dataset(layout=layout_b, skeleton=objects, objects=skeleton, labels=labels)
-    fixed = rng.standard_normal((3, 2))
-    d = np.full((3, 2), 0.25)
-    from_a = object_step(ds_a, fixed, d, 0.4)
-    from_b = skeleton_step(ds_b, fixed, d, 0.4)
-    assert np.allclose(from_a, from_b, atol=1e-12)
+    swap = np.r_[3:6, 0:3]
+    d = rng.uniform(0.1, 1.0, size=(6, 2))
+    start = rng.standard_normal((6, 2))
+    from_a = joint_step(ds_a, 0.4, 0.7, d, start)
+    from_b = joint_step(ds_b, 0.7, 0.4, d[swap], start[swap])
+    assert np.allclose(from_a[swap], from_b, atol=1e-12)
 
 
 def test_update_singular_gram_raises():
     # 5 skeleton rows from only 3 instances: T T' is rank deficient, and with
-    # no penalty there is nothing to regularize the solve
+    # no skeletal penalty there is nothing to regularize the solve
     layout = FeatureLayout(joint_dims=(3, 2), object_count=1, modality_dims=(1,))
     rng = np.random.default_rng(113)
     ds = Dataset(
@@ -245,8 +235,13 @@ def test_update_singular_gram_raises():
         objects=rng.standard_normal((1, 3)),
         labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     )
-    with pytest.raises(SingularityError, match="skeleton system is not positive definite"):
-        skeleton_step(ds, np.zeros((1, 2)), np.ones((5, 2)), 0.0)
+    d = np.ones((6, 2))
+    with pytest.raises(SingularityError, match=r"skeleton-weight system \(T T'\) is not positive"):
+        joint_step(ds, 0.0, 0.1, d)
+    with pytest.raises(SingularityError, match=r"joint system .* is not positive definite"):
+        joint_step(ds, 0.0, 0.0, d)
+    # the object side alone (1 row, 3 instances) is fine
+    assert np.isfinite(joint_step(ds, 0.1, 0.0, d)).all()
 
 
 def test_normal_equations_reject_unlabeled_data(small_layout):
@@ -271,12 +266,14 @@ def test_normal_equations_are_built_once_and_shared(monkeypatch, small_layout):
     stationarity_residual(ds, model, 0.1, 0.1, 1e-8)
     assert ds.normal_equations is blocks
     assert builds == [ds]
-    t, o, y = ds.skeleton, ds.objects, ds.labels
-    expected = (t @ t.T, o @ o.T, t @ o.T, o @ t.T, t @ y, o @ y, np.sum(y * y, axis=0))
-    assert len(blocks) == len(expected)
-    for got, want in zip(blocks, expected):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert blocks.cross_t.flags.c_contiguous
+    d_t, (t, o, y) = small_layout.d_t, (ds.skeleton, ds.objects, ds.labels)
+    assert blocks._fields == ("gram", "xy", "yy")
+    # the diagonal blocks are the plain products, bit for bit
+    assert np.array_equal(blocks.gram[:d_t, :d_t], t @ t.T)
+    assert np.array_equal(blocks.gram[d_t:, d_t:], o @ o.T)
+    assert np.array_equal(blocks.gram, blocks.gram.T)
+    assert np.allclose(blocks.gram[:d_t, d_t:], t @ o.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(blocks.xy, np.vstack([t @ y, o @ y]), rtol=1e-12, atol=1e-12)
     # one-hot labels: ||y_c||^2 is the class count
     assert np.array_equal(blocks.yy, list(ds.class_counts().values()))
 
@@ -296,9 +293,11 @@ def test_derived_datasets_build_their_own_normal_equations(small_layout):
     for derived in (scaled, train, test):
         blocks = derived.normal_equations
         assert blocks is not stale
-        t, y = derived.skeleton, derived.labels
-        assert np.array_equal(blocks.gram_t, t @ t.T)
-        assert np.array_equal(blocks.ty, t @ y)
+        d_t, (t, o, y) = small_layout.d_t, (derived.skeleton, derived.objects, derived.labels)
+        assert np.array_equal(blocks.gram[:d_t, :d_t], t @ t.T)
+        assert np.array_equal(blocks.gram[d_t:, d_t:], o @ o.T)
+        assert np.array_equal(blocks.gram, blocks.gram.T)
+        assert np.array_equal(blocks.xy[:d_t], t @ y)
 
 
 # --- fit ---------------------------------------------------------------------
@@ -483,6 +482,25 @@ def test_fit_propagates_object_side_singularity():
         fit(ds, SolverConfig(lambda1=0.1, lambda2=0.0))
 
 
+def test_fit_with_one_zero_weight_descends_to_the_tight_objective():
+    """(lambda, 0) and (0, lambda) leave one side unregularised inside the
+    CG step: the trace still never rises, and the default tol 1e-6 stops
+    within 1e-4 (relative) of a tol 1e-12 fit's objective."""
+    layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2, 1))
+    for k in range(3):
+        ds = build_dataset(layout, n=60, n_classes=3, seed=700 + k)
+        for lam1, lam2 in ((2.0, 0.0), (0.0, 2.0)):
+            _, report = fit(ds, SolverConfig(lambda1=lam1, lambda2=lam2))
+            _, tight = fit(
+                ds, SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-12, max_iters=5000)
+            )
+            assert report.converged and tight.converged
+            trace = np.asarray(report.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, trace[:-1]))
+            best = tight.objective_trace[-1]
+            assert abs(trace[-1] - best) <= 1e-4 * best
+
+
 def test_fit_model_carries_dataset_metadata():
     ds = build_dataset(
         FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(2,)),
@@ -498,66 +516,58 @@ def test_fit_model_carries_dataset_metadata():
     assert model.standardizer is None
 
 
-def test_half_iteration_update_never_raises_partial_objective():
-    """Refreshing W alone (diagonals from the pre-update W, object side
-    fixed) must not increase loss + penalty on the skeleton side."""
+def test_iteration_update_never_raises_objective():
+    """One step of the stacked weights (diagonals from the pre-update
+    weights) must not increase loss + both penalties, also when one weight
+    is zero."""
     rng = np.random.default_rng(137)
     layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
+    dims = layout.joint_dims + layout.object_block_dims
     for k in range(20):
         ds = build_dataset(layout, n=int(rng.integers(15, 50)), n_classes=2, seed=500 + k)
-        w = 0.5 * rng.standard_normal((layout.d_t, 2))
-        u = 0.5 * rng.standard_normal((layout.d_o, 2))
-        lam1 = 0.3
-        before = loss(ds, w, u) + lam1 * skeletal_norm(w, layout)
-        w_new = skeleton_step(ds, u, _reweights(w, layout.joint_dims, 1e-8), lam1)
-        after = loss(ds, w_new, u) + lam1 * skeletal_norm(w_new, layout)
-        assert after <= before + 1e-9 * max(1.0, before)
-        # symmetric statement for the object side
-        lam2 = 0.25
-        before_u = loss(ds, w, u) + lam2 * attribute_norm(u, layout)
-        u_new = object_step(ds, w, _reweights(u, layout.object_block_dims, 1e-8), lam2)
-        after_u = loss(ds, w, u_new) + lam2 * attribute_norm(u_new, layout)
-        assert after_u <= before_u + 1e-9 * max(1.0, before_u)
+        x = 0.5 * rng.standard_normal((10, 2))
+        for lam1, lam2 in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25)):
+            before = stacked_objective(ds, x, lam1, lam2)
+            x_new = joint_step(ds, lam1, lam2, _reweights(x, dims, 1e-8), x)
+            after = stacked_objective(ds, x_new, lam1, lam2)
+            assert after <= before + 1e-9 * max(1.0, before)
 
 
-def test_inexact_half_steps_at_paper_shape():
+def test_inexact_steps_at_paper_shape():
     """At 45 + 297 features, where 5 CG steps are far from an exact solve:
-    every half-step from the current weights lowers loss + penalty on its
-    side, and an exact solve of the surrogate is a fixed point of the step.
-    Some blocks start at zero, so their diagonals sit at 0.5 / epsilon."""
+    every step from the current weights lowers loss + penalty, and an exact
+    solve of the surrogate is a fixed point of the step.  Some blocks start
+    at zero, so their diagonals sit at 0.5 / epsilon."""
     layout = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    dims = layout.joint_dims + layout.object_block_dims
     rng = np.random.default_rng(149)
     for k, n in enumerate((150, 300, 600)):
         ds = build_dataset(layout, n=n, n_classes=6, seed=600 + k)
         blocks = ds.normal_equations
         for lam in (1e-3, 0.1, 10.0):
-            w = 0.5 * rng.standard_normal((layout.d_t, 6))
-            u = 0.5 * rng.standard_normal((layout.d_o, 6))
-            w[:9] = 0.0
-            u[:48] = 0.0
+            step = _irls_step(blocks, layout, lam, lam)
+            x = 0.5 * rng.standard_normal((342, 6))
+            x[:9] = 0.0
+            x[45:93] = 0.0
             for _ in range(10):
-                d_w = _reweights(w, layout.joint_dims, 1e-8)
-                before = loss(ds, w, u) + lam * skeletal_norm(w, layout)
-                w = _half_step(blocks.gram_t, lam, d_w, blocks.ty - blocks.cross @ u, w, None)
-                after = loss(ds, w, u) + lam * skeletal_norm(w, layout)
+                d = _reweights(x, dims, 1e-8)
+                before = stacked_objective(ds, x, lam, lam)
+                x = step(x, d)
+                after = stacked_objective(ds, x, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
-                d_u = _reweights(u, layout.object_block_dims, 1e-8)
-                before = loss(ds, w, u) + lam * attribute_norm(u, layout)
-                u = _half_step(blocks.gram_o, lam, d_u, blocks.oy - blocks.cross_t @ w, u, None)
-                after = loss(ds, w, u) + lam * attribute_norm(u, layout)
-                assert after <= before + 1e-12 * max(1.0, before)
-            for gram, d, rhs in (
-                (blocks.gram_t, d_w, blocks.ty - blocks.cross @ u),
-                (blocks.gram_o, d_u, blocks.oy - blocks.cross_t @ w),
-            ):
-                exact = np.column_stack(
-                    [np.linalg.solve(gram + lam * np.diag(d[:, c]), rhs[:, c]) for c in range(6)]
-                )
-                again = _half_step(gram, lam, d, rhs, exact, None)
-                assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
-                # a column with nothing to solve stays exactly zero, without a 0/0
-                zero = np.zeros_like(rhs)
-                assert not _half_step(gram, lam, d, zero, zero, None).any()
+            exact = np.column_stack(
+                [
+                    np.linalg.solve(blocks.gram + lam * np.diag(d[:, c]), blocks.xy[:, c])
+                    for c in range(6)
+                ]
+            )
+            again = step(exact, d)
+            assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
+        # a class with no instances has nothing to solve: from zero it stays
+        # exactly zero, without a 0/0
+        labels = np.column_stack([ds.labels, np.zeros(n)])
+        empty = Dataset(layout=layout, skeleton=ds.skeleton, objects=ds.objects, labels=labels)
+        assert not joint_step(empty, 0.1, 0.1, np.ones((342, 7)))[:, 6].any()
 
 
 # --- the scalar inequality behind the reweighting scheme ----------------------
@@ -662,6 +672,45 @@ def test_residual_matches_per_class_loop_oracle(small_dataset):
             )
         got = stationarity_residual(small_dataset, model, lam1, lam2, 1e-8)
         assert got == pytest.approx(worst, rel=1e-12)
+
+
+def test_residual_normalizes_each_side_by_its_own_weights(small_dataset):
+    """Skeleton rows of the residual are scaled by 1 / (1 + ||w_c||) and
+    object rows by 1 / (1 + ||u_c||), not the stacked residual by
+    1 / (1 + ||[w_c; u_c]||); test_04's bound is read this way."""
+    rng = np.random.default_rng(167)
+    layout = small_dataset.layout
+    t, o, y = small_dataset.skeleton, small_dataset.objects, small_dataset.labels
+    lam1, lam2, eps = 0.3, 0.7, 1e-8
+
+    def side_residual(data, mat, lam, slices, misfit):
+        diag = np.empty_like(mat)
+        for sl in slices:
+            diag[sl] = 0.5 / np.maximum(np.linalg.norm(mat[sl], axis=0), eps)
+        return data @ misfit + lam * diag * mat
+
+    for scale_w, scale_u in ((1.0, 1.0), (100.0, 0.01), (0.01, 100.0)):
+        w = scale_w * rng.standard_normal((layout.d_t, 3))
+        u = scale_u * rng.standard_normal((layout.d_o, 3))
+        misfit = t.T @ w + o.T @ u - y
+        res_w = side_residual(t, w, lam1, layout.joint_slices, misfit)
+        res_u = side_residual(o, u, lam2, layout.object_block_slices, misfit)
+        per_side = max(
+            np.max(np.linalg.norm(res_w, axis=0) / (1.0 + np.linalg.norm(w, axis=0))),
+            np.max(np.linalg.norm(res_u, axis=0) / (1.0 + np.linalg.norm(u, axis=0))),
+        )
+        model = Model(
+            layout=layout, w=w, u=u, class_names=small_dataset.class_names,
+            hyperparams=SolverConfig(),
+        )
+        got = stationarity_residual(small_dataset, model, lam1, lam2, eps)
+        assert got == pytest.approx(per_side, rel=1e-10)
+        if scale_w != scale_u:
+            stacked = np.max(
+                np.linalg.norm(np.vstack([res_w, res_u]), axis=0)
+                / (1.0 + np.linalg.norm(np.vstack([w, u]), axis=0))
+            )
+            assert abs(got - stacked) > 0.1 * got
 
 
 def test_residual_positive_for_unfitted_weights(small_dataset):
