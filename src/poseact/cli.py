@@ -85,10 +85,7 @@ def _parse_int_tuple(text, flag):
 
 
 def _parse_planted_joints(text, flag):
-    groups = []
-    for chunk in str(text).split(";"):
-        groups.append(_parse_int_tuple(chunk, flag))
-    return tuple(groups)
+    return tuple(_parse_int_tuple(chunk, flag) for chunk in str(text).split(";"))
 
 
 def _parse_planted_blocks(text, flag):
@@ -98,9 +95,7 @@ def _parse_planted_blocks(text, flag):
         for item in chunk.split(","):
             parts = item.split(":")
             if len(parts) != 2:
-                raise ConfigError(
-                    f"{flag} entries look like object:modality, got {item!r}"
-                )
+                raise ConfigError(f"{flag} entries look like object:modality, got {item!r}")
             try:
                 pairs.append((int(parts[0]), int(parts[1])))
             except ValueError:
@@ -110,7 +105,7 @@ def _parse_planted_blocks(text, flag):
 
 
 def _write_json(path, doc):
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n", overwrite=True)
+    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode(), overwrite=True)
 
 
 def _load_labeled(path, what):
@@ -140,7 +135,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.model, overwrite=True)
     report_path = args.report
     if report_path is None:
-        report_path = str(_with_report_suffix(args.model))
+        model_path = Path(args.model)
+        report_path = str(model_path.with_name(model_path.stem + ".report.json"))
     _write_json(
         report_path,
         {
@@ -169,11 +165,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"model written to {args.model}, report to {report_path}")
     return 0
-
-
-def _with_report_suffix(model_path):
-    p = Path(model_path)
-    return p.with_name(p.stem + ".report.json")
 
 
 def _load_for_scoring(args):

@@ -103,6 +103,10 @@ def _str_tuple(values, what):
     for v in items:
         if not isinstance(v, str) or not v:
             raise ValidationError(f"{what} must be non-empty strings, got {v!r}")
+        try:  # a lone surrogate cannot be written to a UTF-8 file
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{what} must be encodable as UTF-8, got {v!r}") from None
     return items
 
 
@@ -300,9 +304,7 @@ class Dataset:
                 raise ValidationError("class names must be unique")
             object.__setattr__(self, "class_names", class_names)
         elif self.class_names is not None:
-            object.__setattr__(
-                self, "class_names", _str_tuple(self.class_names, "class names")
-            )
+            object.__setattr__(self, "class_names", _str_tuple(self.class_names, "class names"))
 
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)

@@ -8,6 +8,10 @@ atomic and durable (fsynced temp file plus rename), create files the way
 open() does under the current umask, and are byte-deterministic, so saving
 what load returned reproduces the file exactly.  Both readers turn every
 malformed input, including bytes that are not UTF-8, into DataFormatError.
+The dataset writer encodes the header and rows with orjson.dumps: compact,
+names as raw UTF-8, floats in their shortest round-trip spelling ("1e-7"),
+read back bit-exact by json and orjson alike; files that earlier versions
+wrote with json.dumps load unchanged.  Model files go through json alone.
 
 The dataset reader parses each row with orjson.loads, which reads float
 text about five times faster than json.loads, and checks the rows in file
@@ -19,7 +23,7 @@ Both parsers give bit-identical doubles.  What reaches a message differs in
 two cases only: an integer literal outside [-2**63, 2**64) where no number
 belongs is shown as orjson's float, and a row nested deeper than json's
 recursion limit but within orjson's 1024 levels gets a width or type
-message.  Headers and model files are small and go through json alone.
+message.  The header is read with json alone.
 
 A row's numbers are checked as a whole (their types as one set, their
 finiteness in one C-level pass); only a row that fails is walked value by
@@ -46,6 +50,7 @@ from .core import (
     Model,
     _frozen_array,
     _require_finite,
+    _str_tuple,
     check_int,
     check_number,
     check_sequence,
@@ -306,8 +311,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
 # --- files -------------------------------------------------------------------
 
 
-def _atomic_write(path, text, overwrite):
-    """Write text through a temp file in the same directory, then rename it over path.
+def _atomic_write(path, data: bytes, overwrite):
+    """Write data through a temp file in the same directory, then rename it over path.
 
     The temp file is created with mode 0o666, so the umask applies as it
     does to open().  The data is fsynced before the rename and the
@@ -319,8 +324,8 @@ def _atomic_write(path, text, overwrite):
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -425,17 +430,15 @@ def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
         "classes": list(dataset.class_names) if dataset.class_names else [],
         "names": names,
     }
-    lines = [json.dumps(header)]
-    labeled = dataset.labels is not None
-    if labeled:
-        winners = np.argmax(dataset.labels, axis=1)
-    for i in range(dataset.n_instances):
-        row: list = dataset.skeleton[:, i].tolist() + dataset.objects[:, i].tolist()
-        if labeled:
-            row.append(dataset.class_names[int(winners[i])])
-        lines.append(json.dumps(row))
-    lines.append("")  # the final newline, without a second copy of the whole text
-    _atomic_write(path, "\n".join(lines), overwrite)
+    if dataset.labels is None:
+        labels = [()] * dataset.n_instances
+    else:
+        labels = [(dataset.class_names[c],) for c in np.argmax(dataset.labels, axis=1).tolist()]
+    out = bytearray(orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE))
+    # row by row into one buffer: the matrices are never stacked, and no row outlives its copy
+    for t, o, label in zip(dataset.skeleton.T, dataset.objects.T, labels):
+        out += orjson.dumps([*t.tolist(), *o.tolist(), *label], option=orjson.OPT_APPEND_NEWLINE)
+    _atomic_write(path, out, overwrite)
 
 
 def _parse_header(line):
@@ -444,11 +447,15 @@ def _parse_header(line):
         raise DataFormatError("line 1: header must be a JSON object")
     layout, names = _decode_header(header, DATASET_FORMAT, header, "line 1: ")
     classes = header.get("classes")
-    if not isinstance(classes, list) or not all(isinstance(c, str) and c for c in classes):
+    if not isinstance(classes, list):
         raise DataFormatError("line 1: classes must be a list of non-empty strings")
+    try:
+        classes = _str_tuple(classes, "classes")
+    except ValidationError as exc:
+        raise DataFormatError(f"line 1: bad classes ({exc})") from exc
     if len(set(classes)) != len(classes):
         raise DataFormatError("line 1: classes contains duplicates")
-    return layout, tuple(classes), names
+    return layout, classes, names
 
 
 def _shown(value):
@@ -603,7 +610,7 @@ def save_model(model: Model, path, overwrite: bool = False) -> None:
         "u": model.u.ravel(order="C").tolist(),
         "standardizer": _standardizer_to_dict(model.standardizer),
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n", overwrite)
+    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode(), overwrite)
 
 
 def load_model(path) -> Model:

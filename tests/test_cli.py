@@ -392,6 +392,18 @@ def test_exit_code_1_for_malformed_files(tmp_path, data_file, model_file, capsys
         assert fragment in err, (argv, err)
 
 
+def test_exit_code_1_for_a_class_name_utf8_cannot_hold(tmp_path, data_file, capsys):
+    lines = data_file.read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    header["classes"][0] = "\ud800"  # json escapes the lone surrogate as \ud800
+    lines[0] = json.dumps(header)
+    surrogate = tmp_path / "surrogate.txt"
+    surrogate.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["train", "--data", str(surrogate), "--model", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert "line 1: bad classes" in err and "UTF-8" in err, err
+
+
 @pytest.fixture(scope="module")
 def scoring_files(tmp_path_factory):
     """A small valid dataset file and a standardized model trained on it, as bytes."""

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -405,6 +406,115 @@ def test_save_dataset_refuses_silent_overwrite(tmp_path):
     save_dataset(dataset, path, overwrite=True)  # explicit is fine
 
 
+def test_files_from_the_json_writer_still_load(tmp_path):
+    """A file spelled the way json.dumps writes it loads to the same dataset."""
+    dataset = named_dataset()
+    dataset = replace(dataset, skeleton=dataset.skeleton * 1e-7, class_names=("a", "wävé", "c"))
+    path, old_path = tmp_path / "new.txt", tmp_path / "old.txt"
+    save_dataset(dataset, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    old = [json.dumps(orjson.loads(line)) for line in lines]
+    # json.dumps puts a space after each comma, writes "1e-07" and escapes non-ASCII
+    assert all(", " in line for line in old) and "e-07" in old[1] and "\\u00e4" in old[0]
+    old_path.write_text("\n".join(old) + "\n", encoding="utf-8")
+    back = load_dataset(old_path)
+    assert back.skeleton.tobytes() == dataset.skeleton.tobytes()
+    assert back.class_names == dataset.class_names
+    save_dataset(back, old_path, overwrite=True)
+    assert old_path.read_bytes() == path.read_bytes()
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308, 2.0**53, 2.0**63, 1e22, 1e-7]
+)
+NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=4)  # non-ASCII, no surrogates
+
+
+@st.composite
+def datasets(draw):
+    """A small random layout, finite floats and UTF-8 names, labeled or not."""
+    dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+    layout = FeatureLayout(draw(dims), draw(st.integers(1, 2)), draw(dims))
+    n = draw(st.integers(1, 4))
+    width = layout.d_t + layout.d_o
+    matrix = np.array(draw(st.lists(FLOATS, min_size=width * n, max_size=width * n)))
+    matrix = matrix.reshape(width, n)
+    labeled = draw(st.booleans())
+    classes = draw(st.none() | st.lists(NAMES, min_size=2, max_size=4, unique=True).map(tuple))
+    if labeled and classes is None:
+        classes = ("a", "b")
+    labels = None
+    if labeled:
+        winners = draw(st.lists(st.integers(0, len(classes) - 1), min_size=n, max_size=n))
+        labels = np.eye(len(classes))[winners]
+
+    def group(count):
+        return tuple(draw(st.lists(NAMES, min_size=count, max_size=count)))
+
+    return Dataset(
+        layout=layout,
+        skeleton=matrix[: layout.d_t],
+        objects=matrix[layout.d_t :],
+        labels=labels,
+        class_names=classes,
+        names=GroupNames(group(layout.n_joints), group(layout.object_count), group(layout.n_modalities)),
+    )
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(dataset=datasets())
+def test_dataset_file_round_trip_is_exact(dataset, round_trip_dir):
+    """load(save(ds)) is bit-equal, save(load(f)) is f, and json reads every row alike."""
+    first, second = round_trip_dir / "a.txt", round_trip_dir / "b.txt"
+    save_dataset(dataset, first, overwrite=True)
+    back = load_dataset(first)
+    assert back.layout == dataset.layout and back.names == dataset.names
+    assert back.class_names == dataset.class_names
+    assert back.skeleton.tobytes() == dataset.skeleton.tobytes()  # -0.0 included
+    assert back.objects.tobytes() == dataset.objects.tobytes()
+    if dataset.labels is None:
+        assert back.labels is None
+    else:
+        assert np.array_equal(back.labels, dataset.labels)
+    save_dataset(back, second, overwrite=True)
+    assert second.read_bytes() == first.read_bytes()
+    header, *rows = first.read_text(encoding="utf-8").split("\n")[:-1]
+    assert json.loads(header)["classes"] == list(dataset.class_names or ())
+    expected = np.vstack([dataset.skeleton, dataset.objects])
+    for i, row in enumerate(rows):
+        values = json.loads(row)[: expected.shape[0]]
+        assert all(type(v) is float for v in values)
+        assert np.array(values).tobytes() == expected[:, i].tobytes()
+
+
+def test_save_dataset_memory_stays_below_three_file_sizes(tmp_path):
+    """At the paper's width the writer holds about one copy of the file, not the rows twice."""
+    layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
+    rng = np.random.default_rng(0)
+    n = 2000
+    dataset = Dataset(
+        layout=layout,
+        skeleton=rng.standard_normal((layout.d_t, n)),
+        objects=rng.standard_normal((layout.d_o, n)),
+        labels=np.eye(6)[rng.integers(0, 6, size=n)],
+        class_names=tuple(f"class_{c}" for c in range(6)),
+    )
+    path = tmp_path / "wide.txt"
+    tracemalloc.start()
+    try:
+        save_dataset(dataset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 3 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+
+
 def write_lines(tmp_path, *lines):
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -440,6 +550,29 @@ def test_load_dataset_header_errors(tmp_path):
     for header, fragment in cases:
         path = write_lines(tmp_path, header, '[0.0, 0.0, "a"]')
         with pytest.raises(DataFormatError, match=fragment):
+            load_dataset(path)
+
+
+def test_names_utf8_cannot_hold_are_rejected(tmp_path):
+    """A lone surrogate cannot be written to a UTF-8 file, so no name may hold one."""
+    layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(1,))
+    with pytest.raises(ValidationError, match="UTF-8"):
+        Dataset(
+            layout=layout,
+            skeleton=[[0.0, 1.0]],
+            objects=[[1.0, 0.0]],
+            labels=np.eye(2),
+            class_names=("\ud800", "b"),
+        )
+    with pytest.raises(ValidationError, match="UTF-8"):
+        GroupNames(joints=("a\udfff",), objects=("o",), modalities=("m",))
+    # json escapes a lone surrogate, so a header can still spell one
+    for header in (
+        good_header(classes=["\ud800", "b"]),
+        good_header(names={"joints": ["\udc00"], "objects": ["o"], "modalities": ["m"]}),
+    ):
+        path = write_lines(tmp_path, header, '[0.0, 0.0, "b"]')
+        with pytest.raises(DataFormatError, match=r"line 1: bad (classes|names) \(.*UTF-8"):
             load_dataset(path)
 
 
