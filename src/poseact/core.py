@@ -364,6 +364,9 @@ class Dataset:
 class Model:
     """Per-class weight columns over skeleton (w) and object (u) features.
 
+    weights is the read-only stacked (d_t + d_o) x C matrix [w; u], built
+    once from the checked w and u; w and u are its first d_t and last d_o
+    rows (views, not copies), so one frame scores as [t; o]'weights.
     names and standardizer are optional metadata carried along so reports
     can label blocks and so raw inputs can be re-scaled the way the training
     data was; both must match the layout.  Scoring itself never touches either.
@@ -376,6 +379,7 @@ class Model:
     hyperparams: "SolverConfig"
     names: GroupNames | None = None
     standardizer: "Standardizer | None" = field(default=None, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = _frozen_array(self.w, "skeleton weight matrix")
@@ -397,8 +401,11 @@ class Model:
             )
         _require_finite(w, "skeleton weight matrix")
         _require_finite(u, "object weight matrix")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u", u)
+        weights = np.concatenate((w, u))
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "w", weights[: self.layout.d_t])
+        object.__setattr__(self, "u", weights[self.layout.d_t :])
         object.__setattr__(self, "class_names", class_names)
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)
@@ -525,7 +532,9 @@ def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
     """Score one instance and return (class index, raw per-class scores).
 
     Scores are plain affine responses t'w_c + o'u_c with no squashing; exact
-    ties resolve to the lowest class index.
+    ties resolve to the lowest class index.  The frame is stacked as
+    x = [t; o], checked for finiteness once, and scored with the one product
+    x'[W; U] against model.weights.
     """
     t = np.asarray(skeleton_vec, dtype=np.float64)
     o = np.asarray(object_vec, dtype=np.float64)
@@ -537,10 +546,12 @@ def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
         raise LayoutError(
             f"object vector has shape {o.shape}, expected ({model.layout.d_o},)"
         )
-    if not np.isfinite(t).all() or not np.isfinite(o).all():
+    x = np.concatenate((t, o))
+    # before the product: inf * 0 there would raise a RuntimeWarning
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValidationError("input vectors contain non-finite values")
-    scores = t @ model.w + o @ model.u
-    return int(np.argmax(scores)), scores
+    scores = x.dot(model.weights)  # ndarray.dot dispatches faster than @ on one frame
+    return int(scores.argmax()), scores
 
 
 def predict_batch(model: Model, dataset: Dataset) -> tuple[np.ndarray, float | None]:

@@ -28,7 +28,8 @@ message.  The header is read with json alone.
 A row's numbers are checked as a whole (their types as one set, their
 finiteness in one C-level pass); only a row that fails is walked value by
 value to name the bad entry, so a valid file never runs a Python loop per
-value.
+value.  A row orjson parsed needs only the type check: orjson yields no
+non-finite number.
 """
 
 from __future__ import annotations
@@ -491,6 +492,16 @@ def _check_numbers(values, where):
         raise DataFormatError(f"{where}: entry {k} is too large for a float") from None
 
 
+def _check_orjson_numbers(values, where):
+    """_check_numbers for a row orjson parsed: the types alone decide.
+
+    orjson yields no non-finite number (it rejects NaN, Infinity and every
+    literal past the float range), so the finiteness pass is skipped.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        _check_numbers(values, where)  # names the bad entry
+
+
 def _checked_rows(lines, width, classes):
     """Parse and check the instance rows in file order, raising the first error.
 
@@ -505,9 +516,9 @@ def _checked_rows(lines, width, classes):
     for offset, raw in enumerate(lines):
         row_id = f"row {offset} (line {offset + 2})"
         try:
-            row = orjson.loads(raw)
+            row, check = orjson.loads(raw), _check_orjson_numbers
         except orjson.JSONDecodeError:
-            row = _parse_json(raw, row_id)
+            row, check = _parse_json(raw, row_id), _check_numbers
         if not isinstance(row, list):
             raise DataFormatError(f"{row_id}: expected a JSON array")
         has_label = len(row) == width + 1
@@ -521,7 +532,7 @@ def _checked_rows(lines, width, classes):
         elif labeled != has_label:
             raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
         values = row[:width]
-        _check_numbers(values, row_id)
+        check(values, row_id)
         if has_label:
             label = row[width]
             if not isinstance(label, str):

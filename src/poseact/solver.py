@@ -287,7 +287,7 @@ def stationarity_residual(
     epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
     dims, lam = _joint_terms(dataset.layout, lambda1, lambda2)
-    x = np.vstack([w, u])
+    x = model.weights
     res = blocks.gram @ x - blocks.xy + lam * _reweights(x, dims, epsilon) * x
     return max(
         float(np.max(np.linalg.norm(side, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))

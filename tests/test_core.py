@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -444,23 +446,63 @@ def test_predict_validates_inputs(small_layout):
         predict(model, bad, np.zeros(small_layout.d_o))
 
 
-def test_predict_batch_matches_per_instance(small_dataset):
-    rng = np.random.default_rng(53)
+@pytest.mark.parametrize("side", ["skeleton", "object"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_entries_without_a_warning(small_layout, side, value):
+    # zero weights: scoring first would meet inf * 0 and warn before the check
+    model = make_model(
+        small_layout, np.zeros((small_layout.d_t, 2)), np.zeros((small_layout.d_o, 2)), 2
+    )
+    t, o = np.ones(small_layout.d_t), np.ones(small_layout.d_o)
+    (t if side == "skeleton" else o)[-1] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match="input vectors contain non-finite values"):
+            predict(model, t, o)
+    assert caught == []
+
+
+def test_predict_scores_strided_views_as_contiguous_copies(small_dataset):
+    rng = np.random.default_rng(73)
     layout = small_dataset.layout
     model = make_model(
-        layout,
-        rng.standard_normal((layout.d_t, 3)),
-        rng.standard_normal((layout.d_o, 3)),
-        3,
+        layout, rng.standard_normal((layout.d_t, 3)), rng.standard_normal((layout.d_o, 3)), 3
     )
-    predicted, accuracy = predict_batch(model, small_dataset)
-    singles = []
     for i in range(small_dataset.n_instances):
         t, o = small_dataset.instance(i)
-        singles.append(predict(model, t, o)[0])
-    assert predicted.tolist() == singles
-    truth = np.argmax(small_dataset.labels, axis=1)
-    assert accuracy == pytest.approx(np.mean(predicted == truth))
+        assert not t.flags.c_contiguous and not o.flags.c_contiguous
+        idx, scores = predict(model, t, o)
+        copy_idx, copy_scores = predict(model, t.copy(), o.copy())
+        assert idx == copy_idx
+        assert np.array_equal(scores, copy_scores)
+
+
+@pytest.fixture
+def paper_dataset() -> Dataset:
+    # the paper's shape: 45 skeleton and 297 object features, 6 classes
+    layout = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    return build_dataset(layout, n=300, n_classes=6, seed=79)
+
+
+def test_predict_batch_matches_per_instance(small_dataset, paper_dataset):
+    rng = np.random.default_rng(53)
+    for dataset in (small_dataset, paper_dataset):
+        layout, n_classes = dataset.layout, dataset.n_classes
+        w = rng.standard_normal((layout.d_t, n_classes))
+        u = rng.standard_normal((layout.d_o, n_classes))
+        model = make_model(layout, w, u, n_classes)
+        predicted, accuracy = predict_batch(model, dataset)
+        singles = []
+        for i in range(dataset.n_instances):
+            t, o = dataset.instance(i)
+            idx, scores = predict(model, t, o)
+            # relative to the size of the terms summed, so a score near 0 is no exception
+            scale = np.abs(t) @ np.abs(w) + np.abs(o) @ np.abs(u)
+            assert np.all(np.abs(scores - (t @ w + o @ u)) <= 1e-12 * scale)
+            singles.append(idx)
+        assert predicted.tolist() == singles
+        truth = np.argmax(dataset.labels, axis=1)
+        assert accuracy == pytest.approx(np.mean(predicted == truth))
 
 
 def test_predict_batch_unlabeled_has_no_accuracy(small_layout):
@@ -537,3 +579,18 @@ def test_model_arrays_are_frozen(small_layout):
     assert model.w[0, 0] != 123.0
     with pytest.raises(ValueError):
         model.w[0, 0] = 5.0
+
+
+def test_model_weights_stack_w_over_u_and_share_their_memory(small_layout):
+    rng = np.random.default_rng(83)
+    w = rng.standard_normal((small_layout.d_t, 3))
+    u = rng.standard_normal((small_layout.d_o, 3))
+    model = make_model(small_layout, w, u, 3)
+    assert np.array_equal(model.weights, np.vstack((w, u)))
+    assert not model.weights.flags.writeable
+    with pytest.raises(ValueError):
+        model.weights[0, 0] = 5.0
+    # w and u are row views of the one stacked copy, not copies of their own
+    assert np.shares_memory(model.w, model.weights)
+    assert np.shares_memory(model.u, model.weights)
+    assert not model.u.flags.writeable

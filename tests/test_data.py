@@ -789,6 +789,20 @@ def test_orjson_rows_load_as_json_rows_do(rows, rows_path):
     assert load_outcome(rows_path) == load_outcome(rows_path, json_only=True)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "9" * 401])
+def test_orjson_yields_no_non_finite_number(literal):
+    """A row orjson parsed skips the finiteness pass; this is what allows it."""
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(f"[{literal}]")
+
+
+def test_rows_orjson_parsed_skip_the_finiteness_pass(file_of_300_rows, monkeypatch):
+    calls = []
+    monkeypatch.setattr(poseact.data, "_check_numbers", lambda *args: calls.append(args))
+    assert load_dataset(file_of_300_rows).n_instances == 300
+    assert calls == []
+
+
 DEEP = 1020  # past json's recursion limit, within orjson's 1024 levels
 
 
@@ -886,6 +900,21 @@ def test_model_file_round_trip(tmp_path):
     assert back.hyperparams == model.hyperparams
     assert back.names == model.names
     assert back.standardizer is None
+
+
+def test_model_weights_are_rebuilt_by_replace_and_reload_bit_equal(tmp_path):
+    model = small_model()
+    transform = small_model(with_standardizer=True).standardizer
+    rescaled = replace(model, standardizer=transform)
+    assert rescaled.weights is not model.weights
+    assert np.array_equal(rescaled.weights, model.weights)
+    assert np.shares_memory(rescaled.w, rescaled.weights)
+    assert np.shares_memory(rescaled.u, rescaled.weights)
+    path = tmp_path / "model.json"
+    save_model(rescaled, path)
+    back = load_model(path)
+    assert back.weights.tobytes() == rescaled.weights.tobytes()
+    assert np.shares_memory(back.w, back.weights)
 
 
 def test_model_file_round_trip_with_standardizer(tmp_path):
