@@ -5,8 +5,8 @@ with an object feature vector o (one block per tracked object and attribute
 modality).  A model keeps one weight column per activity class and scores an
 instance as t'w_c + o'u_c; the class with the largest raw score wins, ties
 going to the lowest class index.  Instances sit in the *columns* of the data
-matrices, so a dataset of N instances stores skeleton as d_t x N and objects
-as d_o x N, with one-hot labels as rows of an N x C matrix.
+matrices: a dataset of N instances stores one d x N feature matrix [T; O],
+skeleton rows first, with one-hot labels as rows of an N x C matrix.
 """
 
 from __future__ import annotations
@@ -174,12 +174,8 @@ class FeatureLayout:
 
     def object_block_index(self, obj: int, modality: int) -> int:
         """Flat index of object obj's block for the given modality."""
-        if not 0 <= obj < self.object_count:
-            raise LayoutError(f"object index {obj} out of range [0, {self.object_count})")
-        if not 0 <= modality < self.n_modalities:
-            raise LayoutError(
-                f"modality index {modality} out of range [0, {self.n_modalities})"
-            )
+        obj = check_int(obj, "object index", 0, self.object_count, error=LayoutError)
+        modality = check_int(modality, "modality index", 0, self.n_modalities, error=LayoutError)
         return obj * self.n_modalities + modality
 
 
@@ -215,13 +211,17 @@ def default_names(layout: FeatureLayout) -> GroupNames:
     )
 
 
-def _frozen_array(value, what, ndim=2):
+def _real_array(value, what, ndim=2):
     arr = np.asarray(value)
     if arr.dtype.kind not in "fiu":  # bool, str, bytes, object, complex
         raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
-    arr = np.array(arr, dtype=np.float64, copy=True)
     if arr.ndim != ndim:
         raise LayoutError(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
+    return arr
+
+
+def _frozen_array(value, what, ndim=2):
+    arr = np.array(_real_array(value, what, ndim), dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -244,9 +244,11 @@ class NormalEquations(NamedTuple):
 class Dataset:
     """Immutable paired observations with optional one-hot labels.
 
-    skeleton is d_t x N and objects is d_o x N; instance i occupies column i
-    of both.  labels, when present, is N x C with exactly one 1.0 per row and
-    0.0 elsewhere, and class_names gives the string behind each column.
+    features is the read-only d x N matrix [skeleton; objects], built in one
+    copy; skeleton (d_t x N) and objects (d_o x N) are its row views, and
+    instance i occupies column i.  labels, when present, is N x C with
+    exactly one 1.0 per row and 0.0 elsewhere, and class_names gives the
+    string behind each column.
     """
 
     layout: FeatureLayout
@@ -255,10 +257,11 @@ class Dataset:
     labels: np.ndarray | None = field(default=None, repr=False)
     class_names: tuple[str, ...] | None = None
     names: GroupNames | None = None
+    features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        skeleton = _frozen_array(self.skeleton, "skeleton matrix")
-        objects = _frozen_array(self.objects, "object matrix")
+        skeleton = _real_array(self.skeleton, "skeleton matrix")
+        objects = _real_array(self.objects, "object matrix")
         if skeleton.shape[0] != self.layout.d_t:
             raise LayoutError(
                 f"skeleton matrix has {skeleton.shape[0]} rows, layout expects {self.layout.d_t}"
@@ -273,8 +276,12 @@ class Dataset:
             )
         if skeleton.shape[1] < 1:
             raise ValidationError("a dataset needs at least one instance")
+        features = np.concatenate((skeleton, objects), dtype=np.float64)
+        features.setflags(write=False)
+        skeleton, objects = features[: self.layout.d_t], features[self.layout.d_t :]
         _require_finite(skeleton, "skeleton matrix")
         _require_finite(objects, "object matrix")
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "objects", objects)
 
@@ -312,7 +319,7 @@ class Dataset:
 
     @property
     def n_instances(self) -> int:
-        return self.skeleton.shape[1]
+        return self.features.shape[1]
 
     @property
     def n_classes(self) -> int | None:
@@ -322,34 +329,23 @@ class Dataset:
     def normal_equations(self) -> NormalEquations:
         """Everything the loss and the solver need from the data, built on first use.
 
-        The build is one O(N d^2) pass over the instances; nothing after it
-        depends on N.  The data arrays are read-only, so the cached blocks
-        cannot go stale; a copy made by standardize, split or
-        Standardizer.apply builds its own.
+        G = [T; O][T; O]' and XY = [T; O] Y are one product each over
+        features, one O(N d^2) pass; nothing after it depends on N.  G comes
+        from a symmetric rank-k update, so it is exactly symmetric.  The data
+        arrays are read-only, so the cached blocks cannot go stale; a copy
+        made by standardize, split or Standardizer.apply builds its own.
         """
         if self.labels is None:
             raise ValidationError("the normal equations need a labeled dataset")
-        t_mat, o_mat, y_mat = self.skeleton, self.objects, self.labels
-        # G is filled block by block: stacking T and O would copy N x d floats
-        d_t = self.layout.d_t
-        gram = np.empty((d_t + self.layout.d_o,) * 2)
-        gram[:d_t, :d_t] = t_mat @ t_mat.T
-        gram[:d_t, d_t:] = t_mat @ o_mat.T
-        gram[d_t:, :d_t] = gram[:d_t, d_t:].T
-        gram[d_t:, d_t:] = o_mat @ o_mat.T
-        blocks = NormalEquations(
-            gram,
-            np.concatenate([t_mat @ y_mat, o_mat @ y_mat]),
-            np.sum(y_mat * y_mat, axis=0),
-        )
+        f_mat, y_mat = self.features, self.labels
+        blocks = NormalEquations(f_mat @ f_mat.T, f_mat @ y_mat, np.sum(y_mat * y_mat, axis=0))
         for block in blocks:
             block.setflags(write=False)
         return blocks
 
     def instance(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Skeleton and object feature vectors of instance i (read-only views)."""
-        if not 0 <= i < self.n_instances:
-            raise LayoutError(f"instance index {i} out of range [0, {self.n_instances})")
+        i = check_int(i, "instance index", 0, self.n_instances, error=LayoutError)
         return self.skeleton[:, i], self.objects[:, i]
 
     def class_counts(self) -> dict[str, int] | None:
@@ -558,8 +554,8 @@ def predict_batch(model: Model, dataset: Dataset) -> tuple[np.ndarray, float | N
     """Predicted class indices for every instance, plus accuracy when labeled."""
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
-    scores = dataset.skeleton.T @ model.w + dataset.objects.T @ model.u
-    predicted = np.argmax(scores, axis=1)
+    # C x N: [W; U]' X runs several times faster than X'[W; U] on a C-order X
+    predicted = np.argmax(model.weights.T @ dataset.features, axis=0)
     if dataset.labels is None:
         return predicted, None
     if dataset.class_names != model.class_names:

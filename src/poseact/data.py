@@ -128,9 +128,10 @@ class Standardizer:
                 raise LayoutError(
                     f"dataset has {dim} {side} features, transform expects {mean.shape[0]}"
                 )
-        skeleton = (dataset.skeleton - self.skeleton_mean[:, None]) / self.skeleton_scale[:, None]
-        objects = (dataset.objects - self.object_mean[:, None]) / self.object_scale[:, None]
-        return replace(dataset, skeleton=skeleton, objects=objects)
+        features = dataset.features - np.concatenate((self.skeleton_mean, self.object_mean))[:, None]
+        features /= np.concatenate((self.skeleton_scale, self.object_scale))[:, None]
+        d_t = dataset.layout.d_t
+        return replace(dataset, skeleton=features[:d_t], objects=features[d_t:])
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
@@ -141,23 +142,18 @@ def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
     """
     if dataset.n_instances < 2:
         raise ValidationError("standardize needs at least two instances")
-
-    def stats(mat):
-        mean = mat.mean(axis=1)
-        scale = mat.std(axis=1)
-        constant = tuple(int(i) for i in np.flatnonzero(scale == 0.0))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        return mean, scale, constant
-
-    t_mean, t_scale, t_const = stats(dataset.skeleton)
-    o_mean, o_scale, o_const = stats(dataset.objects)
+    mean = dataset.features.mean(axis=1)
+    scale = dataset.features.std(axis=1)
+    constant = scale == 0.0
+    scale[constant] = 1.0
+    d_t = dataset.layout.d_t
     transform = Standardizer(
-        skeleton_mean=t_mean,
-        skeleton_scale=t_scale,
-        object_mean=o_mean,
-        object_scale=o_scale,
-        skeleton_constant=t_const,
-        object_constant=o_const,
+        skeleton_mean=mean[:d_t],
+        skeleton_scale=scale[:d_t],
+        object_mean=mean[d_t:],
+        object_scale=scale[d_t:],
+        skeleton_constant=tuple(np.flatnonzero(constant[:d_t]).tolist()),
+        object_constant=tuple(np.flatnonzero(constant[d_t:]).tolist()),
     )
     return transform.apply(dataset), transform
 
@@ -239,10 +235,10 @@ class GeneratedData:
 def generate(spec: SynthSpec) -> GeneratedData:
     """Draw a dataset whose labels come from planted ground-truth weights.
 
-    Ground-truth entries on the planted blocks, then the feature matrices,
-    are standard-normal draws from one seeded generator.  Labels are the
-    argmax of the noiseless ground-truth scores; noise_sigma-scaled noise is
-    then added to the features only, so the labels stay clean.
+    Ground-truth entries on the planted blocks, then the d x N features
+    [T; O], are standard-normal draws from one seeded generator.  Labels are
+    the argmax of the noiseless ground-truth scores; noise_sigma-scaled noise
+    is then added to the features only, so the labels stay clean.
     """
     layout = spec.layout
     rng = np.random.default_rng(spec.seed)
@@ -257,15 +253,14 @@ def generate(spec: SynthSpec) -> GeneratedData:
             sl = layout.object_block_slices[layout.object_block_index(o, m)]
             true_u[sl, c] = rng.standard_normal(sl.stop - sl.start)
 
-    skeleton = rng.standard_normal((layout.d_t, spec.n_instances))
-    objects = rng.standard_normal((layout.d_o, spec.n_instances))
+    features = rng.standard_normal((layout.d_t + layout.d_o, spec.n_instances))
+    skeleton, objects = features[: layout.d_t], features[layout.d_t :]
     scores = skeleton.T @ true_w + objects.T @ true_u
     winners = np.argmax(scores, axis=1)
     labels = np.zeros((spec.n_instances, spec.n_classes))
     labels[np.arange(spec.n_instances), winners] = 1.0
     if spec.noise_sigma > 0:
-        skeleton = skeleton + spec.noise_sigma * rng.standard_normal(skeleton.shape)
-        objects = objects + spec.noise_sigma * rng.standard_normal(objects.shape)
+        features += spec.noise_sigma * rng.standard_normal(features.shape)
 
     dataset = Dataset(
         layout=layout,
@@ -297,16 +292,19 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
             f"train_fraction {frac} leaves an empty side for {n} instances"
         )
     order = np.random.default_rng(seed).permutation(n)
+    # one gather for both sides; take is several times faster than features[:, order]
+    features = dataset.features.take(order, axis=1)
+    d_t = dataset.layout.d_t
 
-    def take(idx):
+    def part(cols):
         return replace(
             dataset,
-            skeleton=dataset.skeleton[:, idx],
-            objects=dataset.objects[:, idx],
-            labels=None if dataset.labels is None else dataset.labels[idx],
+            skeleton=features[:d_t, cols],
+            objects=features[d_t:, cols],
+            labels=None if dataset.labels is None else dataset.labels[order[cols]],
         )
 
-    return take(order[:n_train]), take(order[n_train:])
+    return part(slice(n_train)), part(slice(n_train, None))
 
 
 # --- files -------------------------------------------------------------------
@@ -436,9 +434,9 @@ def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
     else:
         labels = [(dataset.class_names[c],) for c in np.argmax(dataset.labels, axis=1).tolist()]
     out = bytearray(orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE))
-    # row by row into one buffer: the matrices are never stacked, and no row outlives its copy
-    for t, o, label in zip(dataset.skeleton.T, dataset.objects.T, labels):
-        out += orjson.dumps([*t.tolist(), *o.tolist(), *label], option=orjson.OPT_APPEND_NEWLINE)
+    # row by row into one buffer: no row outlives its copy
+    for x, label in zip(dataset.features.T, labels):
+        out += orjson.dumps([*x.tolist(), *label], option=orjson.OPT_APPEND_NEWLINE)
     _atomic_write(path, out, overwrite)
 
 

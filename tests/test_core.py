@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,6 +83,9 @@ def test_layout_object_block_index_is_object_major():
         layout.object_block_index(3, 0)
     with pytest.raises(LayoutError):
         layout.object_block_index(0, 2)
+    for obj, modality in ((True, 0), (0, True), (1.5, 0), (0, 1.0), ("1", 0), (None, 0), (-1, 0)):
+        with pytest.raises(LayoutError):
+            layout.object_block_index(obj, modality)
 
 
 def test_layout_rejects_bad_dims():
@@ -124,8 +128,53 @@ def test_dataset_validation_and_accessors(small_layout):
     assert np.array_equal(o, ds.objects[:, 4])
     counts = ds.class_counts()
     assert sum(counts.values()) == 10
-    with pytest.raises(LayoutError):
-        ds.instance(10)
+    assert np.array_equal(ds.instance(np.int64(4))[0], t)
+    for bad in (10, -1, True, 1.5, "1", None):
+        with pytest.raises(LayoutError, match="instance index"):
+            ds.instance(bad)
+
+
+def test_dataset_features_stack_skeleton_over_objects_and_share_their_memory(small_layout):
+    ds = build_dataset(small_layout, n=12, n_classes=3, seed=2)
+    d_t = small_layout.d_t
+    assert ds.features.shape == (d_t + small_layout.d_o, 12)
+    assert ds.features.dtype == np.float64
+    assert np.array_equal(ds.features, np.vstack([ds.skeleton, ds.objects]))
+    assert np.shares_memory(ds.skeleton, ds.features[:d_t])
+    assert np.shares_memory(ds.objects, ds.features[d_t:])
+    assert not np.shares_memory(ds.skeleton, ds.objects)
+    for arr in (ds.features, ds.skeleton, ds.objects):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects, features=ds.features)
+
+
+def test_dataset_integer_halves_become_one_float_matrix(small_layout):
+    skeleton = np.arange(small_layout.d_t * 3).reshape(small_layout.d_t, 3)
+    objects = np.ones((small_layout.d_o, 3), dtype=np.uint8)
+    ds = Dataset(layout=small_layout, skeleton=skeleton, objects=objects)
+    assert ds.features.dtype == np.float64
+    assert np.array_equal(ds.features, np.vstack([skeleton, objects]))
+
+
+def test_dataset_copies_its_features_once():
+    """Built from float64 halves, a dataset allocates one d x N copy, not a copy per half plus a stack."""
+    layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
+    rng = np.random.default_rng(1)
+    skeleton = rng.standard_normal((layout.d_t, 2000))
+    objects = rng.standard_normal((layout.d_o, 2000))
+    nbytes = skeleton.nbytes + objects.nbytes
+    tracemalloc.start()
+    try:
+        ds = Dataset(layout=layout, skeleton=skeleton, objects=objects)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.nbytes == nbytes
+    # the copy itself plus the finiteness pass's boolean scratch (an eighth of it)
+    assert nbytes <= peak < 1.5 * nbytes, f"peak {peak / 1e6:.1f} MB for {nbytes / 1e6:.1f} MB"
 
 
 def test_dataset_arrays_are_frozen_copies(small_layout):

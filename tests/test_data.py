@@ -273,6 +273,62 @@ def test_generate_noise_perturbs_features_but_not_labels():
     assert spread.mean() < 1.0  # sigma 0.5 jitter, not a resample
 
 
+def test_generate_matches_a_two_block_draw():
+    """One d x N draw for the features and one for the noise give the same stream
+    as drawing the skeleton block, then the object block."""
+    spec = make_spec(n_instances=60, noise_sigma=0.7, seed=23)
+    made = generate(spec)
+    rng = np.random.default_rng(spec.seed)
+    true_w = np.zeros((LAYOUT.d_t, spec.n_classes))
+    true_u = np.zeros((LAYOUT.d_o, spec.n_classes))
+    for c in range(spec.n_classes):
+        for j in spec.planted_joints[c]:
+            sl = LAYOUT.joint_slices[j]
+            true_w[sl, c] = rng.standard_normal(sl.stop - sl.start)
+    for c in range(spec.n_classes):
+        for o, m in spec.planted_blocks[c]:
+            sl = LAYOUT.object_block_slices[LAYOUT.object_block_index(o, m)]
+            true_u[sl, c] = rng.standard_normal(sl.stop - sl.start)
+    skeleton = rng.standard_normal((LAYOUT.d_t, 60))
+    objects = rng.standard_normal((LAYOUT.d_o, 60))
+    winners = np.argmax(skeleton.T @ true_w + objects.T @ true_u, axis=1)
+    skeleton = skeleton + 0.7 * rng.standard_normal(skeleton.shape)
+    objects = objects + 0.7 * rng.standard_normal(objects.shape)
+    assert np.array_equal(made.true_w, true_w)
+    assert np.array_equal(made.true_u, true_u)
+    assert made.dataset.skeleton.tobytes() == skeleton.tobytes()
+    assert made.dataset.objects.tobytes() == objects.tobytes()
+    assert np.array_equal(np.argmax(made.dataset.labels, axis=1), winners)
+
+
+def assert_stacked(dataset):
+    d_t = dataset.layout.d_t
+    assert not dataset.features.flags.writeable
+    assert np.shares_memory(dataset.skeleton, dataset.features[:d_t])
+    assert np.shares_memory(dataset.objects, dataset.features[d_t:])
+    assert np.array_equal(dataset.features, np.vstack([dataset.skeleton, dataset.objects]))
+
+
+def test_every_dataset_producer_returns_a_stacked_dataset(tmp_path):
+    made = generate(make_spec(n_instances=30))
+    dataset = made.dataset
+    scaled, transform = standardize(dataset)
+    train, test = split(dataset, 0.6, seed=1)
+    path = tmp_path / "stacked.txt"
+    save_dataset(dataset, path)
+    renamed = replace(dataset, class_names=("x", "y"))
+    assert_stacked(dataset)
+    for derived in (scaled, transform.apply(test), train, test, load_dataset(path), renamed):
+        assert_stacked(derived)
+        assert not np.shares_memory(derived.features, dataset.features)
+    # replace rebuilds the matrix from the halves it is given
+    assert np.array_equal(renamed.features, dataset.features)
+    shifted = replace(dataset, skeleton=dataset.skeleton + 1.0)
+    assert_stacked(shifted)
+    assert np.array_equal(shifted.features[: LAYOUT.d_t], dataset.skeleton + 1.0)
+    assert np.array_equal(shifted.features[LAYOUT.d_t :], dataset.objects)
+
+
 # --- split ----------------------------------------------------------------------
 
 

@@ -266,12 +266,15 @@ def test_normal_equations_are_built_once_and_shared(monkeypatch, small_layout):
     stationarity_residual(ds, model, 0.1, 0.1, 1e-8)
     assert ds.normal_equations is blocks
     assert builds == [ds]
-    d_t, (t, o, y) = small_layout.d_t, (ds.skeleton, ds.objects, ds.labels)
+    d_t, (x, t, o, y) = small_layout.d_t, (ds.features, ds.skeleton, ds.objects, ds.labels)
     assert blocks._fields == ("gram", "xy", "yy")
-    # the diagonal blocks are the plain products, bit for bit
-    assert np.array_equal(blocks.gram[:d_t, :d_t], t @ t.T)
-    assert np.array_equal(blocks.gram[d_t:, d_t:], o @ o.T)
+    # one product each over the stacked features, bit for bit
+    assert np.array_equal(blocks.gram, x @ x.T)
+    assert np.array_equal(blocks.xy, x @ y)
     assert np.array_equal(blocks.gram, blocks.gram.T)
+    # and the blocks are the per-group products up to rounding
+    assert np.allclose(blocks.gram[:d_t, :d_t], t @ t.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(blocks.gram[d_t:, d_t:], o @ o.T, rtol=1e-12, atol=1e-12)
     assert np.allclose(blocks.gram[:d_t, d_t:], t @ o.T, rtol=1e-12, atol=1e-12)
     assert np.allclose(blocks.xy, np.vstack([t @ y, o @ y]), rtol=1e-12, atol=1e-12)
     # one-hot labels: ||y_c||^2 is the class count
@@ -293,11 +296,10 @@ def test_derived_datasets_build_their_own_normal_equations(small_layout):
     for derived in (scaled, train, test):
         blocks = derived.normal_equations
         assert blocks is not stale
-        d_t, (t, o, y) = small_layout.d_t, (derived.skeleton, derived.objects, derived.labels)
-        assert np.array_equal(blocks.gram[:d_t, :d_t], t @ t.T)
-        assert np.array_equal(blocks.gram[d_t:, d_t:], o @ o.T)
+        x, y = derived.features, derived.labels
+        assert np.array_equal(blocks.gram, x @ x.T)
+        assert np.array_equal(blocks.xy, x @ y)
         assert np.array_equal(blocks.gram, blocks.gram.T)
-        assert np.array_equal(blocks.xy[:d_t], t @ y)
 
 
 # --- fit ---------------------------------------------------------------------
@@ -400,8 +402,8 @@ def test_fit_and_diagnostics_never_touch_the_data_after_the_gram_build():
     intact = build_dataset(layout, n=50, n_classes=3, seed=331)
     stripped = build_dataset(layout, n=50, n_classes=3, seed=331)
     stripped.normal_equations
-    object.__setattr__(stripped, "skeleton", None)
-    object.__setattr__(stripped, "objects", None)
+    for name in ("features", "skeleton", "objects"):
+        object.__setattr__(stripped, name, None)
     cfg = SolverConfig(lambda1=0.2, lambda2=0.3, max_iters=30)
     model_a, report_a = fit(intact, cfg)
     model_b, report_b = fit(stripped, cfg)
