@@ -255,6 +255,7 @@ def generate(spec: SynthSpec) -> GeneratedData:
 
     features = rng.standard_normal((layout.d_t + layout.d_o, spec.n_instances))
     skeleton, objects = features[: layout.d_t], features[layout.d_t :]
+    # two products, not one over [T; O]: a rounding change could flip a near-tie label
     scores = skeleton.T @ true_w + objects.T @ true_u
     winners = np.argmax(scores, axis=1)
     labels = np.zeros((spec.n_instances, spec.n_classes))
