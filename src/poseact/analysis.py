@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model, block_sums, check_int, check_sequence
+from .core import Model, _group_norms, block_sums, check_int, check_sequence
 from .errors import ValidationError
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
 
 
 def _block_scores(mat, dims, signed):
-    return block_sums(mat, dims) if signed else np.sqrt(block_sums(mat * mat, dims))
+    return block_sums(mat, dims) if signed else _group_norms(mat, dims)
 
 
 def joint_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -163,6 +163,12 @@ class FeatureLayout:
         return self.modality_dims * self.object_count
 
     @cached_property
+    def block_dims(self) -> tuple[int, ...]:
+        """Row count of every block of the stacked weights [W; U]: the joints,
+        then the (object, modality) blocks."""
+        return self.joint_dims + self.object_block_dims
+
+    @cached_property
     def joint_slices(self) -> tuple[slice, ...]:
         """One slice into the skeleton axis per joint."""
         return _block_slices(self.joint_dims)
@@ -441,24 +447,22 @@ def block_sums(mat, dims) -> np.ndarray:
 
     mat is a vector or a d x C matrix with d == sum(dims); the result has
     one row per block (len(dims), or len(dims) x C).  Every block quantity
-    goes through here: group norms are sqrt(block_sums(mat * mat, dims)).
+    goes through here, the group norms of _group_norms included.
     """
     return np.add.reduceat(mat, np.cumsum(dims) - dims, axis=0)
 
 
-def _block_norm_sum(mat, dims, epsilon=0.0) -> float:
-    """Sum over blocks and columns of sqrt(||block||^2 + epsilon^2)."""
-    return float(np.sum(np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon)))
+def _group_norms(mat, dims, epsilon=0.0) -> np.ndarray:
+    """Euclidean norm of every block of every column of mat, one row per block,
+    each smoothed to sqrt(||block||^2 + epsilon^2)."""
+    return np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon)
 
 
-def _penalty(layout: FeatureLayout, w, u, lam1, lam2, epsilon=0.0) -> float:
-    """lam1 times the skeletal norm plus lam2 times the attribute norm of W and U.
-
-    With epsilon > 0 every block norm is smoothed to sqrt(||block||^2 + epsilon^2).
-    """
-    return lam1 * _block_norm_sum(w, layout.joint_dims, epsilon) + lam2 * _block_norm_sum(
-        u, layout.object_block_dims, epsilon
-    )
+def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
+    """lam1 times the skeletal norm plus lam2 times the attribute norm, summed from
+    norms, the block norms of the stacked weights [W; U] over layout.block_dims."""
+    joints = layout.n_joints
+    return lam1 * float(np.sum(norms[:joints])) + lam2 * float(np.sum(norms[joints:]))
 
 
 def skeletal_norm(w, layout: FeatureLayout) -> float:
@@ -468,24 +472,25 @@ def skeletal_norm(w, layout: FeatureLayout) -> float:
     which is what drives whole joints to zero under regularization.
     """
     w = _check_weight_matrix(w, layout.d_t, "skeleton weight matrix")
-    return _block_norm_sum(w, layout.joint_dims)
+    return float(np.sum(_group_norms(w, layout.joint_dims)))
 
 
 def attribute_norm(u, layout: FeatureLayout) -> float:
     """Sum over classes, objects, and modalities of per-block Euclidean norms."""
     u = _check_weight_matrix(u, layout.d_o, "object weight matrix")
-    return _block_norm_sum(u, layout.object_block_dims)
+    return float(np.sum(_group_norms(u, layout.object_block_dims)))
 
 
-def _gram_loss(blocks: NormalEquations, x) -> float:
+def _gram_loss(blocks: NormalEquations, x, gram_x) -> float:
     """||[T; O]'X - Y||^2 for the stacked weights X = [W; U], expanded over the
-    normal equations in O(C d^2).
+    normal equations in O(C d^2) from gram_x = G X, which the caller computes
+    (the solver reuses it for its next step).
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
-    total = np.sum(x * (blocks.gram @ x - 2.0 * blocks.xy)) + np.sum(blocks.yy)
+    total = np.sum(x * (gram_x - 2.0 * blocks.xy)) + np.sum(blocks.yy)
     return max(0.0, float(total))
 
 
@@ -511,7 +516,8 @@ def loss(dataset: Dataset, w, u) -> float:
     (O(N d^2)).
     """
     w, u = _labeled_weights(dataset, w, u, "loss")
-    return _gram_loss(dataset.normal_equations, np.vstack([w, u]))
+    blocks, x = dataset.normal_equations, np.vstack([w, u])
+    return _gram_loss(blocks, x, blocks.gram @ x)
 
 
 def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
@@ -519,8 +525,9 @@ def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     w, u = _labeled_weights(dataset, w, u, "objective")
-    return _gram_loss(dataset.normal_equations, np.vstack([w, u])) + _penalty(
-        dataset.layout, w, u, lambda1, lambda2
+    blocks, x = dataset.normal_equations, np.vstack([w, u])
+    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
+        dataset.layout, _group_norms(x, dataset.layout.block_dims), lambda1, lambda2
     )
 
 

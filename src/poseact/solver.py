@@ -20,8 +20,13 @@ The updates, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read the dataset's
 cached normal equations, so an iteration makes no pass over the N
 instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
-per fit when a weight is zero.  The first call on a fresh dataset builds
-and caches the normal equations, which is one O(N d^2) pass.
+per fit when a weight is zero.  Each quantity is computed once per
+iteration: _CG_STEPS + 1 products with the d x d Gram (one per CG step,
+and one G X at the new weights that serves both the loss and the next
+step's starting residual) and one pass over the block norms of X (which
+serves both the penalty and the next reweighting diagonals).  The first
+call on a fresh dataset builds and caches the normal equations, which is
+one O(N d^2) pass.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from .core import (
     Dataset,
     Model,
     _gram_loss,
+    _group_norms,
     _labeled_weights,
     _penalty,
-    block_sums,
     check_int,
     check_number,
 )
@@ -98,14 +103,14 @@ class FitReport:
     wall_time: float
 
 
-def _reweights(mat, dims, epsilon):
-    """Reweighting diagonals of every column of mat (a vector or a d x C matrix).
+def _reweights(norms, dims, epsilon):
+    """Reweighting diagonals from norms, the block norms of every column
+    (_group_norms over dims: one row per block, a vector or a blocks x C matrix).
 
     Every coordinate of block k in column c gets
-    1 / (2 * max(||block k of column c||, epsilon)), so shrinking blocks are
-    penalized ever harder on the next solve.
+    1 / (2 * max(norms[k, c], epsilon)), so shrinking blocks are penalized
+    ever harder on the next solve.
     """
-    norms = np.sqrt(block_sums(mat * mat, dims))
     return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
 
 
@@ -124,56 +129,60 @@ def _cholesky(gram, describe):
         ) from exc
 
 
-def _joint_terms(layout, lam1, lam2):
-    """Block sizes of the stacked weights [W; U] and the d x 1 column of
-    per-row penalty weights (lam1 on skeleton rows, lam2 on object rows)."""
-    lam = np.repeat([lam1, lam2], [layout.d_t, layout.d_o])[:, None]
-    return layout.joint_dims + layout.object_block_dims, lam
+def _penalty_weights(layout, lam1, lam2):
+    """The d x 1 column of per-row penalty weights of the stacked weights
+    [W; U]: lam1 on skeleton rows, lam2 on object rows."""
+    return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])[:, None]
 
 
 def _columnwise_ratio(num, den):
-    """num / den per column, 0 where den is 0 (a column CG has already solved)."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    """num / den per column, +0.0 where den is 0 (a column CG has already
+    solved); every num here is a non-negative r'z, so num / inf is +0.0."""
+    return num / np.where(den == 0.0, np.inf, den)
 
 
 def _irls_step(blocks, layout, lam1, lam2):
-    """fit's update step(x, reweights) of the stacked weights x = [W; U].
+    """fit's update step(x, gram_x, reweights) of the stacked weights x = [W; U].
 
     For every class column c it moves x_c towards the solution of
-    (G + diag(lam * reweights[:, c])) x_c = XY[:, c].  With both weights
-    zero that system is G X = XY in every iteration, so it is factored here
-    once and step returns its exact solution.  Otherwise step takes
-    _CG_STEPS conjugate-gradient steps from x, preconditioned by the
-    system's diagonal, for all columns at once.  The system is positive
-    definite when the side of every zero weight has a positive definite
-    Gram block; that is checked here, and SingularityError names the
-    system that fails.
+    (G + diag(lam * reweights[:, c])) x_c = XY[:, c].  gram_x is G x, which
+    fit has already computed for the loss at x.  With both weights zero
+    that system is G X = XY in every iteration, so it is factored here once
+    and step returns its exact solution.  Otherwise step takes _CG_STEPS
+    conjugate-gradient steps from x, preconditioned by the system's
+    diagonal, for all columns at once: one product with G per CG step.  The
+    system is positive definite when the side of every zero weight has a
+    positive definite Gram block; that is checked here, and
+    SingularityError names the system that fails.
     """
     gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
     if lam1 == lam2 == 0.0:
         factor = _cholesky(gram, "joint system (G = [T; O][T; O]')")
         exact = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-        return lambda x, reweights: exact
+        return lambda x, gram_x, reweights: exact
     if lam1 == 0.0:
         _cholesky(gram[:d_t, :d_t], "skeleton-weight system (T T')")
     if lam2 == 0.0:
         _cholesky(gram[d_t:, d_t:], "object-weight system (O O')")
-    lam = _joint_terms(layout, lam1, lam2)[1]
+    lam = _penalty_weights(layout, lam1, lam2)
     diagonal = np.diag(gram)[:, None]
 
-    def step(x, reweights):
+    def step(x, gram_x, reweights):
         shift = lam * reweights
         precond = 1.0 / (diagonal + shift)
-        r = rhs - (gram @ x + shift * x)
+        r = rhs - (gram_x + shift * x)
         p = precond * r
-        rz = np.sum(r * p, axis=0)
+        # column dot products: on these C-contiguous d x C arrays, C >= 2
+        # (labels have at least two classes), einsum adds the rows in the
+        # same order as np.sum(a * b, axis=0) at a third of its dispatch cost
+        rz = np.einsum("ij,ij->j", r, p)
         for _ in range(_CG_STEPS):
             q = gram @ p + shift * p
-            alpha = _columnwise_ratio(rz, np.sum(p * q, axis=0))
+            alpha = _columnwise_ratio(rz, np.einsum("ij,ij->j", p, q))
             x = x + alpha * p
             r = r - alpha * q
             z = precond * r
-            rz_next = np.sum(r * z, axis=0)
+            rz_next = np.einsum("ij,ij->j", r, z)
             p = z + _columnwise_ratio(rz_next, rz) * p
             rz = rz_next
         return x
@@ -198,12 +207,18 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     and objective included, works on dataset.normal_equations and makes no
     pass over the N instances; on a fresh dataset the first use builds and
     caches them (O(N d^2)), and that build counts towards wall_time.
+
+    Each iteration costs O(d^2 C): _CG_STEPS + 1 products with the d x d
+    Gram (one per CG step, and one G X at the new weights, shared by the
+    loss and the next step's starting residual; with both weights zero,
+    only the latter) and one pass over the block norms of X, shared by the
+    penalty and the next diagonals D.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
     layout = dataset.layout
     lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
-    d_t, dims = layout.d_t, _joint_terms(layout, lam1, lam2)[0]
+    d_t, dims = layout.d_t, layout.block_dims
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
@@ -211,18 +226,21 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     rng = np.random.default_rng(config.seed)
     x = 0.01 * rng.standard_normal(blocks.xy.shape)
 
-    def loss_and_objective(x):
-        loss_val = _gram_loss(blocks, x)
-        return loss_val, loss_val + _penalty(layout, x[:d_t], x[d_t:], lam1, lam2)
+    def evaluate(x):
+        """G x, the block norms, the loss and the objective at x."""
+        gram_x = blocks.gram @ x
+        norms = _group_norms(x, dims)
+        loss_val = _gram_loss(blocks, x, gram_x)
+        return gram_x, norms, loss_val, loss_val + _penalty(layout, norms, lam1, lam2)
 
-    prev_obj = loss_and_objective(x)[1]
+    gram_x, norms, _, prev_obj = evaluate(x)
     objective_trace: list[float] = []
     loss_trace: list[float] = []
     converged = False
 
     for _ in range(config.max_iters):
-        x = step(x, _reweights(x, dims, eps))
-        loss_val, obj = loss_and_objective(x)
+        x = step(x, gram_x, _reweights(norms, dims, eps))
+        gram_x, norms, loss_val, obj = evaluate(x)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
         if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
@@ -286,9 +304,9 @@ def stationarity_residual(
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
-    dims, lam = _joint_terms(dataset.layout, lambda1, lambda2)
+    dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
     x = model.weights
-    res = blocks.gram @ x - blocks.xy + lam * _reweights(x, dims, epsilon) * x
+    res = blocks.gram @ x - blocks.xy + lam * _reweights(_group_norms(x, dims), dims, epsilon) * x
     return max(
         float(np.max(np.linalg.norm(side, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
         for side, mat in ((res[:d_t], w), (res[d_t:], u))
@@ -315,8 +333,9 @@ def smoothed_objective(
     w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective"
     )
-    return _gram_loss(dataset.normal_equations, np.vstack([w, u])) + _penalty(
-        dataset.layout, w, u, lambda1, lambda2, epsilon
+    blocks, x = dataset.normal_equations, np.vstack([w, u])
+    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
+        dataset.layout, _group_norms(x, dataset.layout.block_dims, epsilon), lambda1, lambda2
     )
 
 
@@ -328,8 +347,8 @@ def smoothed_gradients(
         dataset, w, u, lambda1, lambda2, epsilon, "smoothed_gradients"
     )
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
-    dims, lam = _joint_terms(dataset.layout, lambda1, lambda2)
+    dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
     x = np.vstack([w, u])
-    smoothed_norms = np.repeat(np.sqrt(block_sums(x * x, dims) + epsilon * epsilon), dims, axis=0)
+    smoothed_norms = np.repeat(_group_norms(x, dims, epsilon), dims, axis=0)
     grad = 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms
     return grad[:d_t], grad[d_t:]

@@ -26,7 +26,8 @@ from poseact import (
     standardize,
     stationarity_residual,
 )
-from poseact.solver import _irls_step, _reweights
+from poseact.core import _group_norms, block_sums
+from poseact.solver import _CG_STEPS, _columnwise_ratio, _irls_step, _reweights
 
 from conftest import build_dataset
 
@@ -36,7 +37,13 @@ def joint_step(ds, lam1, lam2, d, start=None):
     start (zero by default); with both weights zero it is the exact solve."""
     blocks = ds.normal_equations
     step = _irls_step(blocks, ds.layout, lam1, lam2)
-    return step(np.zeros_like(blocks.xy) if start is None else start, d)
+    x = np.zeros_like(blocks.xy) if start is None else start
+    return step(x, blocks.gram @ x, d)
+
+
+def reweights(mat, dims, epsilon):
+    """fit's reweighting diagonals of mat, from its block norms."""
+    return _reweights(_group_norms(mat, dims), dims, epsilon)
 
 
 def stacked_objective(ds, x, lam1, lam2):
@@ -88,23 +95,23 @@ def test_config_validation():
 def test_skeletal_reweights_hand_example():
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(1,))
     w_c = np.array([3.0, 4.0, 5.0, 12.0])
-    diag = _reweights(w_c, layout.joint_dims, 1e-8)
+    diag = reweights(w_c, layout.joint_dims, 1e-8)
     assert np.allclose(diag, [1 / 10, 1 / 10, 1 / 26, 1 / 26], rtol=1e-12)
 
 
 def test_skeletal_reweights_zero_block_hits_floor():
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(1,))
     w_c = np.array([0.0, 0.0, 3.0, 4.0])
-    diag = _reweights(w_c, layout.joint_dims, 1e-8)
+    diag = reweights(w_c, layout.joint_dims, 1e-8)
     assert np.allclose(diag[:2], 1.0 / 2e-8)
     assert np.allclose(diag[2:], 1.0 / 10.0)
 
 
 def test_attribute_reweights_hand_example():
     layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(3,))
-    diag = _reweights(np.array([0.0, 3.0, 4.0]), layout.object_block_dims, 1e-8)
+    diag = reweights(np.array([0.0, 3.0, 4.0]), layout.object_block_dims, 1e-8)
     assert np.allclose(diag, 1.0 / 10.0)
-    all_zero = _reweights(np.zeros(3), layout.object_block_dims, 1e-8)
+    all_zero = reweights(np.zeros(3), layout.object_block_dims, 1e-8)
     assert np.allclose(all_zero, 1.0 / 2e-8)
 
 
@@ -118,8 +125,8 @@ def test_reweights_match_loop_oracle_and_stay_positive():
         )
         w_c = rng.standard_normal(layout.d_t)
         u_c = rng.standard_normal(layout.d_o)
-        dw = _reweights(w_c, layout.joint_dims, 1e-8)
-        du = _reweights(u_c, layout.object_block_dims, 1e-8)
+        dw = reweights(w_c, layout.joint_dims, 1e-8)
+        du = reweights(u_c, layout.object_block_dims, 1e-8)
         assert np.all(dw > 0) and np.all(du > 0)
         for sl in layout.joint_slices:
             expected = 0.5 / max(np.sqrt(np.sum(w_c[sl] ** 2)), 1e-8)
@@ -133,9 +140,9 @@ def test_reweights_match_loop_oracle_and_stay_positive():
         w[layout.joint_slices[0], 1] = 0.0
         u[layout.object_block_slices[-1], 2] = 0.0
         for mat, dims in ((w, layout.joint_dims), (u, layout.object_block_dims)):
-            at_once = _reweights(mat, dims, 1e-8)
+            at_once = reweights(mat, dims, 1e-8)
             for c in range(3):
-                assert np.array_equal(at_once[:, c], _reweights(mat[:, c], dims, 1e-8))
+                assert np.array_equal(at_once[:, c], reweights(mat[:, c], dims, 1e-8))
 
 
 # --- the joint step ------------------------------------------------------------
@@ -181,7 +188,7 @@ def test_update_with_cross_term_matches_oracle():
     layout = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(2,))
     ds = build_dataset(layout, n=25, n_classes=2, seed=300)
     rng = np.random.default_rng(301)
-    d = _reweights(rng.standard_normal((5, 2)), layout.joint_dims + layout.object_block_dims, 1e-8)
+    d = reweights(rng.standard_normal((5, 2)), layout.joint_dims + layout.object_block_dims, 1e-8)
     x = joint_step(ds, 0.7, 0.4, d)
     stacked = np.vstack([ds.skeleton, ds.objects])
     lam = np.array([0.7, 0.7, 0.7, 0.4, 0.4])
@@ -249,6 +256,15 @@ def test_normal_equations_reject_unlabeled_data(small_layout):
     unlabeled = Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects)
     with pytest.raises(ValidationError, match="labeled"):
         unlabeled.normal_equations
+
+
+def test_columnwise_ratio_is_plus_zero_on_a_zero_denominator():
+    """A column CG has already solved has p'q = 0 and r'z = 0: its step
+    must be exactly +0.0, with no division warning (warnings are errors)."""
+    num = np.array([0.0, 2.0, 0.0, 3.0, 0.0])
+    ratio = _columnwise_ratio(num, np.array([0.0, 0.0, -0.0, 4.0, 5.0]))
+    assert np.array_equal(ratio, [0.0, 0.0, 0.0, 0.75, 0.0])
+    assert not np.signbit(ratio).any()
 
 
 # --- the shared normal equations ---------------------------------------------
@@ -518,6 +534,115 @@ def test_fit_model_carries_dataset_metadata():
     assert model.standardizer is None
 
 
+def reference_fit(ds, cfg):
+    """The fit loop written as it computes: the diagonals from a fresh pass
+    over the block norms, _CG_STEPS Jacobi-PCG steps started from
+    XY - (G X + shift X) with G X computed afresh, then the loss and the
+    penalty, each from its own G X and block norms (or, with both weights
+    zero, the exact solve of G X = XY).  fit shares G X and the block norms
+    between these; it must match this loop bit for bit."""
+    layout, blocks = ds.layout, ds.normal_equations
+    gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
+    lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
+    dims = layout.joint_dims + layout.object_block_dims
+    lam = np.repeat([lam1, lam2], [layout.d_t, layout.d_o])[:, None]
+    diagonal = np.diag(gram)[:, None]
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+    def norm_sum(mat, dims):
+        return float(np.sum(np.sqrt(block_sums(mat * mat, dims))))
+
+    def loss_and_objective(x):
+        loss_val = max(0.0, float(np.sum(x * (gram @ x - 2.0 * rhs)) + np.sum(blocks.yy)))
+        penalty = lam1 * norm_sum(x[:d_t], layout.joint_dims) + lam2 * norm_sum(
+            x[d_t:], layout.object_block_dims
+        )
+        return loss_val, loss_val + penalty
+
+    def step(x):
+        if lam1 == lam2 == 0.0:
+            factor = np.linalg.cholesky(gram)
+            return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+        norms = np.sqrt(block_sums(x * x, dims))
+        shift = lam * np.repeat(0.5 / np.maximum(norms, eps), dims, axis=0)
+        precond = 1.0 / (diagonal + shift)
+        r = rhs - (gram @ x + shift * x)
+        p = precond * r
+        rz = np.sum(r * p, axis=0)
+        for _ in range(_CG_STEPS):
+            q = gram @ p + shift * p
+            alpha = ratio(rz, np.sum(p * q, axis=0))
+            x = x + alpha * p
+            r = r - alpha * q
+            z = precond * r
+            rz_next = np.sum(r * z, axis=0)
+            p = z + ratio(rz_next, rz) * p
+            rz = rz_next
+        return x
+
+    x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(rhs.shape)
+    prev_obj = loss_and_objective(x)[1]
+    losses, objectives = [], []
+    for _ in range(cfg.max_iters):
+        x = step(x)
+        loss_val, obj = loss_and_objective(x)
+        losses.append(loss_val)
+        objectives.append(obj)
+        if abs(prev_obj - obj) / max(1.0, prev_obj) < cfg.tol:
+            break
+        prev_obj = obj
+    return x, tuple(losses), tuple(objectives)
+
+
+def test_fit_matches_the_reference_loop_bit_for_bit():
+    small = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
+    paper = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    problems = [
+        (build_dataset(small, n=n, n_classes=3, seed=700 + n), lams)
+        for n in (20, 45)
+        for lams in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25), (0.0, 0.0))
+    ]
+    problems.append((build_dataset(paper, n=500, n_classes=6, seed=709), (0.5, 0.5)))
+    for ds, (lam1, lam2) in problems:
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-9, max_iters=40, seed=3)
+        model, report = fit(ds, cfg)
+        x, losses, objectives = reference_fit(ds, cfg)
+        assert np.array_equal(model.weights, x)
+        assert np.array_equal(model.w, x[: ds.layout.d_t])
+        assert np.array_equal(model.u, x[ds.layout.d_t :])
+        assert report.objective_trace == objectives
+        assert report.loss_trace == losses
+        assert report.iterations_run == len(objectives)
+
+
+class CountingGram(np.ndarray):
+    """A view of the Gram that counts the products it is the left factor of."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            self.products += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, CountingGram) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_fit_makes_one_gram_product_per_cg_step_and_one_per_iteration():
+    """Each iteration shares one G X between the loss and the next step's
+    starting residual: 1 + (_CG_STEPS + 1) k products in k penalised
+    iterations, 1 + k on the exact path with both weights zero."""
+    layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
+    for lam1, lam2, per_iteration in ((0.3, 0.25, _CG_STEPS + 1), (0.0, 0.0, 1)):
+        ds = build_dataset(layout, n=40, n_classes=3, seed=719)
+        blocks = ds.normal_equations
+        gram = blocks.gram.view(CountingGram)
+        gram.products = 0
+        ds.__dict__["normal_equations"] = blocks._replace(gram=gram)
+        _, report = fit(ds, SolverConfig(lambda1=lam1, lambda2=lam2, max_iters=40))
+        assert report.iterations_run > 1
+        assert gram.products == 1 + per_iteration * report.iterations_run
+
+
 def test_iteration_update_never_raises_objective():
     """One step of the stacked weights (diagonals from the pre-update
     weights) must not increase loss + both penalties, also when one weight
@@ -530,7 +655,7 @@ def test_iteration_update_never_raises_objective():
         x = 0.5 * rng.standard_normal((10, 2))
         for lam1, lam2 in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25)):
             before = stacked_objective(ds, x, lam1, lam2)
-            x_new = joint_step(ds, lam1, lam2, _reweights(x, dims, 1e-8), x)
+            x_new = joint_step(ds, lam1, lam2, reweights(x, dims, 1e-8), x)
             after = stacked_objective(ds, x_new, lam1, lam2)
             assert after <= before + 1e-9 * max(1.0, before)
 
@@ -552,9 +677,9 @@ def test_inexact_steps_at_paper_shape():
             x[:9] = 0.0
             x[45:93] = 0.0
             for _ in range(10):
-                d = _reweights(x, dims, 1e-8)
+                d = reweights(x, dims, 1e-8)
                 before = stacked_objective(ds, x, lam, lam)
-                x = step(x, d)
+                x = step(x, blocks.gram @ x, d)
                 after = stacked_objective(ds, x, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
             exact = np.column_stack(
@@ -563,7 +688,7 @@ def test_inexact_steps_at_paper_shape():
                     for c in range(6)
                 ]
             )
-            again = step(exact, d)
+            again = step(exact, blocks.gram @ exact, d)
             assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
         # a class with no instances has nothing to solve: from zero it stays
         # exactly zero, without a 0/0
