@@ -535,12 +535,13 @@ def test_fit_model_carries_dataset_metadata():
 
 
 def reference_fit(ds, cfg):
-    """The fit loop written as it computes: the diagonals from a fresh pass
-    over the block norms, _CG_STEPS Jacobi-PCG steps started from
-    XY - (G X + shift X) with G X computed afresh, then the loss and the
-    penalty, each from its own G X and block norms (or, with both weights
-    zero, the exact solve of G X = XY).  fit shares G X and the block norms
-    between these; it must match this loop bit for bit."""
+    """The fit loop with nothing shared between its parts: each step rebuilds
+    the diagonals from a fresh pass over the block norms and takes
+    _CG_STEPS Jacobi-PCG steps from XY - (G X + shift X) with G X computed
+    afresh, and the loss and the penalty each take their own G X and block
+    norms (with both weights zero the step is the exact solve of G X = XY).
+    fit shares G X and the block norms between these parts and must match
+    this loop bit for bit."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
