@@ -3,39 +3,15 @@
 Linear per-class scoring over block-structured features, trained with a
 jointly regularized reweighted least-squares solver that drives whole
 joints and whole object-attribute blocks to zero, plus the data, analysis,
-benchmark, and CLI plumbing around it.
+benchmark, and CLI plumbing around it.  The package exports the names the
+README and the acceptance tests use; everything else is imported from its
+submodule (poseact.core, .data, .solver, .analysis, .bench, .errors, .cli).
 """
 
-from .analysis import (
-    ImportanceReport,
-    format_report_table,
-    importance_report,
-    joint_importance,
-    normalize_columns,
-    object_importance,
-    report_to_dict,
-)
-from .bench import (
-    BenchResult,
-    bench_predict,
-    format_result_table,
-    result_to_dict,
-)
-from .core import (
-    Dataset,
-    FeatureLayout,
-    GroupNames,
-    Model,
-    attribute_norm,
-    default_names,
-    loss,
-    objective,
-    predict,
-    predict_batch,
-    skeletal_norm,
-)
+from .analysis import importance_report
+from .bench import bench_predict
+from .core import Dataset, FeatureLayout, Model, loss, predict, predict_batch
 from .data import (
-    GeneratedData,
     Standardizer,
     SynthSpec,
     generate,
@@ -46,14 +22,7 @@ from .data import (
     split,
     standardize,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    LayoutError,
-    PoseactError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import PoseactError
 from .solver import (
     FitReport,
     SolverConfig,
@@ -67,46 +36,26 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchResult",
-    "ConfigError",
-    "DataFormatError",
     "Dataset",
     "FeatureLayout",
     "FitReport",
-    "GeneratedData",
-    "GroupNames",
-    "ImportanceReport",
-    "LayoutError",
     "Model",
     "PoseactError",
-    "SingularityError",
     "SolverConfig",
     "Standardizer",
     "SynthSpec",
-    "ValidationError",
-    "attribute_norm",
     "bench_predict",
     "check_reweighting_inequality",
-    "default_names",
     "fit",
-    "format_report_table",
-    "format_result_table",
     "generate",
     "importance_report",
-    "joint_importance",
     "load_dataset",
     "load_model",
     "loss",
-    "normalize_columns",
-    "object_importance",
-    "objective",
     "predict",
     "predict_batch",
-    "report_to_dict",
-    "result_to_dict",
     "save_dataset",
     "save_model",
-    "skeletal_norm",
     "smoothed_gradients",
     "smoothed_objective",
     "split",

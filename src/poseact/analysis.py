@@ -106,12 +106,9 @@ def importance_report(model: Model, signed: bool = False) -> ImportanceReport:
     """Bundle joint and object importance, normalized per class column."""
     joint_by_class, joint_overall = joint_importance(model, signed=signed)
     object_by_block, object_totals = object_importance(model, signed=signed)
-    if signed:
-        joint_norm, joint_zero = _column_shares(joint_by_class)
-        object_norm, object_zero = _column_shares(object_by_block)
-    else:
-        joint_norm, joint_zero = normalize_columns(joint_by_class)
-        object_norm, object_zero = normalize_columns(object_by_block)
+    # unsigned scores are block norms, never negative; __post_init__ checks them
+    joint_norm, joint_zero = _column_shares(joint_by_class)
+    object_norm, object_zero = _column_shares(object_by_block)
     return ImportanceReport(
         joint_by_class=joint_by_class,
         joint_overall=joint_overall,

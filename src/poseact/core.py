@@ -250,52 +250,34 @@ class NormalEquations(NamedTuple):
 class Dataset:
     """Immutable paired observations with optional one-hot labels.
 
-    features is the read-only d x N matrix [skeleton; objects], built in one
-    copy; skeleton (d_t x N) and objects (d_o x N) are its row views, and
-    instance i occupies column i.  labels, when present, is N x C with
-    exactly one 1.0 per row and 0.0 elsewhere, and class_names gives the
-    string behind each column.
+    features is the d x N matrix [skeleton; objects], instance i in column
+    i, stored as a read-only copy in the memory order it was given;
+    skeleton (d_t x N) and objects (d_o x N) are its row views.  labels,
+    when present, is N x C with exactly one 1.0 per row and 0.0 elsewhere,
+    and class_names gives the string behind each column.
     """
 
     layout: FeatureLayout
-    skeleton: np.ndarray = field(repr=False)
-    objects: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
     class_names: tuple[str, ...] | None = None
     names: GroupNames | None = None
-    features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        skeleton = _real_array(self.skeleton, "skeleton matrix")
-        objects = _real_array(self.objects, "object matrix")
-        if skeleton.shape[0] != self.layout.d_t:
-            raise LayoutError(
-                f"skeleton matrix has {skeleton.shape[0]} rows, layout expects {self.layout.d_t}"
-            )
-        if objects.shape[0] != self.layout.d_o:
-            raise LayoutError(
-                f"object matrix has {objects.shape[0]} rows, layout expects {self.layout.d_o}"
-            )
-        if skeleton.shape[1] != objects.shape[1]:
-            raise LayoutError(
-                f"skeleton holds {skeleton.shape[1]} instances but objects holds {objects.shape[1]}"
-            )
-        if skeleton.shape[1] < 1:
+        features = _frozen_array(self.features, "feature matrix")
+        rows = self.layout.d_t + self.layout.d_o
+        if features.shape[0] != rows:
+            raise LayoutError(f"feature matrix has {features.shape[0]} rows, layout expects {rows}")
+        if features.shape[1] < 1:
             raise ValidationError("a dataset needs at least one instance")
-        features = np.concatenate((skeleton, objects), dtype=np.float64)
-        features.setflags(write=False)
-        skeleton, objects = features[: self.layout.d_t], features[self.layout.d_t :]
-        _require_finite(skeleton, "skeleton matrix")
-        _require_finite(objects, "object matrix")
+        _require_finite(features, "feature matrix")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "objects", objects)
 
         if self.labels is not None:
             labels = _frozen_array(self.labels, "label matrix")
-            if labels.shape[0] != skeleton.shape[1]:
+            if labels.shape[0] != features.shape[1]:
                 raise LayoutError(
-                    f"label matrix has {labels.shape[0]} rows for {skeleton.shape[1]} instances"
+                    f"label matrix has {labels.shape[0]} rows for {features.shape[1]} instances"
                 )
             if labels.shape[1] < 2:
                 raise ValidationError("labeled data needs at least two classes")
@@ -322,6 +304,14 @@ class Dataset:
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)
         object.__setattr__(self, "names", names)
+
+    @property
+    def skeleton(self) -> np.ndarray:
+        return self.features[: self.layout.d_t]
+
+    @property
+    def objects(self) -> np.ndarray:
+        return self.features[self.layout.d_t :]
 
     @property
     def n_instances(self) -> int:
@@ -366,48 +356,33 @@ class Dataset:
 class Model:
     """Per-class weight columns over skeleton (w) and object (u) features.
 
-    weights is the read-only stacked (d_t + d_o) x C matrix [w; u], built
-    once from the checked w and u; w and u are its first d_t and last d_o
-    rows (views, not copies), so one frame scores as [t; o]'weights.
-    names and standardizer are optional metadata carried along so reports
-    can label blocks and so raw inputs can be re-scaled the way the training
-    data was; both must match the layout.  Scoring itself never touches either.
+    weights is the (d_t + d_o) x C matrix [w; u], stored as a read-only copy;
+    w and u are its first d_t and last d_o rows (views, not copies), so one
+    frame scores as [t; o]'weights.  names and standardizer are optional
+    metadata carried along so reports can label blocks and so raw inputs can
+    be re-scaled the way the training data was; both must match the layout.
+    Scoring itself never touches either.
     """
 
     layout: FeatureLayout
-    w: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     class_names: tuple[str, ...]
     hyperparams: "SolverConfig"
     names: GroupNames | None = None
     standardizer: "Standardizer | None" = field(default=None, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = _frozen_array(self.w, "skeleton weight matrix")
-        u = _frozen_array(self.u, "object weight matrix")
+        weights = _frozen_array(self.weights, "weight matrix")
         class_names = _str_tuple(self.class_names, "class names")
         if not class_names:
             raise ValidationError("a model needs at least one class")
         if len(set(class_names)) != len(class_names):
             raise ValidationError("class names must be unique")
-        if w.shape != (self.layout.d_t, len(class_names)):
-            raise LayoutError(
-                f"skeleton weights have shape {w.shape}, expected "
-                f"({self.layout.d_t}, {len(class_names)})"
-            )
-        if u.shape != (self.layout.d_o, len(class_names)):
-            raise LayoutError(
-                f"object weights have shape {u.shape}, expected "
-                f"({self.layout.d_o}, {len(class_names)})"
-            )
-        _require_finite(w, "skeleton weight matrix")
-        _require_finite(u, "object weight matrix")
-        weights = np.concatenate((w, u))
-        weights.setflags(write=False)
+        expected = (self.layout.d_t + self.layout.d_o, len(class_names))
+        if weights.shape != expected:
+            raise LayoutError(f"weight matrix has shape {weights.shape}, expected {expected}")
+        _require_finite(weights, "weight matrix")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "w", weights[: self.layout.d_t])
-        object.__setattr__(self, "u", weights[self.layout.d_t :])
         object.__setattr__(self, "class_names", class_names)
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)
@@ -426,6 +401,14 @@ class Model:
                 raise LayoutError(f"standardizer {side}_constant indices outside [0, {dim})")
 
     @property
+    def w(self) -> np.ndarray:
+        return self.weights[: self.layout.d_t]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.weights[self.layout.d_t :]
+
+    @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
@@ -434,12 +417,12 @@ class Model:
 
 
 def _check_weight_matrix(mat, rows, what):
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != rows:
-        raise LayoutError(
-            f"{what} must have {rows} rows, got shape {getattr(arr, 'shape', None)}"
-        )
-    return arr
+    """mat as a float array, checked the way Model checks its weights."""
+    arr = _real_array(mat, what)
+    if arr.shape[0] != rows:
+        raise LayoutError(f"{what} must have {rows} rows, got shape {arr.shape}")
+    _require_finite(arr, what)
+    return arr.astype(np.float64, copy=False)
 
 
 def block_sums(mat, dims) -> np.ndarray:
@@ -495,7 +478,8 @@ def _gram_loss(blocks: NormalEquations, x, gram_x) -> float:
 
 
 def _labeled_weights(dataset: Dataset, w, u, what):
-    """W and U as float arrays, checked against the dataset's layout and class count."""
+    """The stacked weights [W; U] as one float array, with W and U checked
+    against the dataset's layout and class count."""
     if dataset.labels is None:
         raise ValidationError(f"{what} needs a labeled dataset")
     w = _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix")
@@ -505,7 +489,7 @@ def _labeled_weights(dataset: Dataset, w, u, what):
             f"weight matrices have {w.shape[1]} and {u.shape[1]} columns "
             f"for {dataset.labels.shape[1]} classes"
         )
-    return w, u
+    return np.vstack([w, u])
 
 
 def loss(dataset: Dataset, w, u) -> float:
@@ -515,20 +499,26 @@ def loss(dataset: Dataset, w, u) -> float:
     the first call on a fresh dataset builds and caches those blocks
     (O(N d^2)).
     """
-    w, u = _labeled_weights(dataset, w, u, "loss")
-    blocks, x = dataset.normal_equations, np.vstack([w, u])
+    x = _labeled_weights(dataset, w, u, "loss")
+    blocks = dataset.normal_equations
     return _gram_loss(blocks, x, blocks.gram @ x)
+
+
+def _objective(dataset: Dataset, w, u, lambda1, lambda2, epsilon, what) -> float:
+    """objective with every block norm smoothed to sqrt(||block||^2 + epsilon^2);
+    epsilon = 0 gives the exact one.  what names the caller in messages."""
+    lambda1 = check_number(lambda1, "lambda1")
+    lambda2 = check_number(lambda2, "lambda2")
+    x = _labeled_weights(dataset, w, u, what)
+    blocks = dataset.normal_equations
+    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
+        dataset.layout, _group_norms(x, dataset.layout.block_dims, epsilon), lambda1, lambda2
+    )
 
 
 def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
-    lambda1 = check_number(lambda1, "lambda1")
-    lambda2 = check_number(lambda2, "lambda2")
-    w, u = _labeled_weights(dataset, w, u, "objective")
-    blocks, x = dataset.normal_equations, np.vstack([w, u])
-    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
-        dataset.layout, _group_norms(x, dataset.layout.block_dims), lambda1, lambda2
-    )
+    return _objective(dataset, w, u, lambda1, lambda2, 0.0, "objective")
 
 
 def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:

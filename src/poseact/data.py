@@ -130,22 +130,27 @@ class Standardizer:
                 )
         features = dataset.features - np.concatenate((self.skeleton_mean, self.object_mean))[:, None]
         features /= np.concatenate((self.skeleton_scale, self.object_scale))[:, None]
-        d_t = dataset.layout.d_t
-        return replace(dataset, skeleton=features[:d_t], objects=features[d_t:])
+        return replace(dataset, features=features)
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
     """Center every feature and scale it to unit variance across instances.
 
     Needs at least two instances.  Returns the transformed dataset and the
-    transform itself, for replaying on held-out data.
+    transform itself, for replaying on held-out data.  A constant feature
+    (row max == row min) is centered on its own value, so it maps to exactly
+    0, and keeps scale 1; its rounded mean could miss the value and leave a
+    std of about 1e-17 that would blow held-out values up.
     """
     if dataset.n_instances < 2:
         raise ValidationError("standardize needs at least two instances")
-    mean = dataset.features.mean(axis=1)
-    scale = dataset.features.std(axis=1)
-    constant = scale == 0.0
-    scale[constant] = 1.0
+    features = dataset.features
+    mean = features.mean(axis=1)
+    scale = features.std(axis=1)
+    constant = features.max(axis=1) == features.min(axis=1)
+    mean[constant] = features[constant, 0]
+    # a spread too small to square (std underflows to 0) keeps scale 1 too
+    scale[constant | (scale == 0.0)] = 1.0
     d_t = dataset.layout.d_t
     transform = Standardizer(
         skeleton_mean=mean[:d_t],
@@ -265,8 +270,7 @@ def generate(spec: SynthSpec) -> GeneratedData:
 
     dataset = Dataset(
         layout=layout,
-        skeleton=skeleton,
-        objects=objects,
+        features=features,
         labels=labels,
         class_names=tuple(f"class_{c}" for c in range(spec.n_classes)),
     )
@@ -295,13 +299,11 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     order = np.random.default_rng(seed).permutation(n)
     # one gather for both sides; take is several times faster than features[:, order]
     features = dataset.features.take(order, axis=1)
-    d_t = dataset.layout.d_t
 
     def part(cols):
         return replace(
             dataset,
-            skeleton=features[:d_t, cols],
-            objects=features[d_t:, cols],
+            features=features[:, cols],
             labels=None if dataset.labels is None else dataset.labels[order[cols]],
         )
 
@@ -567,8 +569,7 @@ def load_dataset(path) -> Dataset:
     del lines  # the text goes before Dataset copies the matrix
     return Dataset(
         layout=layout,
-        skeleton=data[: layout.d_t],
-        objects=data[layout.d_t :],
+        features=data,
         labels=labels,
         class_names=classes if classes else None,
         names=names,
@@ -659,8 +660,8 @@ def load_model(path) -> Model:
     try:
         return Model(
             layout=layout,
-            w=np.array(w_flat, dtype=np.float64).reshape(layout.d_t, n_classes),
-            u=np.array(u_flat, dtype=np.float64).reshape(layout.d_o, n_classes),
+            # row-major W then row-major U is row-major [W; U]
+            weights=np.array(w_flat + u_flat, dtype=np.float64).reshape(-1, n_classes),
             class_names=tuple(classes),
             hyperparams=config,
             names=names,

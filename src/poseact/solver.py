@@ -43,6 +43,7 @@ from .core import (
     _gram_loss,
     _group_norms,
     _labeled_weights,
+    _objective,
     _penalty,
     check_int,
     check_number,
@@ -218,7 +219,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         raise ValidationError("fit needs a labeled dataset")
     layout = dataset.layout
     lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
-    d_t, dims = layout.d_t, layout.block_dims
+    dims = layout.block_dims
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
@@ -251,8 +252,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     wall = time.perf_counter() - start
     model = Model(
         layout=layout,
-        w=x[:d_t],
-        u=x[d_t:],
+        weights=x,
         class_names=dataset.class_names,
         hyperparams=config,
         names=dataset.names,
@@ -297,7 +297,7 @@ def stationarity_residual(
     1 / (1 + ||u||).  Near a fixed point of the reweighted updates this
     goes to zero.
     """
-    w, u = _labeled_weights(dataset, model.w, model.u, "stationarity_residual")
+    x = _labeled_weights(dataset, model.w, model.u, "stationarity_residual")
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
     lambda1 = check_number(lambda1, "lambda1")
@@ -305,20 +305,10 @@ def stationarity_residual(
     epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
     dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    x = model.weights
     res = blocks.gram @ x - blocks.xy + lam * _reweights(_group_norms(x, dims), dims, epsilon) * x
     return max(
         float(np.max(np.linalg.norm(side, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
-        for side, mat in ((res[:d_t], w), (res[d_t:], u))
-    )
-
-
-def _smoothed_inputs(dataset: Dataset, w, u, lambda1, lambda2, epsilon, what):
-    return (
-        *_labeled_weights(dataset, w, u, what),
-        check_number(lambda1, "lambda1"),
-        check_number(lambda2, "lambda2"),
-        check_number(epsilon, "epsilon", strict=True),
+        for side, mat in ((res[:d_t], x[:d_t]), (res[d_t:], x[d_t:]))
     )
 
 
@@ -330,25 +320,20 @@ def smoothed_objective(
     Everywhere differentiable, which makes finite-difference checks of
     smoothed_gradients meaningful.
     """
-    w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
-        dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective"
-    )
-    blocks, x = dataset.normal_equations, np.vstack([w, u])
-    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
-        dataset.layout, _group_norms(x, dataset.layout.block_dims, epsilon), lambda1, lambda2
-    )
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    return _objective(dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective")
 
 
 def smoothed_gradients(
     dataset: Dataset, w, u, lambda1: float, lambda2: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of smoothed_objective with respect to W and U."""
-    w, u, lambda1, lambda2, epsilon = _smoothed_inputs(
-        dataset, w, u, lambda1, lambda2, epsilon, "smoothed_gradients"
-    )
+    x = _labeled_weights(dataset, w, u, "smoothed_gradients")
+    lambda1 = check_number(lambda1, "lambda1")
+    lambda2 = check_number(lambda2, "lambda2")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
     dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    x = np.vstack([w, u])
     smoothed_norms = np.repeat(_group_norms(x, dims, epsilon), dims, axis=0)
     grad = 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms
     return grad[:d_t], grad[d_t:]

@@ -15,7 +15,7 @@ def build_dataset(layout: FeatureLayout, n: int, n_classes: int, seed: int) -> D
     objects = rng.standard_normal((layout.d_o, n))
     labels = np.zeros((n, n_classes))
     labels[np.arange(n), rng.integers(0, n_classes, size=n)] = 1.0
-    return Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    return Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
 
 
 @pytest.fixture

@@ -156,7 +156,7 @@ def test_03_unpenalized_fit_matches_least_squares():
         objects = g.standard_normal((layout.d_o, n))
         labels = np.zeros((n, c))
         labels[np.arange(n), g.integers(0, c, size=n)] = 1.0
-        dataset = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+        dataset = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
         model, _ = fit(
             dataset,
             SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-14, max_iters=3000, seed=k),
@@ -211,7 +211,7 @@ def test_05_smoothed_gradient_matches_finite_differences():
         objects = g.standard_normal((layout.d_o, n))
         labels = np.zeros((n, c))
         labels[np.arange(n), g.integers(0, c, size=n)] = 1.0
-        dataset = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+        dataset = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
         w = g.standard_normal((layout.d_t, c))
         u = g.standard_normal((layout.d_o, c))
         grad_w, grad_u = smoothed_gradients(dataset, w, u, 0.1, 0.1, eps)
@@ -314,15 +314,17 @@ def test_08_prediction_throughput():
     rng = np.random.default_rng(0)
     model = Model(
         layout=layout,
-        w=rng.standard_normal((layout.d_t, 6)),
-        u=rng.standard_normal((layout.d_o, 6)),
+        weights=np.vstack(
+            (rng.standard_normal((layout.d_t, 6)), rng.standard_normal((layout.d_o, 6)))
+        ),
         class_names=tuple(f"class_{c}" for c in range(6)),
         hyperparams=SolverConfig(),
     )
     dataset = Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((layout.d_t, 512)),
-        objects=rng.standard_normal((layout.d_o, 512)),
+        features=np.vstack(
+            (rng.standard_normal((layout.d_t, 512)), rng.standard_normal((layout.d_o, 512)))
+        ),
     )
     result = bench_predict(model, dataset, min_duration_seconds=2.0)
     timed = result.seconds_per_frame * 512 * result.repetitions

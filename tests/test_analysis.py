@@ -7,19 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from poseact import (
-    FeatureLayout,
-    GroupNames,
-    Model,
-    SolverConfig,
-    ValidationError,
+from poseact import FeatureLayout, Model, SolverConfig, importance_report
+from poseact.analysis import (
     format_report_table,
-    importance_report,
     joint_importance,
     normalize_columns,
     object_importance,
     report_to_dict,
 )
+from poseact.core import GroupNames
+from poseact.errors import ValidationError
 
 LAYOUT = FeatureLayout(joint_dims=(2, 3), object_count=2, modality_dims=(2, 1))
 
@@ -32,8 +29,7 @@ def make_model(w=None, u=None, n_classes=2, names=None):
         u = rng.standard_normal((LAYOUT.d_o, n_classes))
     return Model(
         layout=LAYOUT,
-        w=np.asarray(w, dtype=np.float64),
-        u=np.asarray(u, dtype=np.float64),
+        weights=np.vstack((w, u)),
         class_names=tuple(f"class_{c}" for c in range(n_classes)),
         hyperparams=SolverConfig(),
         names=names,

@@ -7,15 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from poseact import (
-    Dataset,
-    FeatureLayout,
-    Model,
-    SolverConfig,
-    bench_predict,
-    format_result_table,
-    result_to_dict,
-)
+from poseact import Dataset, FeatureLayout, Model, SolverConfig, bench_predict
+from poseact.bench import format_result_table, result_to_dict
 from poseact.errors import ConfigError
 
 from conftest import build_dataset
@@ -27,8 +20,12 @@ def make_model(n_classes=2):
     rng = np.random.default_rng(4)
     return Model(
         layout=LAYOUT,
-        w=rng.standard_normal((LAYOUT.d_t, n_classes)),
-        u=rng.standard_normal((LAYOUT.d_o, n_classes)),
+        weights=np.vstack(
+            (
+                rng.standard_normal((LAYOUT.d_t, n_classes)),
+                rng.standard_normal((LAYOUT.d_o, n_classes)),
+            )
+        ),
         class_names=tuple(f"class_{c}" for c in range(n_classes)),
         hyperparams=SolverConfig(),
     )
@@ -58,8 +55,9 @@ def test_bench_predict_accepts_unlabeled_data_and_single_class():
     rng = np.random.default_rng(2)
     dataset = Dataset(
         layout=LAYOUT,
-        skeleton=rng.standard_normal((LAYOUT.d_t, 8)),
-        objects=rng.standard_normal((LAYOUT.d_o, 8)),
+        features=np.vstack(
+            (rng.standard_normal((LAYOUT.d_t, 8)), rng.standard_normal((LAYOUT.d_o, 8)))
+        ),
     )
     result = bench_predict(model, dataset, min_duration_seconds=0.01)
     assert result.dims[2] == 1

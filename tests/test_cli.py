@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poseact import (
-    Dataset,
-    FeatureLayout,
-    SolverConfig,
-    load_dataset,
-    load_model,
-    save_dataset,
-)
+from poseact import Dataset, FeatureLayout, SolverConfig, load_dataset, load_model, save_dataset
 from poseact.cli import main
 
 
@@ -149,8 +142,7 @@ def test_train_rejects_unlabeled_data(tmp_path, capsys):
     rng = np.random.default_rng(0)
     dataset = Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((2, 6)),
-        objects=rng.standard_normal((1, 6)),
+        features=np.vstack((rng.standard_normal((2, 6)), rng.standard_normal((1, 6)))),
     )
     path = tmp_path / "unlabeled.txt"
     save_dataset(dataset, path)
@@ -184,8 +176,7 @@ def test_predict_omits_accuracy_for_unlabeled_data(tmp_path, model_file, capsys)
     labeled = load_dataset(tmp_path / "data.txt")
     bare = Dataset(
         layout=labeled.layout,
-        skeleton=labeled.skeleton,
-        objects=labeled.objects,
+        features=labeled.features,
         class_names=labeled.class_names,
     )
     path = tmp_path / "bare.txt"

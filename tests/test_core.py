@@ -11,23 +11,17 @@ import pytest
 from poseact import (
     Dataset,
     FeatureLayout,
-    GroupNames,
-    LayoutError,
     Model,
     SolverConfig,
-    ValidationError,
-    attribute_norm,
-    default_names,
     loss,
-    objective,
     predict,
     predict_batch,
-    skeletal_norm,
     smoothed_gradients,
     smoothed_objective,
     stationarity_residual,
 )
-from poseact.errors import ConfigError
+from poseact.core import GroupNames, attribute_norm, default_names, objective, skeletal_norm
+from poseact.errors import ConfigError, LayoutError, ValidationError
 
 from conftest import build_dataset
 
@@ -147,121 +141,132 @@ def test_dataset_features_stack_skeleton_over_objects_and_share_their_memory(sma
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    with pytest.raises(TypeError):
-        Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects, features=ds.features)
+    for view in ("skeleton", "objects"):
+        with pytest.raises(AttributeError):
+            setattr(ds, view, ds.features)
+        with pytest.raises(TypeError):
+            Dataset(layout=small_layout, features=ds.features, **{view: ds.features})
 
 
 def test_dataset_integer_halves_become_one_float_matrix(small_layout):
-    skeleton = np.arange(small_layout.d_t * 3).reshape(small_layout.d_t, 3)
-    objects = np.ones((small_layout.d_o, 3), dtype=np.uint8)
-    ds = Dataset(layout=small_layout, skeleton=skeleton, objects=objects)
+    features = np.vstack(
+        (
+            np.arange(small_layout.d_t * 3).reshape(small_layout.d_t, 3),
+            np.ones((small_layout.d_o, 3), dtype=np.uint8),
+        )
+    )
+    ds = Dataset(layout=small_layout, features=features)
     assert ds.features.dtype == np.float64
-    assert np.array_equal(ds.features, np.vstack([skeleton, objects]))
+    assert np.array_equal(ds.features, features)
 
 
 def test_dataset_copies_its_features_once():
-    """Built from float64 halves, a dataset allocates one d x N copy, not a copy per half plus a stack."""
+    """Built from a float64 matrix, a dataset allocates one d x N copy and no more."""
     layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
     rng = np.random.default_rng(1)
-    skeleton = rng.standard_normal((layout.d_t, 2000))
-    objects = rng.standard_normal((layout.d_o, 2000))
-    nbytes = skeleton.nbytes + objects.nbytes
+    features = np.vstack(
+        (rng.standard_normal((layout.d_t, 2000)), rng.standard_normal((layout.d_o, 2000)))
+    )
     tracemalloc.start()
     try:
-        ds = Dataset(layout=layout, skeleton=skeleton, objects=objects)
+        ds = Dataset(layout=layout, features=features)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ds.features.nbytes == nbytes
+    assert ds.features.nbytes == features.nbytes
     # the copy itself plus the finiteness pass's boolean scratch (an eighth of it)
-    assert nbytes <= peak < 1.5 * nbytes, f"peak {peak / 1e6:.1f} MB for {nbytes / 1e6:.1f} MB"
+    assert features.nbytes <= peak < 1.5 * features.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dataset_keeps_the_memory_order_of_its_features(small_layout, order):
+    features = np.asarray(build_dataset(small_layout, 7, 3, seed=4).features, order=order)
+    ds = Dataset(layout=small_layout, features=features)
+    assert ds.features.flags[f"{order}_CONTIGUOUS"]
+    assert np.array_equal(ds.features, features)
 
 
 def test_dataset_arrays_are_frozen_copies(small_layout):
     rng = np.random.default_rng(3)
-    skeleton = rng.standard_normal((small_layout.d_t, 5))
-    objects = rng.standard_normal((small_layout.d_o, 5))
-    ds = Dataset(layout=small_layout, skeleton=skeleton, objects=objects)
-    skeleton[0, 0] = 99.0
-    assert ds.skeleton[0, 0] != 99.0
+    features = np.vstack(
+        (rng.standard_normal((small_layout.d_t, 5)), rng.standard_normal((small_layout.d_o, 5)))
+    )
+    kept = features.copy()
+    ds = Dataset(layout=small_layout, features=features)
+    features[0, 0], features[-1, -1] = 99.0, -99.0  # a skeleton and an object entry
+    assert np.array_equal(ds.features, kept)
+    assert ds.skeleton[0, 0] != 99.0 and ds.objects[-1, -1] != -99.0
     with pytest.raises(ValueError):
         ds.skeleton[0, 0] = 1.0
 
 
 def test_dataset_rejects_malformed_labels(small_layout):
     rng = np.random.default_rng(5)
-    skeleton = rng.standard_normal((small_layout.d_t, 4))
-    objects = rng.standard_normal((small_layout.d_o, 4))
+    features = np.vstack(
+        (rng.standard_normal((small_layout.d_t, 4)), rng.standard_normal((small_layout.d_o, 4)))
+    )
 
     two_hot = np.zeros((4, 3))
     two_hot[:, 0] = 1.0
     two_hot[0, 1] = 1.0
     with pytest.raises(ValidationError):
-        Dataset(layout=small_layout, skeleton=skeleton, objects=objects, labels=two_hot)
+        Dataset(layout=small_layout, features=features, labels=two_hot)
 
     soft = np.full((4, 3), 1.0 / 3.0)
     with pytest.raises(ValidationError):
-        Dataset(layout=small_layout, skeleton=skeleton, objects=objects, labels=soft)
+        Dataset(layout=small_layout, features=features, labels=soft)
 
     one_class = np.ones((4, 1))
     with pytest.raises(ValidationError):
-        Dataset(layout=small_layout, skeleton=skeleton, objects=objects, labels=one_class)
+        Dataset(layout=small_layout, features=features, labels=one_class)
 
     ok = np.zeros((4, 2))
     ok[:, 0] = 1.0
     with pytest.raises(ValidationError):
-        Dataset(
-            layout=small_layout,
-            skeleton=skeleton,
-            objects=objects,
-            labels=ok,
-            class_names=("same", "same"),
-        )
+        Dataset(layout=small_layout, features=features, labels=ok, class_names=("same", "same"))
     with pytest.raises(LayoutError):
-        Dataset(
-            layout=small_layout,
-            skeleton=skeleton,
-            objects=objects,
-            labels=np.zeros((3, 2)),
-        )
+        Dataset(layout=small_layout, features=features, labels=np.zeros((3, 2)))
 
 
 def test_dataset_rejects_non_finite_and_shape_mismatch(small_layout):
     rng = np.random.default_rng(6)
-    skeleton = rng.standard_normal((small_layout.d_t, 4))
-    objects = rng.standard_normal((small_layout.d_o, 4))
-    bad = skeleton.copy()
-    bad[1, 1] = np.nan
-    with pytest.raises(ValidationError):
-        Dataset(layout=small_layout, skeleton=bad, objects=objects)
-    with pytest.raises(LayoutError):
-        Dataset(layout=small_layout, skeleton=skeleton[:-1], objects=objects)
-    with pytest.raises(LayoutError):
-        Dataset(layout=small_layout, skeleton=skeleton, objects=objects[:, :3])
+    features = np.vstack(
+        (rng.standard_normal((small_layout.d_t, 4)), rng.standard_normal((small_layout.d_o, 4)))
+    )
+    rows = small_layout.d_t + small_layout.d_o
+    for row in (1, rows - 1):  # a skeleton row and an object row
+        bad = features.copy()
+        bad[row, 1] = np.nan
+        with pytest.raises(ValidationError, match="feature matrix contains non-finite values"):
+            Dataset(layout=small_layout, features=bad)
+    for short in (features[:-1], features[1:]):
+        with pytest.raises(
+            LayoutError, match=f"feature matrix has {rows - 1} rows, layout expects {rows}"
+        ):
+            Dataset(layout=small_layout, features=short)
+    with pytest.raises(LayoutError, match="feature matrix must be a 2-d array"):
+        Dataset(layout=small_layout, features=features[:, 0])
+    with pytest.raises(ValidationError, match="at least one instance"):
+        Dataset(layout=small_layout, features=features[:, :0])
 
 
 def test_dataset_rejects_non_numeric_arrays():
     # numeric strings and booleans would pass a float64 cast as numbers
     layout = FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(2,))
-    with pytest.raises(ValidationError, match="skeleton matrix must hold real numbers"):
-        Dataset(layout=layout, skeleton=[["1"], [True]], objects=[[False], ["2e0"]])
+    with pytest.raises(ValidationError, match="feature matrix must hold real numbers"):
+        Dataset(layout=layout, features=[["1"], [True], [False], ["2e0"]])
     for bad in (
-        np.ones((2, 1), dtype=bool),
-        np.ones((2, 1), dtype=complex),
-        np.array([[b"1"], [b"2"]]),
-        np.array([[1.0], [None]], dtype=object),
+        np.ones((4, 1), dtype=bool),
+        np.ones((4, 1), dtype=complex),
+        np.array([[b"1"], [b"2"], [b"3"], [b"4"]]),
+        np.array([[1.0], [None], [1.0], [1.0]], dtype=object),
     ):
-        with pytest.raises(ValidationError, match="object matrix must hold real numbers"):
-            Dataset(layout=layout, skeleton=np.ones((2, 1)), objects=bad)
+        with pytest.raises(ValidationError, match="feature matrix must hold real numbers"):
+            Dataset(layout=layout, features=bad)
     with pytest.raises(ValidationError, match="label matrix must hold real numbers"):
-        Dataset(
-            layout=layout,
-            skeleton=np.ones((2, 1)),
-            objects=np.ones((2, 1)),
-            labels=np.array([[True, False]]),
-        )
+        Dataset(layout=layout, features=np.ones((4, 1)), labels=np.array([[True, False]]))
     # integers are numbers; numpy casts a mixed list such as [1, True] to int
-    ds = Dataset(layout=layout, skeleton=[[1], [True]], objects=np.ones((2, 1), dtype=np.uint8))
+    ds = Dataset(layout=layout, features=[[1], [True], [1], [1]])
     assert ds.skeleton.dtype == np.float64 and ds.skeleton[1, 0] == 1.0
 
 
@@ -269,8 +274,9 @@ def test_unlabeled_dataset_is_fine(small_layout):
     rng = np.random.default_rng(8)
     ds = Dataset(
         layout=small_layout,
-        skeleton=rng.standard_normal((small_layout.d_t, 6)),
-        objects=rng.standard_normal((small_layout.d_o, 6)),
+        features=np.vstack(
+            (rng.standard_normal((small_layout.d_t, 6)), rng.standard_normal((small_layout.d_o, 6)))
+        ),
     )
     assert ds.labels is None
     assert ds.n_classes is None
@@ -359,6 +365,61 @@ def test_norm_rejects_wrong_row_count(small_layout):
         attribute_norm(np.zeros((small_layout.d_o - 1, 2)), small_layout)
 
 
+# every public function that reads W or U arrays, by name
+def _weight_calls(ds):
+    return {
+        "loss": lambda w, u: loss(ds, w, u),
+        "objective": lambda w, u: objective(ds, w, u, 0.1, 0.1),
+        "smoothed_objective": lambda w, u: smoothed_objective(ds, w, u, 0.1, 0.1, 1e-3),
+        "smoothed_gradients": lambda w, u: smoothed_gradients(ds, w, u, 0.1, 0.1, 1e-3),
+        "skeletal_norm": lambda w, u: skeletal_norm(w, ds.layout),
+        "attribute_norm": lambda w, u: attribute_norm(u, ds.layout),
+    }
+
+
+WEIGHT_CALLS = tuple(_weight_calls(None))
+
+
+@pytest.mark.parametrize("call", WEIGHT_CALLS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_weight_inputs_reject_non_finite_entries(small_dataset, call, value):
+    """Rejected, not hidden: loss clamps at 0.0, and max(0.0, nan) is 0.0."""
+    layout = small_dataset.layout
+    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
+    # a whole bad skeleton matrix, or one bad object entry
+    bad_w, bad_u = np.full_like(w, value), u.copy()
+    bad_u[-1, -1] = value
+    fn = _weight_calls(small_dataset)[call]
+    for args, what in (((bad_w, u), "skeleton"), ((w, bad_u), "object")):
+        if (call, what) in (("skeletal_norm", "object"), ("attribute_norm", "skeleton")):
+            continue  # the call does not read that matrix
+        with pytest.raises(ValidationError, match=f"{what} weight matrix contains non-finite"):
+            fn(*args)
+
+
+@pytest.mark.parametrize("call", WEIGHT_CALLS)
+def test_weight_inputs_reject_bool_and_string_entries(small_dataset, call):
+    layout = small_dataset.layout
+    fn = _weight_calls(small_dataset)[call]
+    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
+    side = "object" if call == "attribute_norm" else "skeleton"
+    rows = layout.d_o if side == "object" else layout.d_t
+    for bad in (np.ones((rows, 3), dtype=bool), np.full((rows, 3), "1.5"), np.full((rows, 3), "a")):
+        args = (w, bad) if side == "object" else (bad, u)
+        with pytest.raises(ValidationError, match=f"{side} weight matrix must hold real numbers"):
+            fn(*args)
+
+
+def test_weight_inputs_take_integers_and_reject_wrong_rank(small_dataset):
+    layout = small_dataset.layout
+    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
+    ints = np.ones((layout.d_t, 3), dtype=np.int64)
+    assert loss(small_dataset, ints, u) == loss(small_dataset, ints.astype(float), u)
+    assert skeletal_norm(ints, layout) == skeletal_norm(ints.astype(float), layout)
+    with pytest.raises(LayoutError, match="skeleton weight matrix must be a 2-d array"):
+        loss(small_dataset, w[:, 0], u)
+
+
 # --- loss and objective -----------------------------------------------------
 
 
@@ -369,7 +430,7 @@ def test_loss_hand_example():
     skeleton = np.array([[1.0, 0.0]])
     objects = np.array([[0.0, 1.0]])
     labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ds = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    ds = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
     w = np.array([[0.9, 0.1]])
     u = np.array([[0.1, 0.9]])
     # fitted scores: row0 = (0.9, 0.1), row1 = (0.1, 0.9); residual 0.1 in |.|
@@ -394,8 +455,9 @@ def test_loss_requires_labels(small_layout):
     rng = np.random.default_rng(41)
     ds = Dataset(
         layout=small_layout,
-        skeleton=rng.standard_normal((small_layout.d_t, 4)),
-        objects=rng.standard_normal((small_layout.d_o, 4)),
+        features=np.vstack(
+            (rng.standard_normal((small_layout.d_t, 4)), rng.standard_normal((small_layout.d_o, 4)))
+        ),
     )
     with pytest.raises(ValidationError):
         loss(ds, np.zeros((small_layout.d_t, 2)), np.zeros((small_layout.d_o, 2)))
@@ -403,7 +465,7 @@ def test_loss_requires_labels(small_layout):
     labeled = build_dataset(small_layout, n=4, n_classes=3, seed=41)
     w, u = np.zeros((small_layout.d_t, 1)), np.zeros((small_layout.d_o, 1))
     one_class = Model(
-        layout=small_layout, w=w, u=u, class_names=("a",), hyperparams=SolverConfig()
+        layout=small_layout, weights=np.vstack((w, u)), class_names=("a",), hyperparams=SolverConfig()
     )
     for call in (
         lambda: loss(labeled, w, u),
@@ -447,8 +509,7 @@ def test_objective_rejects_negative_penalty(small_dataset):
 def make_model(layout, w, u, n_classes):
     return Model(
         layout=layout,
-        w=w,
-        u=u,
+        weights=np.vstack((w, u)),
         class_names=tuple(f"class_{c}" for c in range(n_classes)),
         hyperparams=SolverConfig(),
     )
@@ -558,8 +619,9 @@ def test_predict_batch_unlabeled_has_no_accuracy(small_layout):
     rng = np.random.default_rng(59)
     ds = Dataset(
         layout=small_layout,
-        skeleton=rng.standard_normal((small_layout.d_t, 5)),
-        objects=rng.standard_normal((small_layout.d_o, 5)),
+        features=np.vstack(
+            (rng.standard_normal((small_layout.d_t, 5)), rng.standard_normal((small_layout.d_o, 5)))
+        ),
     )
     model = make_model(
         small_layout,
@@ -585,8 +647,12 @@ def test_predict_batch_rejects_layout_and_class_mismatch(small_dataset):
         predict_batch(model, small_dataset)
     renamed = Model(
         layout=small_dataset.layout,
-        w=rng.standard_normal((small_dataset.layout.d_t, 3)),
-        u=rng.standard_normal((small_dataset.layout.d_o, 3)),
+        weights=np.vstack(
+            (
+                rng.standard_normal((small_dataset.layout.d_t, 3)),
+                rng.standard_normal((small_dataset.layout.d_o, 3)),
+            )
+        ),
         class_names=("x", "y", "z"),
         hyperparams=SolverConfig(),
     )
@@ -599,35 +665,63 @@ def test_predict_batch_rejects_layout_and_class_mismatch(small_dataset):
 
 def test_model_validates_shapes_and_names(small_layout):
     rng = np.random.default_rng(67)
-    w = rng.standard_normal((small_layout.d_t, 2))
-    u = rng.standard_normal((small_layout.d_o, 2))
-    with pytest.raises(LayoutError):
-        make_model(small_layout, w[:-1], u, 2)
-    with pytest.raises(LayoutError):
-        make_model(small_layout, w, u[:, :1], 2)
-    with pytest.raises(ValidationError):
-        Model(
-            layout=small_layout,
-            w=w,
-            u=u,
-            class_names=("dup", "dup"),
-            hyperparams=SolverConfig(),
+    rows = small_layout.d_t + small_layout.d_o
+    weights = np.vstack(
+        (rng.standard_normal((small_layout.d_t, 2)), rng.standard_normal((small_layout.d_o, 2)))
+    )
+
+    def model(weights, class_names=("a", "b")):
+        return Model(
+            layout=small_layout, weights=weights, class_names=class_names, hyperparams=SolverConfig()
         )
+
+    for bad in (weights[:-1], weights[1:]):
+        with pytest.raises(
+            LayoutError, match=rf"weight matrix has shape \({rows - 1}, 2\), expected \({rows}, 2\)"
+        ):
+            model(bad)
+    with pytest.raises(LayoutError, match=rf"expected \({rows}, 2\)"):
+        model(weights[:, :1])
+    with pytest.raises(LayoutError, match="weight matrix must be a 2-d array"):
+        model(weights[:, 0])
+    with pytest.raises(ValidationError, match="weight matrix must hold real numbers"):
+        model(weights > 0)
+    bad = weights.copy()
+    bad[-1, 0] = np.inf  # an object weight
+    with pytest.raises(ValidationError, match="weight matrix contains non-finite values"):
+        model(bad)
+    with pytest.raises(ValidationError):
+        model(weights, class_names=("dup", "dup"))
     # single-class models are allowed (scoring degenerates to one column)
-    single = make_model(small_layout, w[:, :1], u[:, :1], 1)
+    single = model(weights[:, :1], class_names=("a",))
     assert single.n_classes == 1
 
 
 def test_model_arrays_are_frozen(small_layout):
     rng = np.random.default_rng(71)
-    w = rng.standard_normal((small_layout.d_t, 2))
-    model = make_model(
-        small_layout, w, rng.standard_normal((small_layout.d_o, 2)), 2
+    weights = np.vstack(
+        (rng.standard_normal((small_layout.d_t, 2)), rng.standard_normal((small_layout.d_o, 2)))
     )
-    w[0, 0] = 123.0
-    assert model.w[0, 0] != 123.0
+    kept = weights.copy()
+    model = Model(
+        layout=small_layout, weights=weights, class_names=("a", "b"), hyperparams=SolverConfig()
+    )
+    weights[0, 0], weights[-1, -1] = 123.0, -123.0  # a skeleton and an object weight
+    assert np.array_equal(model.weights, kept)
+    assert model.w[0, 0] != 123.0 and model.u[-1, -1] != -123.0
     with pytest.raises(ValueError):
         model.w[0, 0] = 5.0
+    for view in ("w", "u"):
+        with pytest.raises(AttributeError):
+            setattr(model, view, model.weights)
+    with pytest.raises(TypeError):
+        Model(
+            layout=small_layout,
+            w=model.w,
+            u=model.u,
+            class_names=model.class_names,
+            hyperparams=model.hyperparams,
+        )
 
 
 def test_model_weights_stack_w_over_u_and_share_their_memory(small_layout):

@@ -19,13 +19,10 @@ import poseact.data
 from poseact import (
     Dataset,
     FeatureLayout,
-    GroupNames,
-    LayoutError,
     Model,
     SolverConfig,
     Standardizer,
     SynthSpec,
-    ValidationError,
     generate,
     load_dataset,
     load_model,
@@ -34,8 +31,9 @@ from poseact import (
     split,
     standardize,
 )
+from poseact.core import GroupNames
 from poseact.data import DATASET_FORMAT, FORMAT_VERSION, MODEL_FORMAT
-from poseact.errors import ConfigError, DataFormatError
+from poseact.errors import ConfigError, DataFormatError, LayoutError, ValidationError
 
 from conftest import build_dataset
 
@@ -45,11 +43,7 @@ from conftest import build_dataset
 
 def test_standardize_hand_example():
     layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(1,))
-    dataset = Dataset(
-        layout=layout,
-        skeleton=np.array([[1.0, 3.0]]),
-        objects=np.array([[10.0, 10.0]]),
-    )
+    dataset = Dataset(layout=layout, features=np.array([[1.0, 3.0], [10.0, 10.0]]))
     out, transform = standardize(dataset)
     # mean 2, population std 1 -> values land on -1 and +1
     assert np.allclose(out.skeleton, [[-1.0, 1.0]])
@@ -60,6 +54,23 @@ def test_standardize_hand_example():
     assert transform.object_scale[0] == 1.0
     assert transform.object_constant == (0,)
     assert transform.skeleton_constant == ()
+
+
+def test_standardize_flags_a_constant_row_whose_mean_rounds_off():
+    """0.1 averaged over 3 instances is not 0.1; the row must still count as constant."""
+    layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(1,))
+    skeleton = np.full((1, 3), 0.1)
+    assert skeleton.mean(axis=1)[0] != 0.1 and skeleton.std(axis=1)[0] > 0.0
+    # the object row varies, but too little for its std to survive squaring
+    dataset = Dataset(layout=layout, features=np.vstack((skeleton, [[0.0, 1e-200, 0.0]])))
+    out, transform = standardize(dataset)
+    assert transform.skeleton_constant == (0,) and transform.object_constant == ()
+    assert transform.skeleton_mean[0] == 0.1 and transform.skeleton_scale[0] == 1.0
+    assert transform.object_scale[0] == 1.0
+    assert np.array_equal(out.skeleton, np.zeros((1, 3)))
+    held_out = Dataset(layout=layout, features=[[0.2], [0.0]])
+    # exactly 0.2 - 0.1, not the 7e15 a 1.4e-17 scale would give
+    assert transform.apply(held_out).skeleton[0, 0] == 0.2 - 0.1
 
 
 def test_standardize_output_has_zero_mean_unit_variance(small_dataset):
@@ -75,8 +86,7 @@ def test_standardize_output_has_zero_mean_unit_variance(small_dataset):
 def test_standardize_requires_two_instances(small_layout):
     dataset = Dataset(
         layout=small_layout,
-        skeleton=np.zeros((small_layout.d_t, 1)),
-        objects=np.zeros((small_layout.d_o, 1)),
+        features=np.zeros((small_layout.d_t + small_layout.d_o, 1)),
     )
     with pytest.raises(ValidationError, match="two instances"):
         standardize(dataset)
@@ -321,9 +331,11 @@ def test_every_dataset_producer_returns_a_stacked_dataset(tmp_path):
     for derived in (scaled, transform.apply(test), train, test, load_dataset(path), renamed):
         assert_stacked(derived)
         assert not np.shares_memory(derived.features, dataset.features)
-    # replace rebuilds the matrix from the halves it is given
+    # the reader's row-per-instance parse gives an F-ordered matrix, and the dataset keeps it
+    assert load_dataset(path).features.flags.f_contiguous
+    # replace copies the matrix it is given
     assert np.array_equal(renamed.features, dataset.features)
-    shifted = replace(dataset, skeleton=dataset.skeleton + 1.0)
+    shifted = replace(dataset, features=np.vstack((dataset.skeleton + 1.0, dataset.objects)))
     assert_stacked(shifted)
     assert np.array_equal(shifted.features[: LAYOUT.d_t], dataset.skeleton + 1.0)
     assert np.array_equal(shifted.features[LAYOUT.d_t :], dataset.objects)
@@ -385,8 +397,12 @@ def test_split_handles_unlabeled_data(small_layout):
     rng = np.random.default_rng(0)
     dataset = Dataset(
         layout=small_layout,
-        skeleton=rng.standard_normal((small_layout.d_t, 20)),
-        objects=rng.standard_normal((small_layout.d_o, 20)),
+        features=np.vstack(
+            (
+                rng.standard_normal((small_layout.d_t, 20)),
+                rng.standard_normal((small_layout.d_o, 20)),
+            )
+        ),
     )
     train, test = split(dataset, 0.5, seed=1)
     assert train.labels is None and test.labels is None
@@ -403,8 +419,9 @@ def named_dataset(n=12, seed=3):
     labels[np.arange(n), rng.integers(0, 3, size=n)] = 1.0
     return Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((layout.d_t, n)),
-        objects=rng.standard_normal((layout.d_o, n)),
+        features=np.vstack(
+            (rng.standard_normal((layout.d_t, n)), rng.standard_normal((layout.d_o, n)))
+        ),
         labels=labels,
         class_names=("walk", "drink", "wave"),
         names=GroupNames(
@@ -433,8 +450,7 @@ def test_dataset_file_round_trip_unlabeled(tmp_path):
     rng = np.random.default_rng(7)
     dataset = Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((3, 5)),
-        objects=rng.standard_normal((2, 5)),
+        features=np.vstack((rng.standard_normal((3, 5)), rng.standard_normal((2, 5)))),
     )
     path = tmp_path / "data.txt"
     save_dataset(dataset, path)
@@ -465,7 +481,11 @@ def test_save_dataset_refuses_silent_overwrite(tmp_path):
 def test_files_from_the_json_writer_still_load(tmp_path):
     """A file spelled the way json.dumps writes it loads to the same dataset."""
     dataset = named_dataset()
-    dataset = replace(dataset, skeleton=dataset.skeleton * 1e-7, class_names=("a", "wävé", "c"))
+    dataset = replace(
+        dataset,
+        features=np.vstack((dataset.skeleton * 1e-7, dataset.objects)),
+        class_names=("a", "wävé", "c"),
+    )
     path, old_path = tmp_path / "new.txt", tmp_path / "old.txt"
     save_dataset(dataset, path)
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -509,8 +529,7 @@ def datasets(draw):
 
     return Dataset(
         layout=layout,
-        skeleton=matrix[: layout.d_t],
-        objects=matrix[layout.d_t :],
+        features=matrix,
         labels=labels,
         class_names=classes,
         names=GroupNames(group(layout.n_joints), group(layout.object_count), group(layout.n_modalities)),
@@ -555,8 +574,9 @@ def test_save_dataset_memory_stays_below_three_file_sizes(tmp_path):
     n = 2000
     dataset = Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((layout.d_t, n)),
-        objects=rng.standard_normal((layout.d_o, n)),
+        features=np.vstack(
+            (rng.standard_normal((layout.d_t, n)), rng.standard_normal((layout.d_o, n)))
+        ),
         labels=np.eye(6)[rng.integers(0, 6, size=n)],
         class_names=tuple(f"class_{c}" for c in range(6)),
     )
@@ -615,8 +635,7 @@ def test_names_utf8_cannot_hold_are_rejected(tmp_path):
     with pytest.raises(ValidationError, match="UTF-8"):
         Dataset(
             layout=layout,
-            skeleton=[[0.0, 1.0]],
-            objects=[[1.0, 0.0]],
+            features=[[0.0, 1.0], [1.0, 0.0]],
             labels=np.eye(2),
             class_names=("\ud800", "b"),
         )
@@ -925,8 +944,9 @@ def small_model(with_standardizer=False):
         )
     return Model(
         layout=layout,
-        w=rng.standard_normal((layout.d_t, 2)),
-        u=rng.standard_normal((layout.d_o, 2)),
+        weights=np.vstack(
+            (rng.standard_normal((layout.d_t, 2)), rng.standard_normal((layout.d_o, 2)))
+        ),
         class_names=("sit", "stand"),
         hyperparams=SolverConfig(lambda1=0.3, lambda2=0.05, tol=1e-7, max_iters=40, seed=3),
         names=GroupNames(joints=("knee", "ankle"), objects=("chair",), modalities=("pos",)),

@@ -1,4 +1,4 @@
-"""Every exported name resolves, once, and the package list stays sorted."""
+"""Every exported name resolves, once, and the package list stays sorted and small."""
 
 from __future__ import annotations
 
@@ -23,3 +23,38 @@ def test_every_exported_name_resolves_once(module_name):
 
 def test_package_exports_are_sorted():
     assert poseact.__all__ == sorted(poseact.__all__)
+
+
+def test_package_exports_exactly_the_documented_surface():
+    """The names perfbench, the acceptance tests and the README import from
+    poseact; everything else is reached through its submodule."""
+    assert poseact.__all__ == [
+        "Dataset",
+        "FeatureLayout",
+        "FitReport",
+        "Model",
+        "PoseactError",
+        "SolverConfig",
+        "Standardizer",
+        "SynthSpec",
+        "bench_predict",
+        "check_reweighting_inequality",
+        "fit",
+        "generate",
+        "importance_report",
+        "load_dataset",
+        "load_model",
+        "loss",
+        "predict",
+        "predict_batch",
+        "save_dataset",
+        "save_model",
+        "smoothed_gradients",
+        "smoothed_objective",
+        "split",
+        "standardize",
+        "stationarity_residual",
+    ]
+    # perfbench's span tracer patches functions in each submodule it reaches from the package
+    for module_name in ("core", "data", "solver", "analysis", "bench", "errors"):
+        assert getattr(poseact, module_name).__name__ == f"poseact.{module_name}"

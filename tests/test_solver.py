@@ -7,26 +7,23 @@ import numpy as np
 import pytest
 
 from poseact import (
-    ConfigError,
     Dataset,
     FeatureLayout,
     Model,
-    SingularityError,
     SolverConfig,
     SynthSpec,
-    ValidationError,
     check_reweighting_inequality,
     fit,
     generate,
     loss,
-    objective,
     smoothed_gradients,
     smoothed_objective,
     split,
     standardize,
     stationarity_residual,
 )
-from poseact.core import _group_norms, block_sums
+from poseact.core import _group_norms, block_sums, objective
+from poseact.errors import ConfigError, SingularityError, ValidationError
 from poseact.solver import _CG_STEPS, _columnwise_ratio, _irls_step, _reweights
 
 from conftest import build_dataset
@@ -153,7 +150,7 @@ def test_update_skeleton_identity_design_returns_labels():
     # skeletal penalty W must equal Y, and the penalised zero-feature U stays 0
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(2,))
     labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    ds = Dataset(layout=layout, skeleton=np.eye(4), objects=np.zeros((2, 4)), labels=labels)
+    ds = Dataset(layout=layout, features=np.vstack((np.eye(4), np.zeros((2, 4)))), labels=labels)
     x = joint_step(ds, 0.0, 1.0, np.ones((6, 2)))
     assert np.allclose(x[:4], labels, atol=1e-12)
     assert not x[4:].any()
@@ -162,7 +159,7 @@ def test_update_skeleton_identity_design_returns_labels():
 def test_update_object_identity_design_returns_labels():
     layout = FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(1, 2))
     labels = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    ds = Dataset(layout=layout, skeleton=np.zeros((2, 3)), objects=np.eye(3), labels=labels)
+    ds = Dataset(layout=layout, features=np.vstack((np.zeros((2, 3)), np.eye(3))), labels=labels)
     x = joint_step(ds, 1.0, 0.0, np.ones((5, 2)))
     assert not x[:2].any()
     assert np.allclose(x[2:], labels, atol=1e-12)
@@ -221,8 +218,8 @@ def test_update_symmetry_under_role_swap():
     objects = rng.standard_normal((3, 20))
     labels = np.zeros((20, 2))
     labels[np.arange(20), rng.integers(0, 2, size=20)] = 1.0
-    ds_a = Dataset(layout=layout_a, skeleton=skeleton, objects=objects, labels=labels)
-    ds_b = Dataset(layout=layout_b, skeleton=objects, objects=skeleton, labels=labels)
+    ds_a = Dataset(layout=layout_a, features=np.vstack((skeleton, objects)), labels=labels)
+    ds_b = Dataset(layout=layout_b, features=np.vstack((objects, skeleton)), labels=labels)
     swap = np.r_[3:6, 0:3]
     d = rng.uniform(0.1, 1.0, size=(6, 2))
     start = rng.standard_normal((6, 2))
@@ -238,8 +235,7 @@ def test_update_singular_gram_raises():
     rng = np.random.default_rng(113)
     ds = Dataset(
         layout=layout,
-        skeleton=rng.standard_normal((5, 3)),
-        objects=rng.standard_normal((1, 3)),
+        features=np.vstack((rng.standard_normal((5, 3)), rng.standard_normal((1, 3)))),
         labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
     )
     d = np.ones((6, 2))
@@ -253,7 +249,7 @@ def test_update_singular_gram_raises():
 
 def test_normal_equations_reject_unlabeled_data(small_layout):
     ds = build_dataset(small_layout, n=20, n_classes=2, seed=307)
-    unlabeled = Dataset(layout=small_layout, skeleton=ds.skeleton, objects=ds.objects)
+    unlabeled = Dataset(layout=small_layout, features=ds.features)
     with pytest.raises(ValidationError, match="labeled"):
         unlabeled.normal_equations
 
@@ -330,7 +326,7 @@ def linear_label_dataset(seed=0, n=60):
     skeleton = rng.standard_normal((layout.d_t, n))
     skeleton[0:2, :] = labels.T  # joint 0 carries the one-hot rows verbatim
     objects = rng.standard_normal((layout.d_o, n))
-    return Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    return Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
 
 
 def test_fit_converges_on_linearly_separable_data():
@@ -383,7 +379,7 @@ def square_system(seed):
     assert np.linalg.matrix_rank(stacked) == n
     labels = np.zeros((n, 2))
     labels[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
-    ds = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    ds = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
     coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
     return ds, coef[:3], coef[3:]
 
@@ -418,8 +414,9 @@ def test_fit_and_diagnostics_never_touch_the_data_after_the_gram_build():
     intact = build_dataset(layout, n=50, n_classes=3, seed=331)
     stripped = build_dataset(layout, n=50, n_classes=3, seed=331)
     stripped.normal_equations
-    for name in ("features", "skeleton", "objects"):
-        object.__setattr__(stripped, name, None)
+    object.__setattr__(stripped, "features", None)  # skeleton and objects are its views
+    with pytest.raises(TypeError):
+        stripped.skeleton
     cfg = SolverConfig(lambda1=0.2, lambda2=0.3, max_iters=30)
     model_a, report_a = fit(intact, cfg)
     model_b, report_b = fit(stripped, cfg)
@@ -477,8 +474,12 @@ def test_fit_requires_labels(small_layout):
     rng = np.random.default_rng(23)
     ds = Dataset(
         layout=small_layout,
-        skeleton=rng.standard_normal((small_layout.d_t, 5)),
-        objects=rng.standard_normal((small_layout.d_o, 5)),
+        features=np.vstack(
+            (
+                rng.standard_normal((small_layout.d_t, 5)),
+                rng.standard_normal((small_layout.d_o, 5)),
+            )
+        ),
     )
     with pytest.raises(ValidationError):
         fit(ds, SolverConfig())
@@ -694,7 +695,7 @@ def test_inexact_steps_at_paper_shape():
         # a class with no instances has nothing to solve: from zero it stays
         # exactly zero, without a 0/0
         labels = np.column_stack([ds.labels, np.zeros(n)])
-        empty = Dataset(layout=layout, skeleton=ds.skeleton, objects=ds.objects, labels=labels)
+        empty = Dataset(layout=layout, features=ds.features, labels=labels)
         assert not joint_step(empty, 0.1, 0.1, np.ones((342, 7)))[:, 6].any()
 
 
@@ -736,7 +737,7 @@ def square_interpolating_fixture(seed=211):
     objects = rng.standard_normal((3, n))
     labels = np.zeros((n, 2))
     labels[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
-    ds = Dataset(layout=layout, skeleton=skeleton, objects=objects, labels=labels)
+    ds = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
     stacked = np.vstack([skeleton, objects])
     coef = np.linalg.solve(stacked.T, labels)
     return ds, coef[:3], coef[3:]
@@ -747,7 +748,10 @@ def test_residual_is_zero_at_exact_unpenalized_solution():
     from poseact import Model
 
     model = Model(
-        layout=ds.layout, w=w, u=u, class_names=ds.class_names, hyperparams=SolverConfig()
+        layout=ds.layout,
+        weights=np.vstack((w, u)),
+        class_names=ds.class_names,
+        hyperparams=SolverConfig(),
     )
     assert stationarity_residual(ds, model, 0.0, 0.0, 1e-8) < 1e-8
 
@@ -780,7 +784,7 @@ def test_residual_matches_per_class_loop_oracle(small_dataset):
         u = rng.standard_normal((layout.d_o, 3))
         w[layout.joint_slices[1], 0] = 0.0  # a block on the epsilon floor
         model = Model(
-            layout=layout, w=w, u=u, class_names=small_dataset.class_names,
+            layout=layout, weights=np.vstack((w, u)), class_names=small_dataset.class_names,
             hyperparams=SolverConfig(),
         )
         worst = 0.0
@@ -828,7 +832,7 @@ def test_residual_normalizes_each_side_by_its_own_weights(small_dataset):
             np.max(np.linalg.norm(res_u, axis=0) / (1.0 + np.linalg.norm(u, axis=0))),
         )
         model = Model(
-            layout=layout, w=w, u=u, class_names=small_dataset.class_names,
+            layout=layout, weights=np.vstack((w, u)), class_names=small_dataset.class_names,
             hyperparams=SolverConfig(),
         )
         got = stationarity_residual(small_dataset, model, lam1, lam2, eps)
@@ -847,8 +851,12 @@ def test_residual_positive_for_unfitted_weights(small_dataset):
     rng = np.random.default_rng(149)
     model = Model(
         layout=small_dataset.layout,
-        w=rng.standard_normal((small_dataset.layout.d_t, 3)),
-        u=rng.standard_normal((small_dataset.layout.d_o, 3)),
+        weights=np.vstack(
+            (
+                rng.standard_normal((small_dataset.layout.d_t, 3)),
+                rng.standard_normal((small_dataset.layout.d_o, 3)),
+            )
+        ),
         class_names=small_dataset.class_names,
         hyperparams=SolverConfig(),
     )
