@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model, _group_norms, block_sums, check_int, check_sequence
+from .core import Model, _group_norms, _real_array, block_sums, check_int, check_sequence
 from .errors import ValidationError
 
 __all__ = [
@@ -55,7 +55,7 @@ def normalize_columns(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
     All-zero columns pass through unchanged and their indices are returned
     as flags rather than manufacturing NaNs.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = _real_array(matrix, "matrix", ndim=None).astype(np.float64, copy=False)
     if mat.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {mat.shape}")
     if np.any(mat < 0):

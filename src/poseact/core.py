@@ -218,10 +218,14 @@ def default_names(layout: FeatureLayout) -> GroupNames:
 
 
 def _real_array(value, what, ndim=2):
-    arr = np.asarray(value)
+    """value as an uncopied array of real numbers of rank ndim (None: any rank)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape" for ragged nesting
+        raise ValidationError(f"{what} must be a rectangular array, got ragged nesting") from None
     if arr.dtype.kind not in "fiu":  # bool, str, bytes, object, complex
         raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise LayoutError(f"{what} must be a {ndim}-d array, got shape {arr.shape}")
     return arr
 
@@ -387,18 +391,8 @@ class Model:
         names = self.names if self.names is not None else default_names(self.layout)
         names.check_against(self.layout)
         object.__setattr__(self, "names", names)
-        transform = self.standardizer
-        sides = () if transform is None else (
-            ("skeleton", self.layout.d_t, transform.skeleton_mean, transform.skeleton_constant),
-            ("object", self.layout.d_o, transform.object_mean, transform.object_constant),
-        )
-        for side, dim, mean, constant in sides:
-            if mean.shape[0] != dim:
-                raise LayoutError(
-                    f"standardizer has {mean.shape[0]} {side} features, layout has {dim}"
-                )
-            if any(not 0 <= i < dim for i in constant):
-                raise LayoutError(f"standardizer {side}_constant indices outside [0, {dim})")
+        if self.standardizer is not None and self.standardizer.layout != self.layout:
+            raise LayoutError("standardizer layout does not match model layout")
 
     @property
     def w(self) -> np.ndarray:

@@ -87,49 +87,37 @@ FORMAT_VERSION = 1
 class Standardizer:
     """Per-feature centering and scaling fitted on one training set.
 
-    Zero-variance features are centered but kept at scale 1; their indices
-    are recorded in skeleton_constant / object_constant so downstream
-    reports can flag them.
+    mean and scale are d-vectors over the rows of Dataset.features, [T; O]
+    for layout.  Zero-variance features are centered but kept at scale 1;
+    their row indices are recorded in constant so downstream reports can
+    flag them.
     """
 
-    skeleton_mean: np.ndarray = field(repr=False)
-    skeleton_scale: np.ndarray = field(repr=False)
-    object_mean: np.ndarray = field(repr=False)
-    object_scale: np.ndarray = field(repr=False)
-    skeleton_constant: tuple[int, ...] = ()
-    object_constant: tuple[int, ...] = ()
+    layout: FeatureLayout
+    mean: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    constant: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("skeleton_mean", "skeleton_scale", "object_mean", "object_scale"):
+        rows = self.layout.d_t + self.layout.d_o
+        for name in ("mean", "scale"):
             vector = _frozen_array(getattr(self, name), name, ndim=1)
+            if vector.shape[0] != rows:
+                raise LayoutError(f"{name} has {vector.shape[0]} entries, layout expects {rows}")
             _require_finite(vector, name)
             object.__setattr__(self, name, vector)
-        if self.skeleton_mean.shape != self.skeleton_scale.shape:
-            raise LayoutError("skeleton mean and scale lengths disagree")
-        if self.object_mean.shape != self.object_scale.shape:
-            raise LayoutError("object mean and scale lengths disagree")
-        if np.any(self.skeleton_scale <= 0) or np.any(self.object_scale <= 0):
+        if np.any(self.scale <= 0):
             raise ValidationError("scales must be strictly positive")
-        for name in ("skeleton_constant", "object_constant"):
-            # integers only; Model checks their range against its layout
-            indices = (
-                check_int(i, f"{name} entry", -math.inf, error=LayoutError)
-                for i in getattr(self, name)
-            )
-            object.__setattr__(self, name, tuple(indices))
+        indices = check_sequence(self.constant, "constant", LayoutError)
+        checked = [check_int(i, "constant entry", 0, rows, error=LayoutError) for i in indices]
+        object.__setattr__(self, "constant", tuple(checked))
 
     def apply(self, dataset: Dataset) -> Dataset:
         """Transform a dataset exactly the way the training set was transformed."""
-        for side, dim, mean in (
-            ("skeleton", dataset.layout.d_t, self.skeleton_mean),
-            ("object", dataset.layout.d_o, self.object_mean),
-        ):
-            if dim != mean.shape[0]:
-                raise LayoutError(
-                    f"dataset has {dim} {side} features, transform expects {mean.shape[0]}"
-                )
-        features = dataset.features - np.concatenate((self.skeleton_mean, self.object_mean))[:, None]
-        features /= np.concatenate((self.skeleton_scale, self.object_scale))[:, None]
+        if dataset.layout != self.layout:
+            raise LayoutError("dataset layout does not match standardizer layout")
+        features = dataset.features - self.mean[:, None]
+        features /= self.scale[:, None]
         return replace(dataset, features=features)
 
 
@@ -151,14 +139,11 @@ def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
     mean[constant] = features[constant, 0]
     # a spread too small to square (std underflows to 0) keeps scale 1 too
     scale[constant | (scale == 0.0)] = 1.0
-    d_t = dataset.layout.d_t
     transform = Standardizer(
-        skeleton_mean=mean[:d_t],
-        skeleton_scale=scale[:d_t],
-        object_mean=mean[d_t:],
-        object_scale=scale[d_t:],
-        skeleton_constant=tuple(np.flatnonzero(constant[:d_t]).tolist()),
-        object_constant=tuple(np.flatnonzero(constant[d_t:]).tolist()),
+        layout=dataset.layout,
+        mean=mean,
+        scale=scale,
+        constant=tuple(np.flatnonzero(constant).tolist()),
     )
     return transform.apply(dataset), transform
 
@@ -580,30 +565,52 @@ def load_dataset(path) -> Dataset:
 
 
 def _standardizer_to_dict(transform: Standardizer | None):
+    """The file's standardizer object: the stacked vectors and row indices cut
+    at d_t into the format's per-side skeleton_* and object_* keys."""
     if transform is None:
         return None
-    return {f.name: np.asarray(getattr(transform, f.name)).tolist() for f in fields(Standardizer)}
+    d_t = transform.layout.d_t
+    return {
+        "skeleton_mean": transform.mean[:d_t].tolist(),
+        "skeleton_scale": transform.scale[:d_t].tolist(),
+        "object_mean": transform.mean[d_t:].tolist(),
+        "object_scale": transform.scale[d_t:].tolist(),
+        "skeleton_constant": [i for i in transform.constant if i < d_t],
+        "object_constant": [i - d_t for i in transform.constant if i >= d_t],
+    }
 
 
-def _standardizer_from_dict(raw):
+def _standardizer_from_dict(raw, layout: FeatureLayout):
+    """Inverse of _standardizer_to_dict.  Each side's keys are checked against
+    layout before the halves are stacked, so a message names the key at fault."""
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise DataFormatError("standardizer must be an object or null")
-    for name in ("skeleton_mean", "skeleton_scale", "object_mean", "object_scale"):
-        vector = raw.get(name)
-        if isinstance(vector, list):  # anything else fails Standardizer's 1-d check
-            _check_numbers(vector, f"bad standardizer ({name})")
+    stacked = {"mean": [], "scale": [], "constant": []}
     try:
-        return Standardizer(
-            skeleton_mean=raw["skeleton_mean"],
-            skeleton_scale=raw["skeleton_scale"],
-            object_mean=raw["object_mean"],
-            object_scale=raw["object_scale"],
-            skeleton_constant=tuple(raw.get("skeleton_constant", ())),
-            object_constant=tuple(raw.get("object_constant", ())),
-        )
-    except (KeyError, LayoutError, ValidationError, TypeError, ValueError, OverflowError) as exc:
+        for side, dim, offset in (("skeleton", layout.d_t, 0), ("object", layout.d_o, layout.d_t)):
+            for stat in ("mean", "scale"):
+                name = f"{side}_{stat}"
+                vector = raw[name]
+                if not isinstance(vector, list):
+                    raise ValidationError(f"{name} must be a list of numbers")
+                _check_numbers(vector, f"bad standardizer ({name})")
+                if len(vector) != dim:
+                    raise LayoutError(
+                        f"standardizer has {len(vector)} {side} features, layout has {dim}"
+                    )
+                stacked[stat] += vector
+            name = f"{side}_constant"
+            indices = [
+                check_int(i, f"{name} entry", -math.inf, error=LayoutError)
+                for i in raw.get(name, ())
+            ]
+            if any(not 0 <= i < dim for i in indices):
+                raise LayoutError(f"standardizer {name} indices outside [0, {dim})")
+            stacked["constant"] += [offset + i for i in indices]
+        return Standardizer(layout, **stacked)
+    except (KeyError, LayoutError, ValidationError, TypeError) as exc:
         raise DataFormatError(f"bad standardizer ({exc})") from exc
 
 
@@ -645,27 +652,23 @@ def load_model(path) -> Model:
     except ConfigError as exc:
         raise DataFormatError(f"bad hyperparams ({exc})") from exc
     n_classes = len(classes)
-    w_flat = doc.get("w")
-    u_flat = doc.get("u")
-    if not isinstance(w_flat, list) or len(w_flat) != layout.d_t * n_classes:
-        raise DataFormatError(
-            f"w must hold {layout.d_t * n_classes} values for this layout and class count"
-        )
-    if not isinstance(u_flat, list) or len(u_flat) != layout.d_o * n_classes:
-        raise DataFormatError(
-            f"u must hold {layout.d_o * n_classes} values for this layout and class count"
-        )
-    for label, flat in (("w", w_flat), ("u", u_flat)):
-        _check_numbers(flat, f"{label} has a non-finite or non-numeric entry")
+    flat = []  # row-major W then row-major U is row-major [W; U]
+    for key, rows in (("w", layout.d_t), ("u", layout.d_o)):
+        values = doc.get(key)
+        if not isinstance(values, list) or len(values) != rows * n_classes:
+            raise DataFormatError(
+                f"{key} must hold {rows * n_classes} values for this layout and class count"
+            )
+        _check_numbers(values, f"{key} has a non-finite or non-numeric entry")
+        flat += values
     try:
         return Model(
             layout=layout,
-            # row-major W then row-major U is row-major [W; U]
-            weights=np.array(w_flat + u_flat, dtype=np.float64).reshape(-1, n_classes),
+            weights=np.array(flat, dtype=np.float64).reshape(-1, n_classes),
             class_names=tuple(classes),
             hyperparams=config,
             names=names,
-            standardizer=_standardizer_from_dict(doc.get("standardizer")),
+            standardizer=_standardizer_from_dict(doc.get("standardizer"), layout),
         )
     except (LayoutError, ValidationError) as exc:
         raise DataFormatError(f"bad model content ({exc})") from exc

@@ -45,6 +45,7 @@ from .core import (
     _labeled_weights,
     _objective,
     _penalty,
+    _real_array,
     check_int,
     check_number,
 )
@@ -274,8 +275,8 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
     m - m^2 / (2n) <= n - n^2 / (2n), up to 1e-12 absolute slack.  Requires
     n > 0 since the reference norm sits in a denominator.
     """
-    v = np.asarray(v, dtype=np.float64)
-    v_tilde = np.asarray(v_tilde, dtype=np.float64)
+    v = _real_array(v, "reference vector", ndim=None)
+    v_tilde = _real_array(v_tilde, "candidate vector", ndim=None)
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValidationError("reference vector must have positive norm")

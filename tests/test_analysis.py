@@ -107,6 +107,13 @@ def test_normalize_columns_basics():
         normalize_columns(np.array([[1.0], [-2.0]]))
     with pytest.raises(ValidationError, match="2-d"):
         normalize_columns(np.ones(4))
+    # numeric strings, booleans and ragged lists are not matrices of numbers
+    with pytest.raises(ValidationError, match="matrix must hold real numbers"):
+        normalize_columns([["1", "2"], ["3", "4"]])
+    with pytest.raises(ValidationError, match="matrix must hold real numbers"):
+        normalize_columns([[True, False], [False, True]])
+    with pytest.raises(ValidationError, match="matrix must be a rectangular array"):
+        normalize_columns([[1.0, 2.0], [3.0]])
 
 
 def test_report_normalized_columns_sum_to_one():

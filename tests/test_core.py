@@ -265,6 +265,11 @@ def test_dataset_rejects_non_numeric_arrays():
             Dataset(layout=layout, features=bad)
     with pytest.raises(ValidationError, match="label matrix must hold real numbers"):
         Dataset(layout=layout, features=np.ones((4, 1)), labels=np.array([[True, False]]))
+    # a ragged nested list is named too, not left to numpy's bare ValueError
+    with pytest.raises(ValidationError, match="feature matrix must be a rectangular array"):
+        Dataset(layout=layout, features=[[1.0, 2.0], [3.0]])
+    with pytest.raises(ValidationError, match="label matrix must be a rectangular array"):
+        Dataset(layout=layout, features=np.ones((4, 1)), labels=[[1.0, 0.0], [1.0]])
     # integers are numbers; numpy casts a mixed list such as [1, True] to int
     ds = Dataset(layout=layout, features=[[1], [True], [1], [1]])
     assert ds.skeleton.dtype == np.float64 and ds.skeleton[1, 0] == 1.0
@@ -408,6 +413,10 @@ def test_weight_inputs_reject_bool_and_string_entries(small_dataset, call):
         args = (w, bad) if side == "object" else (bad, u)
         with pytest.raises(ValidationError, match=f"{side} weight matrix must hold real numbers"):
             fn(*args)
+    ragged = [[0.0] * 3] * (rows - 1) + [[0.0] * 2]
+    args = (w, ragged) if side == "object" else (ragged, u)
+    with pytest.raises(ValidationError, match=f"{side} weight matrix must be a rectangular array"):
+        fn(*args)
 
 
 def test_weight_inputs_take_integers_and_reject_wrong_rank(small_dataset):

@@ -47,13 +47,12 @@ def test_standardize_hand_example():
     out, transform = standardize(dataset)
     # mean 2, population std 1 -> values land on -1 and +1
     assert np.allclose(out.skeleton, [[-1.0, 1.0]])
-    assert transform.skeleton_mean[0] == 2.0
-    assert transform.skeleton_scale[0] == 1.0
-    # the object feature is constant: centered, scale left at 1, and flagged
+    assert transform.mean[0] == 2.0
+    assert transform.scale[0] == 1.0
+    # the object feature (stacked row 1) is constant: centered, scale left at 1, and flagged
     assert np.allclose(out.objects, [[0.0, 0.0]])
-    assert transform.object_scale[0] == 1.0
-    assert transform.object_constant == (0,)
-    assert transform.skeleton_constant == ()
+    assert transform.scale[1] == 1.0
+    assert transform.constant == (1,)
 
 
 def test_standardize_flags_a_constant_row_whose_mean_rounds_off():
@@ -64,9 +63,9 @@ def test_standardize_flags_a_constant_row_whose_mean_rounds_off():
     # the object row varies, but too little for its std to survive squaring
     dataset = Dataset(layout=layout, features=np.vstack((skeleton, [[0.0, 1e-200, 0.0]])))
     out, transform = standardize(dataset)
-    assert transform.skeleton_constant == (0,) and transform.object_constant == ()
-    assert transform.skeleton_mean[0] == 0.1 and transform.skeleton_scale[0] == 1.0
-    assert transform.object_scale[0] == 1.0
+    assert transform.constant == (0,)
+    assert transform.mean[0] == 0.1 and transform.scale[0] == 1.0
+    assert transform.scale[1] == 1.0
     assert np.array_equal(out.skeleton, np.zeros((1, 3)))
     held_out = Dataset(layout=layout, features=[[0.2], [0.0]])
     # exactly 0.2 - 0.1, not the 7e15 a 1.4e-17 scale would give
@@ -79,8 +78,8 @@ def test_standardize_output_has_zero_mean_unit_variance(small_dataset):
         assert np.allclose(mat.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(mat.std(axis=1), 1.0, atol=1e-12)
     # population (not sample) statistics
-    assert np.allclose(transform.skeleton_mean, small_dataset.skeleton.mean(axis=1))
-    assert np.allclose(transform.skeleton_scale, small_dataset.skeleton.std(axis=1))
+    assert np.allclose(transform.mean, small_dataset.features.mean(axis=1))
+    assert np.allclose(transform.scale, small_dataset.features.std(axis=1))
 
 
 def test_standardize_requires_two_instances(small_layout):
@@ -112,10 +111,8 @@ def test_standardizer_apply_uses_training_statistics(small_layout):
     held_out = build_dataset(small_layout, n=12, n_classes=2, seed=12)
     _, transform = standardize(train)
     out = transform.apply(held_out)
-    expected = (held_out.skeleton - transform.skeleton_mean[:, None]) / (
-        transform.skeleton_scale[:, None]
-    )
-    assert np.allclose(out.skeleton, expected)
+    expected = (held_out.features - transform.mean[:, None]) / transform.scale[:, None]
+    assert np.allclose(out.features, expected)
     # held-out data is generally not centered by the training statistics
     assert not np.allclose(out.skeleton.mean(axis=1), 0.0, atol=1e-3)
 
@@ -124,31 +121,43 @@ def test_standardizer_apply_rejects_wrong_width(small_dataset):
     _, transform = standardize(small_dataset)
     other_layout = FeatureLayout(joint_dims=(4,), object_count=1, modality_dims=(2,))
     other = build_dataset(other_layout, n=9, n_classes=2, seed=0)
-    with pytest.raises(LayoutError, match="skeleton features"):
+    with pytest.raises(LayoutError, match="dataset layout does not match standardizer layout"):
         transform.apply(other)
 
 
 def test_standardizer_validates_its_fields():
-    good = dict(
-        skeleton_mean=[0.0, 0.0],
-        skeleton_scale=[1.0, 1.0],
-        object_mean=[0.0],
-        object_scale=[1.0],
-    )
-    Standardizer(**good)
+    layout = FeatureLayout(joint_dims=(2,), object_count=1, modality_dims=(1,))
+    good = dict(layout=layout, mean=[0.0, 0.0, 0.0], scale=[1.0, 1.0, 1.0])
+    assert Standardizer(**good, constant=(0, 2)).constant == (0, 2)
     with pytest.raises(ValidationError, match="strictly positive"):
-        Standardizer(**{**good, "skeleton_scale": [1.0, 0.0]})
+        Standardizer(**{**good, "scale": [1.0, 0.0, 1.0]})
     with pytest.raises(ValidationError, match="strictly positive"):
-        Standardizer(**{**good, "object_scale": [-1.0]})
-    with pytest.raises(LayoutError, match="lengths disagree"):
-        Standardizer(**{**good, "skeleton_mean": [0.0, 0.0, 0.0]})
+        Standardizer(**{**good, "scale": [1.0, 1.0, -1.0]})
+    with pytest.raises(LayoutError, match="mean has 4 entries, layout expects 3"):
+        Standardizer(**{**good, "mean": [0.0, 0.0, 0.0, 0.0]})
+    with pytest.raises(LayoutError, match="scale has 2 entries, layout expects 3"):
+        Standardizer(**{**good, "scale": [1.0, 1.0]})
+    with pytest.raises(LayoutError, match="mean must be a 1-d array"):
+        Standardizer(**{**good, "mean": [[0.0, 0.0, 0.0]]})
     with pytest.raises(ValidationError, match="non-finite"):
-        Standardizer(**{**good, "object_mean": [np.nan]})
-    # numeric strings and booleans are not numbers
-    with pytest.raises(ValidationError, match="skeleton_mean must hold real numbers"):
-        Standardizer(**{**good, "skeleton_mean": ["0.5", "1"], "skeleton_scale": [True, True]})
-    with pytest.raises(ValidationError, match="skeleton_scale must hold real numbers"):
-        Standardizer(**{**good, "skeleton_scale": [True, True]})
+        Standardizer(**{**good, "mean": [0.0, 0.0, np.nan]})
+    # numeric strings, booleans and ragged nesting are not numbers
+    with pytest.raises(ValidationError, match="mean must hold real numbers"):
+        Standardizer(**{**good, "mean": ["0.5", "1", "2"], "scale": [True, True, True]})
+    with pytest.raises(ValidationError, match="scale must hold real numbers"):
+        Standardizer(**{**good, "scale": [True, True, True]})
+    with pytest.raises(ValidationError, match="mean must be a rectangular array"):
+        Standardizer(**{**good, "mean": [[0.0, 0.0], [0.0]]})
+    # constant holds stacked row indices in [0, d)
+    with pytest.raises(LayoutError, match=r"constant entry out of range: must be in \[0, 3\)"):
+        Standardizer(**good, constant=(3,))
+    with pytest.raises(LayoutError, match="constant entry out of range"):
+        Standardizer(**good, constant=(-1,))
+    for index in (0.5, "1", True):
+        with pytest.raises(LayoutError, match="constant entry must be an integer"):
+            Standardizer(**good, constant=(index,))
+    with pytest.raises(LayoutError, match="constant must be a sequence"):
+        Standardizer(**good, constant=1)
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -936,11 +945,10 @@ def small_model(with_standardizer=False):
     transform = None
     if with_standardizer:
         transform = Standardizer(
-            skeleton_mean=rng.standard_normal(layout.d_t),
-            skeleton_scale=np.full(layout.d_t, 2.0),
-            object_mean=rng.standard_normal(layout.d_o),
-            object_scale=np.full(layout.d_o, 0.5),
-            skeleton_constant=(1,),
+            layout=layout,
+            mean=rng.standard_normal(layout.d_t + layout.d_o),
+            scale=np.repeat([2.0, 0.5], (layout.d_t, layout.d_o)),
+            constant=(1,),
         )
     return Model(
         layout=layout,
@@ -956,12 +964,27 @@ def small_model(with_standardizer=False):
 
 def test_model_rejects_standardizer_for_another_layout():
     transform = small_model(with_standardizer=True).standardizer
-    wider = replace(transform, object_mean=np.zeros(3), object_scale=np.ones(3))
-    with pytest.raises(LayoutError, match="standardizer has 3 object features, layout has 2"):
+    wider_layout = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(3,))
+    wider = replace(transform, layout=wider_layout, mean=np.zeros(6), scale=np.ones(6))
+    with pytest.raises(LayoutError, match="standardizer layout does not match model layout"):
         replace(small_model(), standardizer=wider)
-    outside = replace(transform, skeleton_constant=(3,))
-    with pytest.raises(LayoutError, match="skeleton_constant indices outside \\[0, 3\\)"):
-        replace(small_model(), standardizer=outside)
+    with pytest.raises(LayoutError, match=r"constant entry out of range: must be in \[0, 5\)"):
+        replace(transform, constant=(5,))
+
+
+def test_standardizer_for_another_block_split_is_rejected():
+    """Same d_t and d_o, different joints: the rows mean different features."""
+    model = small_model()
+    swapped = FeatureLayout(joint_dims=(1, 2), object_count=1, modality_dims=(2,))
+    assert (swapped.d_t, swapped.d_o) == (model.layout.d_t, model.layout.d_o)
+    transform = small_model(with_standardizer=True).standardizer
+    other = replace(transform, layout=swapped)
+    with pytest.raises(LayoutError, match="standardizer layout does not match model layout"):
+        replace(model, standardizer=other)
+    dataset = build_dataset(model.layout, n=4, n_classes=2, seed=5)
+    with pytest.raises(LayoutError, match="dataset layout does not match standardizer layout"):
+        other.apply(dataset)
+    assert transform.apply(dataset).layout == model.layout
 
 
 def test_model_file_round_trip(tmp_path):
@@ -998,10 +1021,35 @@ def test_model_file_round_trip_with_standardizer(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
-    assert np.array_equal(back.standardizer.skeleton_mean, model.standardizer.skeleton_mean)
-    assert np.array_equal(back.standardizer.object_scale, model.standardizer.object_scale)
-    assert back.standardizer.skeleton_constant == (1,)
-    assert back.standardizer.object_constant == ()
+    assert back.standardizer.layout == model.layout
+    assert np.array_equal(back.standardizer.mean, model.standardizer.mean)
+    assert np.array_equal(back.standardizer.scale, model.standardizer.scale)
+    assert back.standardizer.constant == (1,)
+
+
+def test_model_file_cuts_the_standardizer_at_d_t(tmp_path):
+    """The file keeps per-side keys; constant rows on both sides land on their side."""
+    model = small_model()  # d_t = 3, d_o = 2
+    transform = Standardizer(
+        layout=model.layout,
+        mean=[0.5, -1.0, 2.0, 0.25, 3.0],
+        scale=[2.0, 1.0, 0.5, 4.0, 1.0],
+        constant=(1, 2, 4),
+    )
+    path = tmp_path / "model.json"
+    save_model(replace(model, standardizer=transform), path)
+    assert json.loads(path.read_text())["standardizer"] == {
+        "skeleton_mean": [0.5, -1.0, 2.0],
+        "skeleton_scale": [2.0, 1.0, 0.5],
+        "object_mean": [0.25, 3.0],
+        "object_scale": [4.0, 1.0],
+        "skeleton_constant": [1, 2],
+        "object_constant": [1],
+    }
+    back = load_model(path).standardizer
+    assert back.constant == (1, 2, 4)
+    assert back.mean.tolist() == transform.mean.tolist()
+    assert back.scale.tolist() == transform.scale.tolist()
 
 
 def test_model_file_bytes_are_stable(tmp_path):

@@ -58,3 +58,8 @@ def test_package_exports_exactly_the_documented_surface():
     # perfbench's span tracer patches functions in each submodule it reaches from the package
     for module_name in ("core", "data", "solver", "analysis", "bench", "errors"):
         assert getattr(poseact, module_name).__name__ == f"poseact.{module_name}"
+    # its standardization spans wrap data.standardize, which the package re-exports,
+    # and the apply method the Standardizer class defines itself
+    assert poseact.standardize is poseact.data.standardize
+    assert poseact.Standardizer is poseact.data.Standardizer
+    assert callable(vars(poseact.data.Standardizer)["apply"])

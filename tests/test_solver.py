@@ -715,6 +715,17 @@ def test_inequality_rejects_zero_reference():
         check_reweighting_inequality(np.zeros(3), np.ones(3))
 
 
+def test_inequality_rejects_non_numeric_and_ragged_vectors():
+    with pytest.raises(ValidationError, match="reference vector must hold real numbers"):
+        check_reweighting_inequality(["1", "2"], ["0.5", "0"])
+    with pytest.raises(ValidationError, match="candidate vector must hold real numbers"):
+        check_reweighting_inequality([1.0, 2.0], [True, False])
+    with pytest.raises(ValidationError, match="candidate vector must be a rectangular array"):
+        check_reweighting_inequality([1.0, 2.0], [[1.0, 2.0], [3.0]])
+    # integers are numbers
+    assert check_reweighting_inequality([2, 0], [1, 0])
+
+
 def test_inequality_holds_on_random_pairs():
     rng = np.random.default_rng(139)
     for _ in range(2000):
