@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model, _group_norms, _real_array, block_sums, check_int, check_sequence
+from .core import Model, _group_norms, block_sums, check_int, check_sequence
 from .errors import ValidationError
 
 __all__ = [
     "ImportanceReport",
     "joint_importance",
     "object_importance",
-    "normalize_columns",
     "importance_report",
     "report_to_dict",
     "format_report_table",
@@ -47,20 +46,6 @@ def object_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, n
     n_mod = model.layout.n_modalities
     per_object = by_class.reshape(model.layout.object_count, n_mod, -1).sum(axis=1)
     return by_class, per_object
-
-
-def normalize_columns(matrix) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Scale each column of a nonnegative matrix to sum to 1.
-
-    All-zero columns pass through unchanged and their indices are returned
-    as flags rather than manufacturing NaNs.
-    """
-    mat = _real_array(matrix, "matrix", ndim=None).astype(np.float64, copy=False)
-    if mat.ndim != 2:
-        raise ValidationError(f"expected a 2-d matrix, got shape {mat.shape}")
-    if np.any(mat < 0):
-        raise ValidationError("normalize_columns needs nonnegative entries")
-    return _column_shares(mat)
 
 
 def _column_shares(mat):

@@ -21,7 +21,7 @@ from .bench import bench_predict, format_result_table, result_to_dict
 from .core import SEED_RANGE, FeatureLayout, check_int, check_number, predict_batch
 from .data import (
     SynthSpec,
-    _atomic_write,
+    _write_json,
     generate,
     load_dataset,
     load_model,
@@ -104,10 +104,6 @@ def _parse_planted_blocks(text, flag):
     return tuple(groups)
 
 
-def _write_json(path, doc):
-    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode(), overwrite=True)
-
-
 def _load_labeled(path, what):
     dataset = load_dataset(path)
     if dataset.labels is None:
@@ -152,6 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "ablation": args.ablation,
             "class_counts": dataset.class_counts(),
         },
+        overwrite=True,
     )
     if not report.converged:
         print(
@@ -188,7 +185,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if accuracy is not None:
         doc["accuracy"] = accuracy
     if args.out is not None:
-        _write_json(args.out, doc)
+        _write_json(args.out, doc, overwrite=True)
         line = f"{len(predicted)} predictions written to {args.out}"
         if accuracy is not None:
             line += f", accuracy {accuracy:.4f}"
@@ -215,7 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         doc = report_to_dict(report, model)
         doc["selected_joints"] = None if joints is None else list(joints)
         doc["selected_classes"] = None if classes is None else list(classes)
-        _write_json(args.out, doc)
+        _write_json(args.out, doc, overwrite=True)
         print(f"report written to {args.out}")
     return 0
 
@@ -250,7 +247,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     result = bench_predict(model, dataset, min_duration_seconds=args.min_duration)
     print(format_result_table(result))
     if args.out is not None:
-        _write_json(args.out, result_to_dict(result))
+        _write_json(args.out, result_to_dict(result), overwrite=True)
         print(f"result written to {args.out}")
     return 0
 
@@ -303,6 +300,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 "standardized": args.standardize,
                 "results": rows,
             },
+            overwrite=True,
         )
         print(f"models and comparison written with prefix {args.out}")
     return 0

@@ -360,12 +360,13 @@ class Dataset:
 class Model:
     """Per-class weight columns over skeleton (w) and object (u) features.
 
-    weights is the (d_t + d_o) x C matrix [w; u], stored as a read-only copy;
-    w and u are its first d_t and last d_o rows (views, not copies), so one
-    frame scores as [t; o]'weights.  names and standardizer are optional
-    metadata carried along so reports can label blocks and so raw inputs can
-    be re-scaled the way the training data was; both must match the layout.
-    Scoring itself never touches either.
+    weights is the (d_t + d_o) x C matrix [w; u], stored as a read-only copy
+    in the memory order it was given; w and u are its first d_t and last d_o
+    rows (views, not copies), so one frame scores as [t; o]'weights.  names
+    and standardizer are optional metadata carried along so reports can
+    label blocks and so raw inputs can be re-scaled the way the training
+    data was; both must match the layout.  Scoring itself never touches
+    either.
     """
 
     layout: FeatureLayout
@@ -376,16 +377,13 @@ class Model:
     standardizer: "Standardizer | None" = field(default=None, repr=False)
 
     def __post_init__(self):
-        weights = _frozen_array(self.weights, "weight matrix")
         class_names = _str_tuple(self.class_names, "class names")
         if not class_names:
             raise ValidationError("a model needs at least one class")
         if len(set(class_names)) != len(class_names):
             raise ValidationError("class names must be unique")
-        expected = (self.layout.d_t + self.layout.d_o, len(class_names))
-        if weights.shape != expected:
-            raise LayoutError(f"weight matrix has shape {weights.shape}, expected {expected}")
-        _require_finite(weights, "weight matrix")
+        weights = _weight_matrix(self.weights, self.layout, len(class_names)).copy(order="K")
+        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "class_names", class_names)
         names = self.names if self.names is not None else default_names(self.layout)
@@ -410,8 +408,19 @@ class Model:
 # --- norms, loss, scoring -------------------------------------------------
 
 
+def _weight_matrix(weights, layout: FeatureLayout, n_classes) -> np.ndarray:
+    """The stacked [W; U], real, finite and d x n_classes, as a float array (uncopied if
+    it is one); Model and every function that reads the whole matrix check it here."""
+    arr = _real_array(weights, "weight matrix")
+    expected = (layout.d_t + layout.d_o, n_classes)
+    if arr.shape != expected:
+        raise LayoutError(f"weight matrix has shape {arr.shape}, expected {expected}")
+    _require_finite(arr, "weight matrix")
+    return arr.astype(np.float64, copy=False)
+
+
 def _check_weight_matrix(mat, rows, what):
-    """mat as a float array, checked the way Model checks its weights."""
+    """mat, one half of the stacked weights, as a float array with rows rows."""
     arr = _real_array(mat, what)
     if arr.shape[0] != rows:
         raise LayoutError(f"{what} must have {rows} rows, got shape {arr.shape}")
@@ -471,48 +480,41 @@ def _gram_loss(blocks: NormalEquations, x, gram_x) -> float:
     return max(0.0, float(total))
 
 
-def _labeled_weights(dataset: Dataset, w, u, what):
-    """The stacked weights [W; U] as one float array, with W and U checked
-    against the dataset's layout and class count."""
+def _labeled_weights(dataset: Dataset, weights, what):
+    """The stacked weights [W; U] as a float array, checked against the
+    dataset's layout and class count."""
     if dataset.labels is None:
         raise ValidationError(f"{what} needs a labeled dataset")
-    w = _check_weight_matrix(w, dataset.layout.d_t, "skeleton weight matrix")
-    u = _check_weight_matrix(u, dataset.layout.d_o, "object weight matrix")
-    if w.shape[1] != dataset.labels.shape[1] or u.shape[1] != dataset.labels.shape[1]:
-        raise LayoutError(
-            f"weight matrices have {w.shape[1]} and {u.shape[1]} columns "
-            f"for {dataset.labels.shape[1]} classes"
-        )
-    return np.vstack([w, u])
+    return _weight_matrix(weights, dataset.layout, dataset.labels.shape[1])
 
 
-def loss(dataset: Dataset, w, u) -> float:
-    """Squared Frobenius residual of the joint linear fit against the labels.
+def loss(dataset: Dataset, weights) -> float:
+    """Squared Frobenius residual of the joint linear fit [T; O]'[W; U] against the labels.
 
     Read from dataset.normal_equations with no pass over the N instances;
     the first call on a fresh dataset builds and caches those blocks
     (O(N d^2)).
     """
-    x = _labeled_weights(dataset, w, u, "loss")
+    x = _labeled_weights(dataset, weights, "loss")
     blocks = dataset.normal_equations
     return _gram_loss(blocks, x, blocks.gram @ x)
 
 
-def _objective(dataset: Dataset, w, u, lambda1, lambda2, epsilon, what) -> float:
+def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> float:
     """objective with every block norm smoothed to sqrt(||block||^2 + epsilon^2);
     epsilon = 0 gives the exact one.  what names the caller in messages."""
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
-    x = _labeled_weights(dataset, w, u, what)
+    x = _labeled_weights(dataset, weights, what)
     blocks = dataset.normal_equations
     return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
         dataset.layout, _group_norms(x, dataset.layout.block_dims, epsilon), lambda1, lambda2
     )
 
 
-def objective(dataset: Dataset, w, u, lambda1: float, lambda2: float) -> float:
+def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
-    return _objective(dataset, w, u, lambda1, lambda2, 0.0, "objective")
+    return _objective(dataset, weights, lambda1, lambda2, 0.0, "objective")
 
 
 def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:

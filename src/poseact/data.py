@@ -215,11 +215,10 @@ class SynthSpec:
 
 @dataclass(frozen=True, eq=False)
 class GeneratedData:
-    """A synthetic dataset together with the weights that produced its labels."""
+    """A synthetic dataset and the stacked weights [W; U] (read-only) behind its labels."""
 
     dataset: Dataset
-    true_w: np.ndarray = field(repr=False)
-    true_u: np.ndarray = field(repr=False)
+    true_weights: np.ndarray = field(repr=False)
 
 
 def generate(spec: SynthSpec) -> GeneratedData:
@@ -232,8 +231,8 @@ def generate(spec: SynthSpec) -> GeneratedData:
     """
     layout = spec.layout
     rng = np.random.default_rng(spec.seed)
-    true_w = np.zeros((layout.d_t, spec.n_classes))
-    true_u = np.zeros((layout.d_o, spec.n_classes))
+    true_weights = np.zeros((layout.d_t + layout.d_o, spec.n_classes))
+    true_w, true_u = true_weights[: layout.d_t], true_weights[layout.d_t :]
     for c in range(spec.n_classes):
         for j in spec.planted_joints[c]:
             sl = layout.joint_slices[j]
@@ -259,9 +258,8 @@ def generate(spec: SynthSpec) -> GeneratedData:
         labels=labels,
         class_names=tuple(f"class_{c}" for c in range(spec.n_classes)),
     )
-    true_w.setflags(write=False)
-    true_u.setflags(write=False)
-    return GeneratedData(dataset=dataset, true_w=true_w, true_u=true_u)
+    true_weights.setflags(write=False)
+    return GeneratedData(dataset=dataset, true_weights=true_weights)
 
 
 # --- splitting ---------------------------------------------------------------
@@ -296,6 +294,11 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
 
 
 # --- files -------------------------------------------------------------------
+
+
+def _write_json(path, doc, overwrite: bool) -> None:
+    """Write doc atomically as indented JSON plus a newline: models, reports, predictions."""
+    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode(), overwrite)
 
 
 def _atomic_write(path, data: bytes, overwrite):
@@ -628,7 +631,7 @@ def save_model(model: Model, path, overwrite: bool = False) -> None:
         "u": model.u.ravel(order="C").tolist(),
         "standardizer": _standardizer_to_dict(model.standardizer),
     }
-    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode(), overwrite)
+    _write_json(path, doc, overwrite)
 
 
 def load_model(path) -> Model:

@@ -46,6 +46,7 @@ from .core import (
     _objective,
     _penalty,
     _real_array,
+    _require_finite,
     check_int,
     check_number,
 )
@@ -273,10 +274,12 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
 
     With n = ||v|| and m = ||v_tilde||, checks
     m - m^2 / (2n) <= n - n^2 / (2n), up to 1e-12 absolute slack.  Requires
-    n > 0 since the reference norm sits in a denominator.
+    finite entries, and n > 0 since the reference norm sits in a denominator.
     """
     v = _real_array(v, "reference vector", ndim=None)
     v_tilde = _real_array(v_tilde, "candidate vector", ndim=None)
+    _require_finite(v, "reference vector")
+    _require_finite(v_tilde, "candidate vector")
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValidationError("reference vector must have positive norm")
@@ -298,9 +301,9 @@ def stationarity_residual(
     1 / (1 + ||u||).  Near a fixed point of the reweighted updates this
     goes to zero.
     """
-    x = _labeled_weights(dataset, model.w, model.u, "stationarity_residual")
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
+    x = _labeled_weights(dataset, model.weights, "stationarity_residual")
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
@@ -314,7 +317,7 @@ def stationarity_residual(
 
 
 def smoothed_objective(
-    dataset: Dataset, w, u, lambda1: float, lambda2: float, epsilon: float
+    dataset: Dataset, weights, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
     """Objective with every block norm replaced by sqrt(||block||^2 + epsilon^2).
 
@@ -322,19 +325,18 @@ def smoothed_objective(
     smoothed_gradients meaningful.
     """
     epsilon = check_number(epsilon, "epsilon", strict=True)
-    return _objective(dataset, w, u, lambda1, lambda2, epsilon, "smoothed_objective")
+    return _objective(dataset, weights, lambda1, lambda2, epsilon, "smoothed_objective")
 
 
 def smoothed_gradients(
-    dataset: Dataset, w, u, lambda1: float, lambda2: float, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of smoothed_objective with respect to W and U."""
-    x = _labeled_weights(dataset, w, u, "smoothed_gradients")
+    dataset: Dataset, weights, lambda1: float, lambda2: float, epsilon: float
+) -> np.ndarray:
+    """Analytic gradient of smoothed_objective, one array shaped like the weights [W; U]."""
+    x = _labeled_weights(dataset, weights, "smoothed_gradients")
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
-    blocks, d_t = dataset.normal_equations, dataset.layout.d_t
+    blocks = dataset.normal_equations
     dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
     smoothed_norms = np.repeat(_group_norms(x, dims, epsilon), dims, axis=0)
-    grad = 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms
-    return grad[:d_t], grad[d_t:]
+    return 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms

@@ -164,7 +164,7 @@ def test_03_unpenalized_fit_matches_least_squares():
         stacked = np.vstack([skeleton, objects])
         coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
         oracle = float(np.sum((stacked.T @ coef - labels) ** 2))
-        mine = loss(dataset, model.w, model.u)
+        mine = loss(dataset, model.weights)
         worst = max(worst, abs(mine - oracle) / max(oracle, 1e-30))
     seconds = time.perf_counter() - start
     ok = worst < 1e-6 and seconds < 10.0
@@ -212,17 +212,17 @@ def test_05_smoothed_gradient_matches_finite_differences():
         labels = np.zeros((n, c))
         labels[np.arange(n), g.integers(0, c, size=n)] = 1.0
         dataset = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
-        w = g.standard_normal((layout.d_t, c))
-        u = g.standard_normal((layout.d_o, c))
-        grad_w, grad_u = smoothed_gradients(dataset, w, u, 0.1, 0.1, eps)
-        for arr, grad in ((w, grad_w), (u, grad_u)):
-            idx = (int(g.integers(arr.shape[0])), int(g.integers(c)))
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up = smoothed_objective(dataset, w, u, 0.1, 0.1, eps)
-            arr[idx] = orig - h
-            down = smoothed_objective(dataset, w, u, 0.1, 0.1, eps)
-            arr[idx] = orig
+        x = np.vstack((g.standard_normal((layout.d_t, c)), g.standard_normal((layout.d_o, c))))
+        grad = smoothed_gradients(dataset, x, 0.1, 0.1, eps)
+        # one entry of the skeleton rows, then one of the object rows
+        for first, rows in ((0, layout.d_t), (layout.d_t, layout.d_o)):
+            idx = (first + int(g.integers(rows)), int(g.integers(c)))
+            orig = x[idx]
+            x[idx] = orig + h
+            up = smoothed_objective(dataset, x, 0.1, 0.1, eps)
+            x[idx] = orig - h
+            down = smoothed_objective(dataset, x, 0.1, 0.1, eps)
+            x[idx] = orig
             fd = (up - down) / (2 * h)
             worst = max(worst, abs(fd - grad[idx]) / max(abs(fd), 1e-12))
     ok = worst < 1e-5

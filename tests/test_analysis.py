@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from poseact import FeatureLayout, Model, SolverConfig, importance_report
 from poseact.analysis import (
     format_report_table,
     joint_importance,
-    normalize_columns,
     object_importance,
     report_to_dict,
 )
@@ -97,23 +97,16 @@ def test_signed_scores_sum_raw_entries():
     assert unsigned[0, 0] == pytest.approx(np.sqrt(18.0))
 
 
-def test_normalize_columns_basics():
-    out, zero = normalize_columns(np.array([[1.0, 0.0], [3.0, 0.0]]))
-    assert np.allclose(out[:, 0], [0.25, 0.75])
-    # the all-zero column passes through untouched and gets flagged
-    assert np.allclose(out[:, 1], 0.0)
-    assert zero == (1,)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        normalize_columns(np.array([[1.0], [-2.0]]))
-    with pytest.raises(ValidationError, match="2-d"):
-        normalize_columns(np.ones(4))
-    # numeric strings, booleans and ragged lists are not matrices of numbers
-    with pytest.raises(ValidationError, match="matrix must hold real numbers"):
-        normalize_columns([["1", "2"], ["3", "4"]])
-    with pytest.raises(ValidationError, match="matrix must hold real numbers"):
-        normalize_columns([[True, False], [False, True]])
-    with pytest.raises(ValidationError, match="matrix must be a rectangular array"):
-        normalize_columns([[1.0, 2.0], [3.0]])
+def test_report_rejects_negative_unsigned_scores():
+    # unsigned scores are block norms; signed ones may be negative
+    good = importance_report(make_model())
+    for name in ("joint_by_class", "object_modality_by_class"):
+        flipped = {name: -getattr(good, name)}
+        with pytest.raises(
+            ValidationError, match="^unsigned importance scores must be nonnegative$"
+        ):
+            replace(good, **flipped)
+        assert replace(good, signed=True, **flipped).signed
 
 
 def test_report_normalized_columns_sum_to_one():

@@ -370,19 +370,26 @@ def test_norm_rejects_wrong_row_count(small_layout):
         attribute_norm(np.zeros((small_layout.d_o - 1, 2)), small_layout)
 
 
-# every public function that reads W or U arrays, by name
+# every public function that reads a weight matrix, by name, as a call on the
+# stacked [W; U]; the norms each read one half of it
 def _weight_calls(ds):
     return {
-        "loss": lambda w, u: loss(ds, w, u),
-        "objective": lambda w, u: objective(ds, w, u, 0.1, 0.1),
-        "smoothed_objective": lambda w, u: smoothed_objective(ds, w, u, 0.1, 0.1, 1e-3),
-        "smoothed_gradients": lambda w, u: smoothed_gradients(ds, w, u, 0.1, 0.1, 1e-3),
-        "skeletal_norm": lambda w, u: skeletal_norm(w, ds.layout),
-        "attribute_norm": lambda w, u: attribute_norm(u, ds.layout),
+        "Model": lambda x: Model(
+            layout=ds.layout, weights=x, class_names=ds.class_names, hyperparams=SolverConfig()
+        ),
+        "loss": lambda x: loss(ds, x),
+        "objective": lambda x: objective(ds, x, 0.1, 0.1),
+        "smoothed_objective": lambda x: smoothed_objective(ds, x, 0.1, 0.1, 1e-3),
+        "smoothed_gradients": lambda x: smoothed_gradients(ds, x, 0.1, 0.1, 1e-3),
+        "skeletal_norm": lambda x: skeletal_norm(x[: ds.layout.d_t], ds.layout),
+        "attribute_norm": lambda x: attribute_norm(x[ds.layout.d_t :], ds.layout),
     }
 
 
 WEIGHT_CALLS = tuple(_weight_calls(None))
+
+# the name in a call's messages for the matrix it reads: Model's, but for the norms
+HALF_NAMES = {"skeletal_norm": "skeleton weight matrix", "attribute_norm": "object weight matrix"}
 
 
 @pytest.mark.parametrize("call", WEIGHT_CALLS)
@@ -390,43 +397,50 @@ WEIGHT_CALLS = tuple(_weight_calls(None))
 def test_weight_inputs_reject_non_finite_entries(small_dataset, call, value):
     """Rejected, not hidden: loss clamps at 0.0, and max(0.0, nan) is 0.0."""
     layout = small_dataset.layout
-    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
-    # a whole bad skeleton matrix, or one bad object entry
-    bad_w, bad_u = np.full_like(w, value), u.copy()
-    bad_u[-1, -1] = value
     fn = _weight_calls(small_dataset)[call]
-    for args, what in (((bad_w, u), "skeleton"), ((w, bad_u), "object")):
-        if (call, what) in (("skeletal_norm", "object"), ("attribute_norm", "skeleton")):
-            continue  # the call does not read that matrix
-        with pytest.raises(ValidationError, match=f"{what} weight matrix contains non-finite"):
-            fn(*args)
+    what = HALF_NAMES.get(call, "weight matrix")
+    # a whole bad skeleton half, or one bad object entry
+    bad_w = np.zeros((layout.d_t + layout.d_o, 3))
+    bad_w[: layout.d_t] = value
+    bad_u = np.zeros_like(bad_w)
+    bad_u[-1, -1] = value
+    for x, side in ((bad_w, "skeleton"), (bad_u, "object")):
+        if what not in ("weight matrix", f"{side} weight matrix"):
+            continue  # the norm does not read that half
+        with pytest.raises(ValidationError, match=f"^{what} contains non-finite values$"):
+            fn(x)
 
 
 @pytest.mark.parametrize("call", WEIGHT_CALLS)
 def test_weight_inputs_reject_bool_and_string_entries(small_dataset, call):
     layout = small_dataset.layout
     fn = _weight_calls(small_dataset)[call]
-    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
-    side = "object" if call == "attribute_norm" else "skeleton"
-    rows = layout.d_o if side == "object" else layout.d_t
+    what = HALF_NAMES.get(call, "weight matrix")
+    rows = layout.d_t + layout.d_o
     for bad in (np.ones((rows, 3), dtype=bool), np.full((rows, 3), "1.5"), np.full((rows, 3), "a")):
-        args = (w, bad) if side == "object" else (bad, u)
-        with pytest.raises(ValidationError, match=f"{side} weight matrix must hold real numbers"):
-            fn(*args)
-    ragged = [[0.0] * 3] * (rows - 1) + [[0.0] * 2]
-    args = (w, ragged) if side == "object" else (ragged, u)
-    with pytest.raises(ValidationError, match=f"{side} weight matrix must be a rectangular array"):
-        fn(*args)
+        with pytest.raises(
+            ValidationError, match=f"^{what} must hold real numbers, got dtype {bad.dtype}$"
+        ):
+            fn(bad)
+    # short first and last rows, so each half is ragged too
+    ragged = [[0.0] * 2] + [[0.0] * 3] * (rows - 2) + [[0.0] * 2]
+    with pytest.raises(
+        ValidationError, match=f"^{what} must be a rectangular array, got ragged nesting$"
+    ):
+        fn(ragged)
 
 
 def test_weight_inputs_take_integers_and_reject_wrong_rank(small_dataset):
     layout = small_dataset.layout
-    w, u = np.zeros((layout.d_t, 3)), np.zeros((layout.d_o, 3))
-    ints = np.ones((layout.d_t, 3), dtype=np.int64)
-    assert loss(small_dataset, ints, u) == loss(small_dataset, ints.astype(float), u)
-    assert skeletal_norm(ints, layout) == skeletal_norm(ints.astype(float), layout)
-    with pytest.raises(LayoutError, match="skeleton weight matrix must be a 2-d array"):
-        loss(small_dataset, w[:, 0], u)
+    ints = np.ones((layout.d_t + layout.d_o, 3), dtype=np.int64)
+    for call, fn in _weight_calls(small_dataset).items():
+        got, want = fn(ints), fn(ints.astype(float))
+        if call == "Model":
+            got, want = got.weights, want.weights
+        assert np.array_equal(got, want), call
+        what = HALF_NAMES.get(call, "weight matrix")
+        with pytest.raises(LayoutError, match=rf"^{what} must be a 2-d array, got shape \(\d+,\)$"):
+            fn(ints[:, 0])
 
 
 # --- loss and objective -----------------------------------------------------
@@ -443,7 +457,7 @@ def test_loss_hand_example():
     w = np.array([[0.9, 0.1]])
     u = np.array([[0.1, 0.9]])
     # fitted scores: row0 = (0.9, 0.1), row1 = (0.1, 0.9); residual 0.1 in |.|
-    assert loss(ds, w, u) == pytest.approx(0.04)
+    assert loss(ds, np.vstack((w, u))) == pytest.approx(0.04)
 
 
 def test_loss_matches_loop_oracle(small_dataset):
@@ -457,11 +471,12 @@ def test_loss_matches_loop_oracle(small_dataset):
         for c in range(3):
             pred = float(t @ w[:, c] + o @ u[:, c])
             total += (pred - small_dataset.labels[i, c]) ** 2
-    assert loss(small_dataset, w, u) == pytest.approx(total, rel=1e-12)
+    assert loss(small_dataset, np.vstack((w, u))) == pytest.approx(total, rel=1e-12)
 
 
 def test_loss_requires_labels(small_layout):
     rng = np.random.default_rng(41)
+    d = small_layout.d_t + small_layout.d_o
     ds = Dataset(
         layout=small_layout,
         features=np.vstack(
@@ -469,20 +484,20 @@ def test_loss_requires_labels(small_layout):
         ),
     )
     with pytest.raises(ValidationError):
-        loss(ds, np.zeros((small_layout.d_t, 2)), np.zeros((small_layout.d_o, 2)))
+        loss(ds, np.zeros((d, 2)))
     # one weight column for three classes must not broadcast
     labeled = build_dataset(small_layout, n=4, n_classes=3, seed=41)
-    w, u = np.zeros((small_layout.d_t, 1)), np.zeros((small_layout.d_o, 1))
-    one_class = Model(
-        layout=small_layout, weights=np.vstack((w, u)), class_names=("a",), hyperparams=SolverConfig()
-    )
+    x = np.zeros((d, 1))
+    one_class = Model(layout=small_layout, weights=x, class_names=("a",), hyperparams=SolverConfig())
     for call in (
-        lambda: loss(labeled, w, u),
-        lambda: smoothed_objective(labeled, w, u, 0.1, 0.1, 1e-3),
-        lambda: smoothed_gradients(labeled, w, u, 0.1, 0.1, 1e-3),
+        lambda: loss(labeled, x),
+        lambda: smoothed_objective(labeled, x, 0.1, 0.1, 1e-3),
+        lambda: smoothed_gradients(labeled, x, 0.1, 0.1, 1e-3),
         lambda: stationarity_residual(labeled, one_class, 0.1, 0.1, 1e-8),
     ):
-        with pytest.raises(LayoutError, match="1 and 1 columns for 3 classes"):
+        with pytest.raises(
+            LayoutError, match=rf"^weight matrix has shape \({d}, 1\), expected \({d}, 3\)$"
+        ):
             call()
 
 
@@ -491,25 +506,23 @@ def test_objective_combines_terms(small_dataset):
     layout = small_dataset.layout
     w = rng.standard_normal((layout.d_t, 3))
     u = rng.standard_normal((layout.d_o, 3))
+    x = np.vstack((w, u))
     expected = (
-        loss(small_dataset, w, u)
+        loss(small_dataset, x)
         + 0.3 * skeletal_norm(w, layout)
         + 0.7 * attribute_norm(u, layout)
     )
-    assert objective(small_dataset, w, u, 0.3, 0.7) == pytest.approx(expected, rel=1e-12)
+    assert objective(small_dataset, x, 0.3, 0.7) == pytest.approx(expected, rel=1e-12)
     # zero weights on both penalties reduces to the loss
-    assert objective(small_dataset, w, u, 0.0, 0.0) == pytest.approx(
-        loss(small_dataset, w, u)
-    )
+    assert objective(small_dataset, x, 0.0, 0.0) == pytest.approx(loss(small_dataset, x))
 
 
 def test_objective_rejects_negative_penalty(small_dataset):
-    w = np.zeros((small_dataset.layout.d_t, 3))
-    u = np.zeros((small_dataset.layout.d_o, 3))
+    x = np.zeros((small_dataset.layout.d_t + small_dataset.layout.d_o, 3))
     with pytest.raises(ConfigError):
-        objective(small_dataset, w, u, -0.1, 0.1)
+        objective(small_dataset, x, -0.1, 0.1)
     with pytest.raises(ConfigError):
-        objective(small_dataset, w, u, 0.1, float("nan"))
+        objective(small_dataset, x, 0.1, float("nan"))
 
 
 # --- prediction -------------------------------------------------------------

@@ -233,8 +233,8 @@ def test_generate_shapes_and_one_hot_labels():
     assert np.array_equal(np.sort(np.unique(dataset.labels)), [0.0, 1.0])
     assert np.array_equal(dataset.labels.sum(axis=1), np.ones(40))
     assert dataset.class_names == ("class_0", "class_1")
-    assert made.true_w.shape == (LAYOUT.d_t, 2)
-    assert made.true_u.shape == (LAYOUT.d_o, 2)
+    assert made.true_weights.shape == (LAYOUT.d_t + LAYOUT.d_o, 2)
+    assert not made.true_weights.flags.writeable
 
 
 def test_generate_is_deterministic():
@@ -243,7 +243,7 @@ def test_generate_is_deterministic():
     assert np.array_equal(a.dataset.skeleton, b.dataset.skeleton)
     assert np.array_equal(a.dataset.objects, b.dataset.objects)
     assert np.array_equal(a.dataset.labels, b.dataset.labels)
-    assert np.array_equal(a.true_w, b.true_w)
+    assert np.array_equal(a.true_weights, b.true_weights)
     c = generate(make_spec(seed=6))
     assert not np.array_equal(a.dataset.skeleton, c.dataset.skeleton)
 
@@ -254,17 +254,18 @@ def test_generate_puts_weight_only_on_planted_support():
         planted_blocks=(((0, 1),), ((1, 0), (0, 0))),
     )
     made = generate(spec)
+    true_w, true_u = made.true_weights[: LAYOUT.d_t], made.true_weights[LAYOUT.d_t :]
     for c in range(spec.n_classes):
         planted = set(spec.planted_joints[c])
         for j, sl in enumerate(LAYOUT.joint_slices):
-            block = made.true_w[sl, c]
+            block = true_w[sl, c]
             if j in planted:
                 assert np.all(block != 0.0)
             else:
                 assert np.all(block == 0.0)
         planted_idx = {LAYOUT.object_block_index(o, m) for o, m in spec.planted_blocks[c]}
         for b, sl in enumerate(LAYOUT.object_block_slices):
-            block = made.true_u[sl, c]
+            block = true_u[sl, c]
             if b in planted_idx:
                 assert np.all(block != 0.0)
             else:
@@ -277,8 +278,9 @@ def test_generate_labels_are_argmax_of_clean_scores():
     spec = make_spec(noise_sigma=0.0, n_instances=80, seed=13)
     made = generate(spec)
     dataset = made.dataset
+    true_w, true_u = made.true_weights[: LAYOUT.d_t], made.true_weights[LAYOUT.d_t :]
     for i in range(dataset.n_instances):
-        scores = made.true_w.T @ dataset.skeleton[:, i] + made.true_u.T @ dataset.objects[:, i]
+        scores = true_w.T @ dataset.skeleton[:, i] + true_u.T @ dataset.objects[:, i]
         assert dataset.labels[i, int(np.argmax(scores))] == 1.0
 
 
@@ -286,7 +288,7 @@ def test_generate_noise_perturbs_features_but_not_labels():
     clean = generate(make_spec(noise_sigma=0.0, seed=21))
     noisy = generate(make_spec(noise_sigma=0.5, seed=21))
     assert np.array_equal(clean.dataset.labels, noisy.dataset.labels)
-    assert np.array_equal(clean.true_w, noisy.true_w)
+    assert np.array_equal(clean.true_weights, noisy.true_weights)
     assert not np.array_equal(clean.dataset.skeleton, noisy.dataset.skeleton)
     spread = np.abs(noisy.dataset.skeleton - clean.dataset.skeleton)
     assert spread.mean() < 1.0  # sigma 0.5 jitter, not a resample
@@ -313,8 +315,7 @@ def test_generate_matches_a_two_block_draw():
     winners = np.argmax(skeleton.T @ true_w + objects.T @ true_u, axis=1)
     skeleton = skeleton + 0.7 * rng.standard_normal(skeleton.shape)
     objects = objects + 0.7 * rng.standard_normal(objects.shape)
-    assert np.array_equal(made.true_w, true_w)
-    assert np.array_equal(made.true_u, true_u)
+    assert np.array_equal(made.true_weights, np.vstack((true_w, true_u)))
     assert made.dataset.skeleton.tobytes() == skeleton.tobytes()
     assert made.dataset.objects.tobytes() == objects.tobytes()
     assert np.array_equal(np.argmax(made.dataset.labels, axis=1), winners)

@@ -23,7 +23,7 @@ from poseact import (
     stationarity_residual,
 )
 from poseact.core import _group_norms, block_sums, objective
-from poseact.errors import ConfigError, SingularityError, ValidationError
+from poseact.errors import ConfigError, LayoutError, SingularityError, ValidationError
 from poseact.solver import _CG_STEPS, _columnwise_ratio, _irls_step, _reweights
 
 from conftest import build_dataset
@@ -41,11 +41,6 @@ def joint_step(ds, lam1, lam2, d, start=None):
 def reweights(mat, dims, epsilon):
     """fit's reweighting diagonals of mat, from its block norms."""
     return _reweights(_group_norms(mat, dims), dims, epsilon)
-
-
-def stacked_objective(ds, x, lam1, lam2):
-    d_t = ds.layout.d_t
-    return objective(ds, x[:d_t], x[d_t:], lam1, lam2)
 
 
 # --- SolverConfig -----------------------------------------------------------
@@ -363,13 +358,13 @@ def test_fit_final_trace_entry_matches_objective_and_loss():
     cfg = SolverConfig(lambda1=0.3, lambda2=0.2, max_iters=25)
     model, report = fit(ds, cfg)
     # the trace and the public functions share one loss computation
-    assert report.objective_trace[-1] == objective(ds, model.w, model.u, 0.3, 0.2)
-    assert report.loss_trace[-1] == loss(ds, model.w, model.u)
+    assert report.objective_trace[-1] == objective(ds, model.weights, 0.3, 0.2)
+    assert report.loss_trace[-1] == loss(ds, model.weights)
 
 
 def square_system(seed):
     """d_t + d_o = N = 6 with a nonsingular stacked design, so the unpenalized
-    minimum is exact interpolation; returns the dataset and its lstsq weights."""
+    minimum is exact interpolation; returns the dataset and its stacked lstsq weights."""
     layout = FeatureLayout(joint_dims=(2, 1), object_count=1, modality_dims=(3,))
     rng = np.random.default_rng(seed)
     n = 6
@@ -381,32 +376,32 @@ def square_system(seed):
     labels[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
     ds = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
     coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
-    return ds, coef[:3], coef[3:]
+    return ds, coef
 
 
 def test_fit_unpenalized_square_system_reaches_least_squares_loss():
     # the alternation must approach the exact interpolant
-    ds, w_ls, u_ls = square_system(131)
+    ds, x_ls = square_system(131)
     model, report = fit(
         ds, SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-15, max_iters=20000)
     )
     stacked = np.vstack([ds.skeleton, ds.objects])
-    oracle = float(np.sum((stacked.T @ np.vstack([w_ls, u_ls]) - ds.labels) ** 2))
-    assert loss(ds, model.w, model.u) <= oracle + 1e-6
+    oracle = float(np.sum((stacked.T @ x_ls - ds.labels) ** 2))
+    assert loss(ds, model.weights) <= oracle + 1e-6
 
 
 def test_loss_near_zero_is_never_negative():
     # the loss expanded over the normal equations rounds with an absolute
     # error of about eps * ||Y||^2, so near an interpolant it must be clamped
-    ds, w_ls, u_ls = square_system(131)
+    ds, _ = square_system(131)
     y_sq = float(np.sum(ds.labels * ds.labels))
     _, report = fit(ds, SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-15, max_iters=20000))
     assert min(report.loss_trace) >= 0.0
     assert report.loss_trace[-1] <= 1e-12 * y_sq
     # at these interpolants the unclamped expansion comes out below zero
     for seed in (131, 1, 2, 4, 6, 8, 9):
-        ds, w_ls, u_ls = square_system(seed)
-        assert 0.0 <= loss(ds, w_ls, u_ls) <= 1e-12 * float(np.sum(ds.labels * ds.labels))
+        ds, x_ls = square_system(seed)
+        assert 0.0 <= loss(ds, x_ls) <= 1e-12 * float(np.sum(ds.labels * ds.labels))
 
 
 def test_fit_and_diagnostics_never_touch_the_data_after_the_gram_build():
@@ -427,16 +422,15 @@ def test_fit_and_diagnostics_never_touch_the_data_after_the_gram_build():
     assert stationarity_residual(intact, model_a, 0.2, 0.3, 1e-8) == stationarity_residual(
         stripped, model_b, 0.2, 0.3, 1e-8
     )
-    w, u = model_a.w, model_a.u
-    assert loss(intact, w, u) == loss(stripped, w, u)
-    assert smoothed_objective(intact, w, u, 0.2, 0.3, 1e-3) == smoothed_objective(
-        stripped, w, u, 0.2, 0.3, 1e-3
+    x = model_a.weights
+    assert loss(intact, x) == loss(stripped, x)
+    assert smoothed_objective(intact, x, 0.2, 0.3, 1e-3) == smoothed_objective(
+        stripped, x, 0.2, 0.3, 1e-3
     )
-    for a, b in zip(
-        smoothed_gradients(intact, w, u, 0.2, 0.3, 1e-3),
-        smoothed_gradients(stripped, w, u, 0.2, 0.3, 1e-3),
-    ):
-        assert np.array_equal(a, b)
+    assert np.array_equal(
+        smoothed_gradients(intact, x, 0.2, 0.3, 1e-3),
+        smoothed_gradients(stripped, x, 0.2, 0.3, 1e-3),
+    )
 
 
 def test_fit_is_deterministic():
@@ -656,9 +650,9 @@ def test_iteration_update_never_raises_objective():
         ds = build_dataset(layout, n=int(rng.integers(15, 50)), n_classes=2, seed=500 + k)
         x = 0.5 * rng.standard_normal((10, 2))
         for lam1, lam2 in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25)):
-            before = stacked_objective(ds, x, lam1, lam2)
+            before = objective(ds, x, lam1, lam2)
             x_new = joint_step(ds, lam1, lam2, reweights(x, dims, 1e-8), x)
-            after = stacked_objective(ds, x_new, lam1, lam2)
+            after = objective(ds, x_new, lam1, lam2)
             assert after <= before + 1e-9 * max(1.0, before)
 
 
@@ -680,9 +674,9 @@ def test_inexact_steps_at_paper_shape():
             x[45:93] = 0.0
             for _ in range(10):
                 d = reweights(x, dims, 1e-8)
-                before = stacked_objective(ds, x, lam, lam)
+                before = objective(ds, x, lam, lam)
                 x = step(x, blocks.gram @ x, d)
-                after = stacked_objective(ds, x, lam, lam)
+                after = objective(ds, x, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
             exact = np.column_stack(
                 [
@@ -722,6 +716,11 @@ def test_inequality_rejects_non_numeric_and_ragged_vectors():
         check_reweighting_inequality([1.0, 2.0], [True, False])
     with pytest.raises(ValidationError, match="candidate vector must be a rectangular array"):
         check_reweighting_inequality([1.0, 2.0], [[1.0, 2.0], [3.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="^reference vector contains non-finite values$"):
+            check_reweighting_inequality([bad, 1.0], [1.0, 0.0])
+        with pytest.raises(ValidationError, match="^candidate vector contains non-finite values$"):
+            check_reweighting_inequality([1.0, 0.0], [1.0, bad])
     # integers are numbers
     assert check_reweighting_inequality([2, 0], [1, 0])
 
@@ -856,6 +855,20 @@ def test_residual_normalizes_each_side_by_its_own_weights(small_dataset):
             assert abs(got - stacked) > 0.1 * got
 
 
+def test_residual_rejects_a_model_of_another_layout():
+    """The layouts are compared before the weights are read: a model whose
+    d_t differs, or whose d_t and d_o match under another block split, gets
+    the layout message."""
+    data = build_dataset(FeatureLayout((2,), 1, (1,)), n=10, n_classes=2, seed=173)
+    for layout in (FeatureLayout((1,), 1, (2,)), FeatureLayout((1, 1), 1, (1,))):
+        model = Model(
+            layout=layout, weights=np.zeros((3, 2)), class_names=data.class_names,
+            hyperparams=SolverConfig(),
+        )
+        with pytest.raises(LayoutError, match="^dataset layout does not match model layout$"):
+            stationarity_residual(data, model, 0.1, 0.1, 1e-8)
+
+
 def test_residual_positive_for_unfitted_weights(small_dataset):
     from poseact import Model
 
@@ -880,13 +893,12 @@ def test_residual_positive_for_unfitted_weights(small_dataset):
 def test_smoothed_objective_approaches_true_objective(small_dataset):
     rng = np.random.default_rng(151)
     layout = small_dataset.layout
-    w = rng.standard_normal((layout.d_t, 3))
-    u = rng.standard_normal((layout.d_o, 3))
-    exact = objective(small_dataset, w, u, 0.1, 0.2)
-    smooth = smoothed_objective(small_dataset, w, u, 0.1, 0.2, 1e-9)
+    x = np.vstack((rng.standard_normal((layout.d_t, 3)), rng.standard_normal((layout.d_o, 3))))
+    exact = objective(small_dataset, x, 0.1, 0.2)
+    smooth = smoothed_objective(small_dataset, x, 0.1, 0.2, 1e-9)
     assert smooth == pytest.approx(exact, rel=1e-9)
     # smoothing only ever adds to each block norm
-    assert smoothed_objective(small_dataset, w, u, 0.1, 0.2, 1e-2) >= exact
+    assert smoothed_objective(small_dataset, x, 0.1, 0.2, 1e-2) >= exact
 
 
 def test_smoothed_gradients_match_central_differences(small_dataset):
@@ -894,17 +906,18 @@ def test_smoothed_gradients_match_central_differences(small_dataset):
     layout = small_dataset.layout
     h = 1e-5
     for _ in range(20):
-        w = rng.standard_normal((layout.d_t, 3))
-        u = rng.standard_normal((layout.d_o, 3))
-        gw, gu = smoothed_gradients(small_dataset, w, u, 0.1, 0.2, 1e-3)
-        for arr, grad in ((w, gw), (u, gu)):
-            i = int(rng.integers(arr.shape[0]))
+        x = np.vstack((rng.standard_normal((layout.d_t, 3)), rng.standard_normal((layout.d_o, 3))))
+        grad = smoothed_gradients(small_dataset, x, 0.1, 0.2, 1e-3)
+        assert grad.shape == x.shape
+        # one entry of the skeleton rows, then one of the object rows
+        for first, rows in ((0, layout.d_t), (layout.d_t, layout.d_o)):
+            i = first + int(rng.integers(rows))
             c = int(rng.integers(3))
-            orig = arr[i, c]
-            arr[i, c] = orig + h
-            up = smoothed_objective(small_dataset, w, u, 0.1, 0.2, 1e-3)
-            arr[i, c] = orig - h
-            down = smoothed_objective(small_dataset, w, u, 0.1, 0.2, 1e-3)
-            arr[i, c] = orig
+            orig = x[i, c]
+            x[i, c] = orig + h
+            up = smoothed_objective(small_dataset, x, 0.1, 0.2, 1e-3)
+            x[i, c] = orig - h
+            down = smoothed_objective(small_dataset, x, 0.1, 0.2, 1e-3)
+            x[i, c] = orig
             fd = (up - down) / (2 * h)
             assert abs(fd - grad[i, c]) <= 1e-5 * max(1.0, abs(fd))
