@@ -17,35 +17,10 @@ from .errors import ValidationError
 
 __all__ = [
     "ImportanceReport",
-    "joint_importance",
-    "object_importance",
     "importance_report",
     "report_to_dict",
     "format_report_table",
 ]
-
-
-def _block_scores(mat, dims, signed):
-    return block_sums(mat, dims) if signed else _group_norms(mat, dims)
-
-
-def joint_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class scores (n_joints x C) and overall per-joint scores.
-
-    Scores default to block Euclidean norms.  signed=True sums raw block
-    entries instead, which can cancel to zero on a block that clearly
-    matters; it exists for sign inspection, not ranking.
-    """
-    by_class = _block_scores(model.w, model.layout.joint_dims, signed)
-    return by_class, by_class.sum(axis=1)
-
-
-def object_importance(model: Model, signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class block scores ((O*M) x C) and per-object totals (O x C)."""
-    by_class = _block_scores(model.u, model.layout.object_block_dims, signed)
-    n_mod = model.layout.n_modalities
-    per_object = by_class.reshape(model.layout.object_count, n_mod, -1).sum(axis=1)
-    return by_class, per_object
 
 
 def _column_shares(mat):
@@ -88,17 +63,28 @@ class ImportanceReport:
 
 
 def importance_report(model: Model, signed: bool = False) -> ImportanceReport:
-    """Bundle joint and object importance, normalized per class column."""
-    joint_by_class, joint_overall = joint_importance(model, signed=signed)
-    object_by_block, object_totals = object_importance(model, signed=signed)
+    """Joint and object importance, raw and normalized per class column.
+
+    One pass over the blocks of the stacked weights [W; U] scores every block
+    of every class, cut at the last joint: the joint rows (n_joints x C) with
+    their overall sums across classes, and the (object, modality) rows
+    ((O*M) x C, object-major) with their per-object totals (O x C).  Scores
+    default to block Euclidean norms.  signed=True sums raw block entries
+    instead, which can cancel to zero on a block that clearly matters; it
+    exists for sign inspection, not ranking.
+    """
+    layout = model.layout
+    scores = (block_sums if signed else _group_norms)(model.weights, layout.block_dims)
+    joint_by_class, object_by_block = scores[: layout.n_joints], scores[layout.n_joints :]
+    per_object = object_by_block.reshape(layout.object_count, layout.n_modalities, -1)
     # unsigned scores are block norms, never negative; __post_init__ checks them
     joint_norm, joint_zero = _column_shares(joint_by_class)
     object_norm, object_zero = _column_shares(object_by_block)
     return ImportanceReport(
         joint_by_class=joint_by_class,
-        joint_overall=joint_overall,
+        joint_overall=joint_by_class.sum(axis=1),
         object_modality_by_class=object_by_block,
-        object_by_class=object_totals,
+        object_by_class=per_object.sum(axis=1),
         joint_normalized=joint_norm,
         object_modality_normalized=object_norm,
         joint_zero_classes=joint_zero,
@@ -140,7 +126,7 @@ def report_to_dict(report: ImportanceReport, model: Model) -> dict:
 
 
 def _table(title, row_labels, columns, matrix, extra=None):
-    width = max(12, max(len(r) for r in row_labels) + 2)
+    width = max(12, max((len(r) for r in row_labels), default=0) + 2)
     head = title + "\n" + "".ljust(width) + "".join(c.rjust(12) for c in columns)
     if extra is not None:
         head += extra[0].rjust(12)
@@ -162,7 +148,8 @@ def format_report_table(
     """Aligned text tables for the joint and object sides.
 
     joints / classes restrict which rows and class columns appear; both
-    default to everything.
+    default to everything, and an empty selection leaves its tables with no
+    joint rows or no class columns.
     """
     n_joints, n_classes = model.layout.n_joints, model.n_classes
 

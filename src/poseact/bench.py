@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Model, check_number, predict
+from .core import Dataset, Model, _paired_weights, check_number, predict
 
 __all__ = ["BenchResult", "bench_predict", "result_to_dict", "format_result_table"]
 
@@ -34,7 +34,12 @@ class BenchResult:
 
 
 def bench_predict(model: Model, dataset: Dataset, min_duration_seconds: float = 2.0) -> BenchResult:
-    """Measure single-instance prediction throughput on the given data."""
+    """Measure single-instance prediction throughput on the given data.
+
+    The model must match the dataset's layout and, for labeled data, its
+    class names, as in predict_batch.
+    """
+    _paired_weights(model, dataset)
     min_duration_seconds = check_number(min_duration_seconds, "min_duration_seconds", strict=True)
     frames = [
         (np.ascontiguousarray(dataset.skeleton[:, i]), np.ascontiguousarray(dataset.objects[:, i]))

@@ -33,8 +33,6 @@ __all__ = [
     "Model",
     "default_names",
     "block_sums",
-    "skeletal_norm",
-    "attribute_norm",
     "loss",
     "objective",
     "predict",
@@ -142,10 +140,6 @@ class FeatureLayout:
     @property
     def n_modalities(self) -> int:
         return len(self.modality_dims)
-
-    @property
-    def n_object_blocks(self) -> int:
-        return self.object_count * len(self.modality_dims)
 
     @cached_property
     def d_t(self) -> int:
@@ -343,11 +337,6 @@ class Dataset:
             block.setflags(write=False)
         return blocks
 
-    def instance(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Skeleton and object feature vectors of instance i (read-only views)."""
-        i = check_int(i, "instance index", 0, self.n_instances, error=LayoutError)
-        return self.skeleton[:, i], self.objects[:, i]
-
     def class_counts(self) -> dict[str, int] | None:
         """Instances per class, or None for unlabeled data."""
         if self.labels is None:
@@ -419,15 +408,6 @@ def _weight_matrix(weights, layout: FeatureLayout, n_classes) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _check_weight_matrix(mat, rows, what):
-    """mat, one half of the stacked weights, as a float array with rows rows."""
-    arr = _real_array(mat, what)
-    if arr.shape[0] != rows:
-        raise LayoutError(f"{what} must have {rows} rows, got shape {arr.shape}")
-    _require_finite(arr, what)
-    return arr.astype(np.float64, copy=False)
-
-
 def block_sums(mat, dims) -> np.ndarray:
     """Row sums of mat over consecutive blocks of dims[k] rows, all columns at once.
 
@@ -446,25 +426,15 @@ def _group_norms(mat, dims, epsilon=0.0) -> np.ndarray:
 
 def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
     """lam1 times the skeletal norm plus lam2 times the attribute norm, summed from
-    norms, the block norms of the stacked weights [W; U] over layout.block_dims."""
+    norms, the block norms of the stacked weights [W; U] over layout.block_dims.
+
+    The skeletal norm sums the joint-block norms over all classes, an l1 norm
+    across joints and an l2 norm inside each, which is what drives whole
+    joints to zero; the attribute norm does the same over the (object,
+    modality) blocks.
+    """
     joints = layout.n_joints
     return lam1 * float(np.sum(norms[:joints])) + lam2 * float(np.sum(norms[joints:]))
-
-
-def skeletal_norm(w, layout: FeatureLayout) -> float:
-    """Sum over classes and joints of the Euclidean norm of each joint block.
-
-    Behaves like an l1 norm across joints and an l2 norm inside each joint,
-    which is what drives whole joints to zero under regularization.
-    """
-    w = _check_weight_matrix(w, layout.d_t, "skeleton weight matrix")
-    return float(np.sum(_group_norms(w, layout.joint_dims)))
-
-
-def attribute_norm(u, layout: FeatureLayout) -> float:
-    """Sum over classes, objects, and modalities of per-block Euclidean norms."""
-    u = _check_weight_matrix(u, layout.d_o, "object weight matrix")
-    return float(np.sum(_group_norms(u, layout.object_block_dims)))
 
 
 def _gram_loss(blocks: NormalEquations, x, gram_x) -> float:
@@ -543,18 +513,28 @@ def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
     return int(scores.argmax()), scores
 
 
-def predict_batch(model: Model, dataset: Dataset) -> tuple[np.ndarray, float | None]:
-    """Predicted class indices for every instance, plus accuracy when labeled."""
+def _paired_weights(model: Model, dataset: Dataset, what=None) -> np.ndarray:
+    """model.weights, once model is checked against dataset: the same layout
+    and, for labeled data, the same class names in the same order.  what, when
+    given, names a caller that needs labeled data; its weights are checked
+    against the dataset's class count before the names are compared."""
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
-    # C x N: [W; U]' X runs several times faster than X'[W; U] on a C-order X
-    predicted = np.argmax(model.weights.T @ dataset.features, axis=0)
-    if dataset.labels is None:
-        return predicted, None
-    if dataset.class_names != model.class_names:
+    x = model.weights if what is None else _labeled_weights(dataset, model.weights, what)
+    if dataset.labels is not None and dataset.class_names != model.class_names:
         raise ValidationError(
             f"dataset classes {dataset.class_names} do not match "
             f"model classes {model.class_names}"
         )
+    return x
+
+
+def predict_batch(model: Model, dataset: Dataset) -> tuple[np.ndarray, float | None]:
+    """Predicted class indices for every instance, plus accuracy when labeled."""
+    weights = _paired_weights(model, dataset)
+    # C x N: [W; U]' X runs several times faster than X'[W; U] on a C-order X
+    predicted = np.argmax(weights.T @ dataset.features, axis=0)
+    if dataset.labels is None:
+        return predicted, None
     truth = np.argmax(dataset.labels, axis=1)
     return predicted, float(np.mean(predicted == truth))

@@ -23,10 +23,10 @@ instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
 per fit when a weight is zero.  Each quantity is computed once per
 iteration: _CG_STEPS + 1 products with the d x d Gram (one per CG step,
 and one G X at the new weights that serves both the loss and the next
-step's starting residual) and one pass over the block norms of X (which
-serves both the penalty and the next reweighting diagonals).  The first
-call on a fresh dataset builds and caches the normal equations, which is
-one O(N d^2) pass.
+step's starting residual; with both weights zero, only the latter) and
+one pass over the block norms of X (which serves both the penalty and the
+next reweighting diagonals).  The first call on a fresh dataset builds and
+caches the normal equations, which is one O(N d^2) pass.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ from .core import (
     _group_norms,
     _labeled_weights,
     _objective,
+    _paired_weights,
     _penalty,
     _real_array,
     _require_finite,
     check_int,
     check_number,
 )
-from .errors import LayoutError, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError
 
 __all__ = [
     "SolverConfig",
@@ -210,12 +211,6 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     and objective included, works on dataset.normal_equations and makes no
     pass over the N instances; on a fresh dataset the first use builds and
     caches them (O(N d^2)), and that build counts towards wall_time.
-
-    Each iteration costs O(d^2 C): _CG_STEPS + 1 products with the d x d
-    Gram (one per CG step, and one G X at the new weights, shared by the
-    loss and the next step's starting residual; with both weights zero,
-    only the latter) and one pass over the block norms of X, shared by the
-    penalty and the next diagonals D.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
@@ -299,11 +294,10 @@ def stationarity_residual(
     being lambda1 on skeleton rows and lambda2 on object rows.  Its skeleton
     rows are scaled by 1 / (1 + ||w||) and its object rows by
     1 / (1 + ||u||).  Near a fixed point of the reweighted updates this
-    goes to zero.
+    goes to zero.  The model must match the dataset's layout and class
+    names, as in predict_batch.
     """
-    if dataset.layout != model.layout:
-        raise LayoutError("dataset layout does not match model layout")
-    x = _labeled_weights(dataset, model.weights, "stationarity_residual")
+    x = _paired_weights(model, dataset, "stationarity_residual")
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)

@@ -9,13 +9,8 @@ import numpy as np
 import pytest
 
 from poseact import FeatureLayout, Model, SolverConfig, importance_report
-from poseact.analysis import (
-    format_report_table,
-    joint_importance,
-    object_importance,
-    report_to_dict,
-)
-from poseact.core import GroupNames
+from poseact.analysis import format_report_table, report_to_dict
+from poseact.core import GroupNames, _group_norms, block_sums
 from poseact.errors import ValidationError
 
 LAYOUT = FeatureLayout(joint_dims=(2, 3), object_count=2, modality_dims=(2, 1))
@@ -47,8 +42,8 @@ def test_joint_importance_hand_example():
             [12.0, 1.0],
         ]
     )
-    model = make_model(w=w)
-    by_class, overall = joint_importance(model)
+    report = importance_report(make_model(w=w))
+    by_class, overall = report.joint_by_class, report.joint_overall
     assert by_class.shape == (2, 2)
     assert by_class[0, 0] == pytest.approx(5.0)
     assert by_class[1, 0] == pytest.approx(12.0)
@@ -60,7 +55,8 @@ def test_joint_importance_hand_example():
 
 def test_joint_importance_matches_loop_oracle():
     model = make_model(n_classes=3)
-    by_class, overall = joint_importance(model)
+    report = importance_report(model)
+    by_class, overall = report.joint_by_class, report.joint_overall
     for j, sl in enumerate(LAYOUT.joint_slices):
         for c in range(3):
             expected = float(np.sqrt(np.sum(model.w[sl, c] ** 2)))
@@ -70,8 +66,9 @@ def test_joint_importance_matches_loop_oracle():
 
 def test_object_importance_matches_loop_oracle():
     model = make_model(n_classes=3)
-    by_block, per_object = object_importance(model)
-    assert by_block.shape == (LAYOUT.n_object_blocks, 3)
+    report = importance_report(model)
+    by_block, per_object = report.object_modality_by_class, report.object_by_class
+    assert by_block.shape == (len(LAYOUT.object_block_dims), 3)
     assert per_object.shape == (LAYOUT.object_count, 3)
     for o in range(LAYOUT.object_count):
         for m in range(LAYOUT.n_modalities):
@@ -91,8 +88,8 @@ def test_signed_scores_sum_raw_entries():
     w[0, 0] = 3.0
     w[1, 0] = -3.0  # cancels under summation, not under the norm
     model = make_model(w=w)
-    signed, _ = joint_importance(model, signed=True)
-    unsigned, _ = joint_importance(model)
+    signed = importance_report(model, signed=True).joint_by_class
+    unsigned = importance_report(model).joint_by_class
     assert signed[0, 0] == pytest.approx(0.0)
     assert unsigned[0, 0] == pytest.approx(np.sqrt(18.0))
 
@@ -116,7 +113,27 @@ def test_report_normalized_columns_sum_to_one():
     assert np.allclose(report.object_modality_normalized.sum(axis=0), 1.0)
     assert report.joint_zero_classes == ()
     assert report.object_zero_classes == ()
-    assert np.array_equal(report.joint_by_class, joint_importance(model)[0])
+    assert np.array_equal(report.joint_by_class, _group_norms(model.w, LAYOUT.joint_dims))
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_report_scores_equal_per_half_block_scores_bit_for_bit(signed):
+    """The one pass over the stacked [W; U], cut at the last joint, gives the
+    same bits as scoring W over the joints and U over the object blocks."""
+    score = block_sums if signed else _group_norms
+    rng = np.random.default_rng(11)
+    for n_classes in (1, 2, 6):
+        w = rng.standard_normal((LAYOUT.d_t, n_classes)) * 1e3
+        u = rng.standard_normal((LAYOUT.d_o, n_classes)) * 1e-3
+        model = make_model(w=w, u=u, n_classes=n_classes)
+        report = importance_report(model, signed=signed)
+        joints = score(model.w, LAYOUT.joint_dims)
+        blocks = score(model.u, LAYOUT.object_block_dims)
+        assert report.joint_by_class.tobytes() == joints.tobytes()
+        assert report.joint_overall.tobytes() == joints.sum(axis=1).tobytes()
+        assert report.object_modality_by_class.tobytes() == blocks.tobytes()
+        per_object = blocks.reshape(LAYOUT.object_count, LAYOUT.n_modalities, -1).sum(axis=1)
+        assert report.object_by_class.tobytes() == per_object.tobytes()
 
 
 def test_report_flags_all_zero_classes():
@@ -161,7 +178,7 @@ def test_report_to_dict_shape_and_names():
         "ball:size",
     ]
     assert len(payload["joints"]["by_class"]) == LAYOUT.n_joints
-    assert len(payload["objects"]["by_class"]) == LAYOUT.n_object_blocks
+    assert len(payload["objects"]["by_class"]) == len(LAYOUT.object_block_dims)
     assert len(payload["objects"]["per_object"]) == LAYOUT.object_count
     json.dumps(payload)  # must be JSON-serializable as-is
 
@@ -190,6 +207,14 @@ def test_format_report_table_selection_and_validation():
     assert "joint_1" in text
     assert "joint_0" not in text
     assert "class_1" not in text
+    # an empty selection leaves its rows or columns out, on either axis
+    no_joints = format_report_table(report, model, joints=())
+    assert "joint_0" not in no_joints and "joint_1" not in no_joints
+    assert "object_1:modality_1" in no_joints and "class_2" in no_joints
+    no_classes = format_report_table(report, model, classes=())
+    assert "joint_1" in no_classes and "class_0" not in no_classes
+    neither = format_report_table(report, model, joints=(), classes=())
+    assert "joint_0" not in neither and "class_0" not in neither
     with pytest.raises(ValidationError, match="joint selection"):
         format_report_table(report, model, joints=(5,))
     with pytest.raises(ValidationError, match="class selection"):

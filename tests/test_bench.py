@@ -9,7 +9,7 @@ import pytest
 
 from poseact import Dataset, FeatureLayout, Model, SolverConfig, bench_predict
 from poseact.bench import format_result_table, result_to_dict
-from poseact.errors import ConfigError
+from poseact.errors import ConfigError, LayoutError, ValidationError
 
 from conftest import build_dataset
 
@@ -69,6 +69,24 @@ def test_bench_predict_rejects_bad_duration():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="min_duration_seconds"):
             bench_predict(model, dataset, min_duration_seconds=bad)
+
+
+def test_bench_predict_rejects_a_dataset_the_model_cannot_score():
+    """The same pairing as predict_batch: joints (2, 2) against (1, 3) have the
+    same d_t and d_o but another block split; reordered classes do not match."""
+    model = make_model()
+    other = build_dataset(FeatureLayout((1, 3), 1, (3,)), n=4, n_classes=2, seed=0)
+    with pytest.raises(LayoutError, match="^dataset layout does not match model layout$"):
+        bench_predict(model, other, min_duration_seconds=0.01)
+    dataset = build_dataset(LAYOUT, n=4, n_classes=2, seed=0)
+    swapped = Model(
+        layout=LAYOUT,
+        weights=model.weights,
+        class_names=("class_1", "class_0"),
+        hyperparams=SolverConfig(),
+    )
+    with pytest.raises(ValidationError, match="do not match model classes"):
+        bench_predict(swapped, dataset, min_duration_seconds=0.01)
 
 
 def test_result_to_dict_schema():

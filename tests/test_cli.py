@@ -237,6 +237,17 @@ def test_bench_predict_table_and_json(tmp_path, data_file, model_file, capsys):
     assert doc["predictions_per_second"] > 0
 
 
+def test_bench_and_predict_reject_a_dataset_of_another_block_split(tmp_path, model_file, capsys):
+    # joints (1, 3) against the model's (2, 2): the same d_t and d_o
+    other = tmp_path / "other.txt"
+    assert main(synth_args(other, joint_dims="1,3")) == 0
+    capsys.readouterr()
+    for command in (["bench", "--min-duration", "0.01"], ["predict"]):
+        args = command + ["--data", str(other), "--model", str(model_file)]
+        assert main(args) == 1
+        assert "dataset layout does not match model layout" in capsys.readouterr().err
+
+
 def test_bench_predict_requires_model(data_file, capsys):
     assert main(["bench", "--data", str(data_file), "--min-duration", "0.01"]) == 1
     assert "--model" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from poseact import (
     smoothed_objective,
     stationarity_residual,
 )
-from poseact.core import GroupNames, attribute_norm, default_names, objective, skeletal_norm
+from poseact.core import GroupNames, _group_norms, _penalty, default_names, objective
 from poseact.errors import ConfigError, LayoutError, ValidationError
 
 from conftest import build_dataset
@@ -36,6 +36,12 @@ def norm_oracle(mat, slices):
     return total
 
 
+def penalty(x, layout, lam1, lam2):
+    """The one penalty route, as objective and fit take it: lam1 times the
+    skeletal norm plus lam2 times the attribute norm of the stacked [W; U]."""
+    return _penalty(layout, _group_norms(x, layout.block_dims), lam1, lam2)
+
+
 # --- FeatureLayout ----------------------------------------------------------
 
 
@@ -45,7 +51,8 @@ def test_layout_dimension_bookkeeping():
     assert layout.d_o == 2 * (2 + 1)
     assert layout.n_joints == 3
     assert layout.n_modalities == 2
-    assert layout.n_object_blocks == 4
+    assert layout.object_block_dims == (2, 1, 2, 1)
+    assert layout.block_dims == (2, 3, 1, 2, 1, 2, 1)
 
 
 def test_layout_slices_partition_both_axes():
@@ -72,7 +79,7 @@ def test_layout_object_block_index_is_object_major():
             idx = layout.object_block_index(o, m)
             assert idx == o * 2 + m
             seen.add(idx)
-    assert seen == set(range(layout.n_object_blocks))
+    assert seen == set(range(len(layout.object_block_dims)))
     with pytest.raises(LayoutError):
         layout.object_block_index(3, 0)
     with pytest.raises(LayoutError):
@@ -117,15 +124,8 @@ def test_dataset_validation_and_accessors(small_layout):
     assert ds.n_instances == 10
     assert ds.n_classes == 3
     assert ds.class_names == ("class_0", "class_1", "class_2")
-    t, o = ds.instance(4)
-    assert np.array_equal(t, ds.skeleton[:, 4])
-    assert np.array_equal(o, ds.objects[:, 4])
     counts = ds.class_counts()
     assert sum(counts.values()) == 10
-    assert np.array_equal(ds.instance(np.int64(4))[0], t)
-    for bad in (10, -1, True, 1.5, "1", None):
-        with pytest.raises(LayoutError, match="instance index"):
-            ds.instance(bad)
 
 
 def test_dataset_features_stack_skeleton_over_objects_and_share_their_memory(small_layout):
@@ -289,20 +289,25 @@ def test_unlabeled_dataset_is_fine(small_layout):
 
 
 # --- norms ------------------------------------------------------------------
+# the skeletal and attribute norms are read off one block pass over the
+# stacked [W; U], as objective and fit take them: penalty(x, layout, 1, 0) is
+# the skeletal norm alone, penalty(x, layout, 0, 1) the attribute norm alone
 
 
 def test_skeletal_norm_hand_example():
-    # one class, two joints of dims 2, 2: blocks (3,4) and (5,12)
+    # one class, two joints of dims 2, 2: blocks (3,4) and (5,12); object block (7)
     layout = FeatureLayout(joint_dims=(2, 2), object_count=1, modality_dims=(1,))
-    w = np.array([[3.0], [4.0], [5.0], [12.0]])
-    assert skeletal_norm(w, layout) == pytest.approx(5.0 + 13.0)
+    x = np.array([[3.0], [4.0], [5.0], [12.0], [7.0]])
+    assert penalty(x, layout, 1.0, 0.0) == pytest.approx(5.0 + 13.0)
+    assert penalty(x, layout, 0.5, 2.0) == pytest.approx(0.5 * 18.0 + 2.0 * 7.0)
 
 
 def test_attribute_norm_hand_example():
-    # one object, one modality of dim 3: block (0,3,4) has norm 5
+    # one object, one modality of dim 3: block (0,3,4) has norm 5; joint block (-2)
     layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(3,))
-    u = np.array([[0.0], [3.0], [4.0]])
-    assert attribute_norm(u, layout) == pytest.approx(5.0)
+    x = np.array([[-2.0], [0.0], [3.0], [4.0]])
+    assert penalty(x, layout, 0.0, 1.0) == pytest.approx(5.0)
+    assert penalty(x, layout, 1.0, 1.0) == pytest.approx(2.0 + 5.0)
 
 
 def test_norms_match_loop_oracle():
@@ -319,59 +324,67 @@ def test_norms_match_loop_oracle():
         )
         w = rng.standard_normal((layout.d_t, c))
         u = rng.standard_normal((layout.d_o, c))
-        assert skeletal_norm(w, layout) == pytest.approx(
-            norm_oracle(w, layout.joint_slices), rel=1e-12
-        )
-        assert attribute_norm(u, layout) == pytest.approx(
-            norm_oracle(u, layout.object_block_slices), rel=1e-12
+        x = np.vstack((w, u))
+        skeletal = norm_oracle(w, layout.joint_slices)
+        attribute = norm_oracle(u, layout.object_block_slices)
+        assert penalty(x, layout, 1.0, 0.0) == pytest.approx(skeletal, rel=1e-12)
+        assert penalty(x, layout, 0.0, 1.0) == pytest.approx(attribute, rel=1e-12)
+        assert penalty(x, layout, 0.3, 0.7) == pytest.approx(
+            0.3 * skeletal + 0.7 * attribute, rel=1e-12
         )
 
 
 def test_norms_are_absolutely_homogeneous(small_layout):
     rng = np.random.default_rng(23)
-    w = rng.standard_normal((small_layout.d_t, 2))
-    base = skeletal_norm(w, small_layout)
-    for alpha in (-3.0, -0.5, 0.0, 0.25, 7.0):
-        assert skeletal_norm(alpha * w, small_layout) == pytest.approx(
-            abs(alpha) * base, abs=1e-12
-        )
+    x = rng.standard_normal((small_layout.d_t + small_layout.d_o, 2))
+    for lam1, lam2 in ((1.0, 0.0), (0.0, 1.0)):
+        base = penalty(x, small_layout, lam1, lam2)
+        for alpha in (-3.0, -0.5, 0.0, 0.25, 7.0):
+            assert penalty(alpha * x, small_layout, lam1, lam2) == pytest.approx(
+                abs(alpha) * base, abs=1e-12
+            )
 
 
 def test_norms_satisfy_triangle_inequality(small_layout):
     rng = np.random.default_rng(29)
+    rows = small_layout.d_t + small_layout.d_o
     for _ in range(20):
-        a = rng.standard_normal((small_layout.d_o, 3))
-        b = rng.standard_normal((small_layout.d_o, 3))
-        lhs = attribute_norm(a + b, small_layout)
-        rhs = attribute_norm(a, small_layout) + attribute_norm(b, small_layout)
-        assert lhs <= rhs + 1e-12
+        a = rng.standard_normal((rows, 3))
+        b = rng.standard_normal((rows, 3))
+        for lam1, lam2 in ((1.0, 0.0), (0.0, 1.0)):
+            lhs = penalty(a + b, small_layout, lam1, lam2)
+            rhs = penalty(a, small_layout, lam1, lam2) + penalty(b, small_layout, lam1, lam2)
+            assert lhs <= rhs + 1e-12
 
 
 def test_skeletal_norm_invariant_under_joint_permutation():
     rng = np.random.default_rng(31)
     dims = (2, 3, 1, 2)
     layout = FeatureLayout(joint_dims=dims, object_count=1, modality_dims=(1,))
-    w = rng.standard_normal((layout.d_t, 2))
+    x = rng.standard_normal((layout.d_t + layout.d_o, 2))
     perm = [2, 0, 3, 1]
     permuted_layout = FeatureLayout(
         joint_dims=tuple(dims[j] for j in perm), object_count=1, modality_dims=(1,)
     )
-    pieces = [w[layout.joint_slices[j]] for j in perm]
-    w_perm = np.vstack(pieces)
-    assert skeletal_norm(w, layout) == pytest.approx(
-        skeletal_norm(w_perm, permuted_layout), rel=1e-12
+    pieces = [x[layout.joint_slices[j]] for j in perm]
+    x_perm = np.vstack(pieces + [x[layout.d_t :]])
+    assert penalty(x, layout, 1.0, 0.0) == pytest.approx(
+        penalty(x_perm, permuted_layout, 1.0, 0.0), rel=1e-12
     )
 
 
-def test_norm_rejects_wrong_row_count(small_layout):
-    with pytest.raises(LayoutError):
-        skeletal_norm(np.zeros((small_layout.d_t + 1, 2)), small_layout)
-    with pytest.raises(LayoutError):
-        attribute_norm(np.zeros((small_layout.d_o - 1, 2)), small_layout)
+def test_norm_rejects_wrong_row_count(small_dataset):
+    # objective, the public route to the norms, reads the whole stacked [W; U]
+    rows = small_dataset.layout.d_t + small_dataset.layout.d_o
+    for bad in (rows + 1, rows - 1):
+        with pytest.raises(
+            LayoutError, match=rf"^weight matrix has shape \({bad}, 3\), expected \({rows}, 3\)$"
+        ):
+            objective(small_dataset, np.zeros((bad, 3)), 0.1, 0.1)
 
 
 # every public function that reads a weight matrix, by name, as a call on the
-# stacked [W; U]; the norms each read one half of it
+# stacked [W; U]
 def _weight_calls(ds):
     return {
         "Model": lambda x: Model(
@@ -381,15 +394,10 @@ def _weight_calls(ds):
         "objective": lambda x: objective(ds, x, 0.1, 0.1),
         "smoothed_objective": lambda x: smoothed_objective(ds, x, 0.1, 0.1, 1e-3),
         "smoothed_gradients": lambda x: smoothed_gradients(ds, x, 0.1, 0.1, 1e-3),
-        "skeletal_norm": lambda x: skeletal_norm(x[: ds.layout.d_t], ds.layout),
-        "attribute_norm": lambda x: attribute_norm(x[ds.layout.d_t :], ds.layout),
     }
 
 
 WEIGHT_CALLS = tuple(_weight_calls(None))
-
-# the name in a call's messages for the matrix it reads: Model's, but for the norms
-HALF_NAMES = {"skeletal_norm": "skeleton weight matrix", "attribute_norm": "object weight matrix"}
 
 
 @pytest.mark.parametrize("call", WEIGHT_CALLS)
@@ -398,16 +406,13 @@ def test_weight_inputs_reject_non_finite_entries(small_dataset, call, value):
     """Rejected, not hidden: loss clamps at 0.0, and max(0.0, nan) is 0.0."""
     layout = small_dataset.layout
     fn = _weight_calls(small_dataset)[call]
-    what = HALF_NAMES.get(call, "weight matrix")
     # a whole bad skeleton half, or one bad object entry
     bad_w = np.zeros((layout.d_t + layout.d_o, 3))
     bad_w[: layout.d_t] = value
     bad_u = np.zeros_like(bad_w)
     bad_u[-1, -1] = value
-    for x, side in ((bad_w, "skeleton"), (bad_u, "object")):
-        if what not in ("weight matrix", f"{side} weight matrix"):
-            continue  # the norm does not read that half
-        with pytest.raises(ValidationError, match=f"^{what} contains non-finite values$"):
+    for x in (bad_w, bad_u):
+        with pytest.raises(ValidationError, match="^weight matrix contains non-finite values$"):
             fn(x)
 
 
@@ -415,17 +420,16 @@ def test_weight_inputs_reject_non_finite_entries(small_dataset, call, value):
 def test_weight_inputs_reject_bool_and_string_entries(small_dataset, call):
     layout = small_dataset.layout
     fn = _weight_calls(small_dataset)[call]
-    what = HALF_NAMES.get(call, "weight matrix")
     rows = layout.d_t + layout.d_o
     for bad in (np.ones((rows, 3), dtype=bool), np.full((rows, 3), "1.5"), np.full((rows, 3), "a")):
         with pytest.raises(
-            ValidationError, match=f"^{what} must hold real numbers, got dtype {bad.dtype}$"
+            ValidationError, match=f"^weight matrix must hold real numbers, got dtype {bad.dtype}$"
         ):
             fn(bad)
     # short first and last rows, so each half is ragged too
     ragged = [[0.0] * 2] + [[0.0] * 3] * (rows - 2) + [[0.0] * 2]
     with pytest.raises(
-        ValidationError, match=f"^{what} must be a rectangular array, got ragged nesting$"
+        ValidationError, match="^weight matrix must be a rectangular array, got ragged nesting$"
     ):
         fn(ragged)
 
@@ -438,8 +442,9 @@ def test_weight_inputs_take_integers_and_reject_wrong_rank(small_dataset):
         if call == "Model":
             got, want = got.weights, want.weights
         assert np.array_equal(got, want), call
-        what = HALF_NAMES.get(call, "weight matrix")
-        with pytest.raises(LayoutError, match=rf"^{what} must be a 2-d array, got shape \(\d+,\)$"):
+        with pytest.raises(
+            LayoutError, match=r"^weight matrix must be a 2-d array, got shape \(\d+,\)$"
+        ):
             fn(ints[:, 0])
 
 
@@ -467,7 +472,7 @@ def test_loss_matches_loop_oracle(small_dataset):
     u = rng.standard_normal((layout.d_o, 3))
     total = 0.0
     for i in range(small_dataset.n_instances):
-        t, o = small_dataset.instance(i)
+        t, o = small_dataset.skeleton[:, i], small_dataset.objects[:, i]
         for c in range(3):
             pred = float(t @ w[:, c] + o @ u[:, c])
             total += (pred - small_dataset.labels[i, c]) ** 2
@@ -509,8 +514,8 @@ def test_objective_combines_terms(small_dataset):
     x = np.vstack((w, u))
     expected = (
         loss(small_dataset, x)
-        + 0.3 * skeletal_norm(w, layout)
-        + 0.7 * attribute_norm(u, layout)
+        + 0.3 * norm_oracle(w, layout.joint_slices)
+        + 0.7 * norm_oracle(u, layout.object_block_slices)
     )
     assert objective(small_dataset, x, 0.3, 0.7) == pytest.approx(expected, rel=1e-12)
     # zero weights on both penalties reduces to the loss
@@ -601,7 +606,7 @@ def test_predict_scores_strided_views_as_contiguous_copies(small_dataset):
         layout, rng.standard_normal((layout.d_t, 3)), rng.standard_normal((layout.d_o, 3)), 3
     )
     for i in range(small_dataset.n_instances):
-        t, o = small_dataset.instance(i)
+        t, o = small_dataset.skeleton[:, i], small_dataset.objects[:, i]
         assert not t.flags.c_contiguous and not o.flags.c_contiguous
         idx, scores = predict(model, t, o)
         copy_idx, copy_scores = predict(model, t.copy(), o.copy())
@@ -626,7 +631,7 @@ def test_predict_batch_matches_per_instance(small_dataset, paper_dataset):
         predicted, accuracy = predict_batch(model, dataset)
         singles = []
         for i in range(dataset.n_instances):
-            t, o = dataset.instance(i)
+            t, o = dataset.skeleton[:, i], dataset.objects[:, i]
             idx, scores = predict(model, t, o)
             # relative to the size of the terms summed, so a score near 0 is no exception
             scale = np.abs(t) @ np.abs(w) + np.abs(o) @ np.abs(u)

@@ -63,3 +63,27 @@ def test_package_exports_exactly_the_documented_surface():
     assert poseact.standardize is poseact.data.standardize
     assert poseact.Standardizer is poseact.data.Standardizer
     assert callable(vars(poseact.data.Standardizer)["apply"])
+
+
+def test_core_and_analysis_export_exactly_their_surface():
+    """The block scores have one public route each, objective and
+    importance_report; no per-half norm or per-side importance is exported."""
+    assert poseact.core.__all__ == [
+        "FeatureLayout",
+        "GroupNames",
+        "Dataset",
+        "NormalEquations",
+        "Model",
+        "default_names",
+        "block_sums",
+        "loss",
+        "objective",
+        "predict",
+        "predict_batch",
+    ]
+    assert poseact.analysis.__all__ == [
+        "ImportanceReport",
+        "importance_report",
+        "report_to_dict",
+        "format_report_table",
+    ]

@@ -16,6 +16,7 @@ from poseact import (
     fit,
     generate,
     loss,
+    predict_batch,
     smoothed_gradients,
     smoothed_objective,
     split,
@@ -867,6 +868,28 @@ def test_residual_rejects_a_model_of_another_layout():
         )
         with pytest.raises(LayoutError, match="^dataset layout does not match model layout$"):
             stationarity_residual(data, model, 0.1, 0.1, 1e-8)
+
+
+def test_residual_rejects_a_model_of_other_classes(small_dataset):
+    """Class columns are matched by name, not position: a model whose classes
+    come in another order gets predict_batch's message."""
+    model, _ = fit(small_dataset, SolverConfig(lambda1=0.1, lambda2=0.1, max_iters=5))
+    reordered = Model(
+        layout=model.layout,
+        weights=model.weights,
+        class_names=tuple(reversed(model.class_names)),
+        hyperparams=model.hyperparams,
+    )
+    message = (
+        f"dataset classes {small_dataset.class_names} do not match "
+        f"model classes {reordered.class_names}"
+    )
+    with pytest.raises(ValidationError) as batch_error:
+        predict_batch(reordered, small_dataset)
+    with pytest.raises(ValidationError) as residual_error:
+        stationarity_residual(small_dataset, reordered, 0.1, 0.1, 1e-8)
+    assert str(batch_error.value) == str(residual_error.value) == message
+    assert stationarity_residual(small_dataset, model, 0.1, 0.1, 1e-8) >= 0.0
 
 
 def test_residual_positive_for_unfitted_weights(small_dataset):
