@@ -144,6 +144,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "final_loss": report.loss_trace[-1],
             "objective_trace": list(report.objective_trace),
             "loss_trace": list(report.loss_trace),
+            "cg_steps": list(report.cg_steps),
             "standardized": args.standardize,
             "ablation": args.ablation,
             "class_counts": dataset.class_counts(),
@@ -318,7 +319,11 @@ def _add_solver_flags(parser):
         "--lambda2", type=_NON_NEGATIVE, default=defaults.lambda2, help="attribute norm weight"
     )
     parser.add_argument(
-        "--tol", type=_POSITIVE, default=defaults.tol, help="relative objective-decrease stop"
+        "--tol",
+        type=_POSITIVE,
+        default=defaults.tol,
+        help="relative objective-decrease stop; also ends each inner CG solve "
+        "once its residual energy has fallen by this factor",
     )
     parser.add_argument("--max-iters", type=_COUNT, default=defaults.max_iters, dest="max_iters")
     parser.add_argument(

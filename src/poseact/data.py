@@ -90,7 +90,8 @@ class Standardizer:
     mean and scale are d-vectors over the rows of Dataset.features, [T; O]
     for layout.  Zero-variance features are centered but kept at scale 1;
     their row indices are recorded in constant so downstream reports can
-    flag them.
+    flag them.  constant is metadata only: fit finds the all-zero rows
+    these become on its own and holds their weights at 0.
     """
 
     layout: FeatureLayout

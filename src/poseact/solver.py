@@ -6,27 +6,31 @@ modality) block.  Each iteration builds the reweighting diagonals D of
 every block and every class at once from the current X and makes one
 all-classes step on (G + diag(lambda * D)) X = XY, where G = [T; O][T; O]'
 and lambda is lambda1 on skeleton rows and lambda2 on object rows.  The
-step is a few Jacobi-preconditioned conjugate-gradient steps started from
-the current weights; CG never raises the quadratic surrogate above its
-value at the start, so the objective never moves uphill, and an exact
-solve of the surrogate is a fixed point of the step.  With both weights
-zero the system is the same in every iteration, so it is factored once
-per fit and solved exactly.  A floor on block norms keeps the diagonals
-finite when a block collapses toward zero, at the price of optimizing a
-smoothed objective whose minimizers approach the exact ones as the floor
-shrinks.
+step is at most _CG_STEPS Jacobi-preconditioned conjugate-gradient steps
+started from the current weights; tol, which also ends the outer loop,
+ends each inner solve once every column's preconditioned residual energy
+r'M^-1 r is at most tol times its value at the start of the step.  CG
+never raises the quadratic surrogate above its value at the start, so the
+objective never moves uphill however early it stops, and an exact solve
+of the surrogate is a fixed point of the step.  With both weights zero
+the system is the same in every iteration, so it is factored once per fit
+and solved exactly.  A floor on block norms keeps the diagonals finite
+when a block collapses toward zero, at the price of optimizing a smoothed
+objective whose minimizers approach the exact ones as the floor shrinks.
+A feature that is zero in every instance (a zero diagonal entry of G)
+adds nothing to the loss, so its weight is held at exactly 0.
 
 The updates, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read the dataset's
 cached normal equations, so an iteration makes no pass over the N
 instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
 per fit when a weight is zero.  Each quantity is computed once per
-iteration: _CG_STEPS + 1 products with the d x d Gram (one per CG step,
-and one G X at the new weights that serves both the loss and the next
-step's starting residual; with both weights zero, only the latter) and
-one pass over the block norms of X (which serves both the penalty and the
-next reweighting diagonals).  The first call on a fresh dataset builds and
-caches the normal equations, which is one O(N d^2) pass.
+iteration: at most _CG_STEPS + 1 products with the d x d Gram (one per CG
+step taken, and one G X at the new weights that serves both the loss and
+the next step's starting residual; with both weights zero, only the
+latter) and one pass over the block norms of X (which serves both the
+penalty and the next reweighting diagonals).  The first call on a fresh
+dataset builds and caches the normal equations, which is one O(N d^2) pass.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ __all__ = [
 # absolute slack allowed when checking the surrogate-decrease inequality
 _INEQUALITY_SLACK = 1e-12
 
-# preconditioned CG steps per iteration
+# the cap on preconditioned CG steps per iteration
 _CG_STEPS = 5
 
 
@@ -76,8 +80,11 @@ class SolverConfig:
 
     lambda1 weighs the skeletal norm, lambda2 the attribute norm.  The solver
     stops once the relative objective decrease falls below tol or after
-    max_iters iterations.  epsilon floors block norms inside the reweighting
-    diagonals; seed drives the random initialization.
+    max_iters iterations; tol also ends each inner solve, once the
+    preconditioned residual energy of every class column has fallen to tol
+    times its value at the start of the step (at most _CG_STEPS + 1 Gram
+    products per iteration).  epsilon floors block norms inside the
+    reweighting diagonals; seed drives the random initialization.
     """
 
     lambda1: float = 0.1
@@ -98,13 +105,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """What happened during one fit call."""
+    """What happened during one fit call.
+
+    cg_steps holds the conjugate-gradient steps each iteration took (0 on
+    the exact path with both weights zero), one entry per iteration.
+    """
 
     objective_trace: tuple[float, ...]
     loss_trace: tuple[float, ...]
     iterations_run: int
     converged: bool
     wall_time: float
+    cg_steps: tuple[int, ...]
 
 
 def _reweights(norms, dims, epsilon):
@@ -145,31 +157,47 @@ def _columnwise_ratio(num, den):
     return num / np.where(den == 0.0, np.inf, den)
 
 
-def _irls_step(blocks, layout, lam1, lam2):
+def _irls_step(blocks, layout, lam1, lam2, tol):
     """fit's update step(x, gram_x, reweights) of the stacked weights x = [W; U].
 
     For every class column c it moves x_c towards the solution of
-    (G + diag(lam * reweights[:, c])) x_c = XY[:, c].  gram_x is G x, which
-    fit has already computed for the loss at x.  With both weights zero
-    that system is G X = XY in every iteration, so it is factored here once
-    and step returns its exact solution.  Otherwise step takes _CG_STEPS
+    (G + diag(lam * reweights[:, c])) x_c = XY[:, c] and returns the new x
+    with the number of CG steps it took.  gram_x is G x, which fit has
+    already computed for the loss at x.  With both weights zero that system
+    is G X = XY in every iteration, so it is factored here once and step
+    returns its exact solution after 0 CG steps.  Otherwise step takes
     conjugate-gradient steps from x, preconditioned by the system's
-    diagonal, for all columns at once: one product with G per CG step.  The
-    system is positive definite when the side of every zero weight has a
-    positive definite Gram block; that is checked here, and
-    SingularityError names the system that fails.
+    diagonal, for all columns at once: one product with G per CG step.  It
+    stops after _CG_STEPS steps, or earlier once every column's r'M^-1 r
+    is at most tol times its value at x: that compares a quantity with
+    itself, so the rule depends on neither N nor the scale of the loss.
+
+    A row whose diagonal entry of G is 0 belongs to a feature that is zero
+    in every instance, so its row and column of G and its row of XY are 0
+    too.  Its weight is held where it is (fit starts it at 0): its
+    preconditioner entry is 0, and it is left out of the exact solve and
+    of the positive-definiteness check.  The system is positive definite
+    on the other rows when the side of every zero weight has a positive
+    definite Gram block there; that is checked here, and SingularityError
+    names the system that fails.
     """
     gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
+    diagonal = np.diag(gram)
+    live = np.flatnonzero(diagonal)
     if lam1 == lam2 == 0.0:
-        factor = _cholesky(gram, "joint system (G = [T; O][T; O]')")
-        exact = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-        return lambda x, gram_x, reweights: exact
+        factor = _cholesky(gram[np.ix_(live, live)], "joint system (G = [T; O][T; O]')")
+        exact = np.zeros_like(rhs)
+        exact[live] = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs[live]))
+        return lambda x, gram_x, reweights: (exact, 0)
     if lam1 == 0.0:
-        _cholesky(gram[:d_t, :d_t], "skeleton-weight system (T T')")
+        rows = live[live < d_t]
+        _cholesky(gram[np.ix_(rows, rows)], "skeleton-weight system (T T')")
     if lam2 == 0.0:
-        _cholesky(gram[d_t:, d_t:], "object-weight system (O O')")
+        rows = live[live >= d_t]
+        _cholesky(gram[np.ix_(rows, rows)], "object-weight system (O O')")
     lam = _penalty_weights(layout, lam1, lam2)
-    diagonal = np.diag(gram)[:, None]
+    # 1 / (inf + shift) is exactly 0: the preconditioner entry of a zero row
+    diagonal = np.where(diagonal == 0.0, np.inf, diagonal)[:, None]
 
     def step(x, gram_x, reweights):
         shift = lam * reweights
@@ -180,16 +208,21 @@ def _irls_step(blocks, layout, lam1, lam2):
         # (labels have at least two classes), einsum adds the rows in the
         # same order as np.sum(a * b, axis=0) at a third of its dispatch cost
         rz = np.einsum("ij,ij->j", r, p)
-        for _ in range(_CG_STEPS):
+        target = tol * rz
+        for taken in range(1, _CG_STEPS + 1):
             q = gram @ p + shift * p
             alpha = _columnwise_ratio(rz, np.einsum("ij,ij->j", p, q))
             x = x + alpha * p
+            if taken == _CG_STEPS:
+                break
             r = r - alpha * q
             z = precond * r
             rz_next = np.einsum("ij,ij->j", r, z)
+            if np.all(rz_next <= target):
+                break
             p = z + _columnwise_ratio(rz_next, rz) * p
             rz = rz_next
-        return x
+        return x, taken
 
     return step
 
@@ -203,14 +236,20 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
 
     An iteration is one all-classes update of the stacked weights X = [W; U]
     for (G + diag(lambda * D)) X = XY, with the diagonals D rebuilt from the
-    current X.  It takes a fixed number of preconditioned CG steps from the
-    current weights, or, with both weights zero, solves exactly with a
-    factorization made once, before the first iteration.  A zero weight
-    whose side has a rank-deficient Gram block (T T' or O O', or G itself
-    when both are zero) raises SingularityError.  Every iteration, its loss
-    and objective included, works on dataset.normal_equations and makes no
-    pass over the N instances; on a fresh dataset the first use builds and
-    caches them (O(N d^2)), and that build counts towards wall_time.
+    current X.  It takes at most _CG_STEPS preconditioned CG steps from the
+    current weights (at most _CG_STEPS + 1 Gram products in all), and tol
+    also ends the inner solve, once every class column's preconditioned
+    residual energy is at most tol times its value at the start of the
+    step; the report's cg_steps lists the steps taken.  With both weights
+    zero it solves exactly with a factorization made once, before the first
+    iteration.  The weights of a feature that is zero in every instance
+    start and stay at exactly 0.  A zero weight whose side has a
+    rank-deficient Gram block (T T' or O O', or G itself when both are
+    zero) on its other features raises SingularityError.  Every iteration,
+    its loss and objective included, works on dataset.normal_equations and
+    makes no pass over the N instances; on a fresh dataset the first use
+    builds and caches them (O(N d^2)), and that build counts towards
+    wall_time.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
@@ -220,9 +259,10 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
-    step = _irls_step(blocks, layout, lam1, lam2)
+    step = _irls_step(blocks, layout, lam1, lam2, config.tol)
     rng = np.random.default_rng(config.seed)
     x = 0.01 * rng.standard_normal(blocks.xy.shape)
+    x[np.diag(blocks.gram) == 0.0] = 0.0  # zero features: step holds these rows
 
     def evaluate(x):
         """G x, the block norms, the loss and the objective at x."""
@@ -234,10 +274,12 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     gram_x, norms, _, prev_obj = evaluate(x)
     objective_trace: list[float] = []
     loss_trace: list[float] = []
+    cg_steps: list[int] = []
     converged = False
 
     for _ in range(config.max_iters):
-        x = step(x, gram_x, _reweights(norms, dims, eps))
+        x, taken = step(x, gram_x, _reweights(norms, dims, eps))
+        cg_steps.append(taken)
         gram_x, norms, loss_val, obj = evaluate(x)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
@@ -260,6 +302,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         iterations_run=len(objective_trace),
         converged=converged,
         wall_time=wall,
+        cg_steps=tuple(cg_steps),
     )
     return model, report
 

@@ -97,6 +97,8 @@ def test_train_writes_model_and_report(tmp_path, data_file, capsys):
     assert isinstance(report["converged"], bool)
     assert report["iterations_run"] == len(report["objective_trace"])
     assert report["final_objective"] == report["objective_trace"][-1]
+    assert len(report["cg_steps"]) == report["iterations_run"]
+    assert all(1 <= k <= 5 for k in report["cg_steps"])
     assert report["ablation"] == "full"
 
 
@@ -465,6 +467,36 @@ def test_exit_code_2_for_singular_systems(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_constant_feature_on_an_unpenalised_side_trains(tmp_path, data_file, capsys):
+    """standardize maps a constant feature to an all-zero row, which adds
+    nothing to the loss: training with no penalty on its side succeeds and
+    holds its weight at exactly 0, in every ablation variant too."""
+    dataset = load_dataset(data_file)
+    features = dataset.features.copy()
+    features[1] = 0.1
+    path = tmp_path / "constant.txt"
+    save_dataset(
+        Dataset(layout=dataset.layout, features=features, labels=dataset.labels), path
+    )
+    prefix = tmp_path / "ablation"
+    model_path = tmp_path / "m.json"
+    assert main(["ablate", "--data", str(path), "--out", str(prefix), "--standardize"]) == 0
+    args = ["train", "--data", str(path), "--model", str(model_path), "--standardize"]
+    assert main(args + ["--lambda1", "0"]) == 0
+    for model_file in (
+        f"{prefix}.full.json",
+        f"{prefix}.skeletal_only.json",
+        f"{prefix}.attribute_only.json",
+        model_path,
+    ):
+        model = load_model(model_file)
+        assert model.standardizer.constant == (1,)
+        assert not model.weights[1].any()
+    report = json.loads((tmp_path / "m.report.json").read_text())
+    assert report["converged"] is True
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_exit_code_2_for_singular_object_system(tmp_path, capsys):

@@ -32,16 +32,22 @@ from conftest import build_dataset
 
 def joint_step(ds, lam1, lam2, d, start=None):
     """fit's step on the stacked weights [W; U] with diagonals d (d x C), from
-    start (zero by default); with both weights zero it is the exact solve."""
+    start (zero by default); with both weights zero it is the exact solve.
+    tol 0 takes all _CG_STEPS CG steps unless every column is solved
+    exactly (r'M^-1 r == 0) first."""
     blocks = ds.normal_equations
-    step = _irls_step(blocks, ds.layout, lam1, lam2)
+    step = _irls_step(blocks, ds.layout, lam1, lam2, 0.0)
     x = np.zeros_like(blocks.xy) if start is None else start
-    return step(x, blocks.gram @ x, d)
+    return step(x, blocks.gram @ x, d)[0]
 
 
 def reweights(mat, dims, epsilon):
     """fit's reweighting diagonals of mat, from its block norms."""
     return _reweights(_group_norms(mat, dims), dims, epsilon)
+
+
+# the paper's 45 skeleton and 297 object features
+PAPER_LAYOUT = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
 
 
 # --- SolverConfig -----------------------------------------------------------
@@ -537,7 +543,9 @@ def reference_fit(ds, cfg):
     afresh, and the loss and the penalty each take their own G X and block
     norms (with both weights zero the step is the exact solve of G X = XY).
     fit shares G X and the block norms between these parts and must match
-    this loop bit for bit."""
+    this loop bit for bit.  Each step stops early once every column's
+    r'M^-1 r is at most tol times its value at the start of the step; the
+    CG steps taken are returned with the traces."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
@@ -561,14 +569,14 @@ def reference_fit(ds, cfg):
     def step(x):
         if lam1 == lam2 == 0.0:
             factor = np.linalg.cholesky(gram)
-            return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+            return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs)), 0
         norms = np.sqrt(block_sums(x * x, dims))
         shift = lam * np.repeat(0.5 / np.maximum(norms, eps), dims, axis=0)
         precond = 1.0 / (diagonal + shift)
         r = rhs - (gram @ x + shift * x)
         p = precond * r
-        rz = np.sum(r * p, axis=0)
-        for _ in range(_CG_STEPS):
+        rz = rz_start = np.sum(r * p, axis=0)
+        for taken in range(1, _CG_STEPS + 1):
             q = gram @ p + shift * p
             alpha = ratio(rz, np.sum(p * q, axis=0))
             x = x + alpha * p
@@ -577,41 +585,47 @@ def reference_fit(ds, cfg):
             rz_next = np.sum(r * z, axis=0)
             p = z + ratio(rz_next, rz) * p
             rz = rz_next
-        return x
+            if all(rz[c] <= cfg.tol * rz_start[c] for c in range(rz.size)):
+                break
+        return x, taken
 
     x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(rhs.shape)
     prev_obj = loss_and_objective(x)[1]
-    losses, objectives = [], []
+    losses, objectives, cg_steps = [], [], []
     for _ in range(cfg.max_iters):
-        x = step(x)
+        x, taken = step(x)
         loss_val, obj = loss_and_objective(x)
         losses.append(loss_val)
         objectives.append(obj)
+        cg_steps.append(taken)
         if abs(prev_obj - obj) / max(1.0, prev_obj) < cfg.tol:
             break
         prev_obj = obj
-    return x, tuple(losses), tuple(objectives)
+    return x, tuple(losses), tuple(objectives), tuple(cg_steps)
 
 
 def test_fit_matches_the_reference_loop_bit_for_bit():
     small = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
-    paper = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
     problems = [
-        (build_dataset(small, n=n, n_classes=3, seed=700 + n), lams)
+        (build_dataset(small, n=n, n_classes=3, seed=700 + n), lams, 1e-9)
         for n in (20, 45)
         for lams in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25), (0.0, 0.0))
     ]
-    problems.append((build_dataset(paper, n=500, n_classes=6, seed=709), (0.5, 0.5)))
-    for ds, (lam1, lam2) in problems:
-        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-9, max_iters=40, seed=3)
+    paper = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    # at lambda 300 and the default tol the inner solves end early
+    problems += [(paper, (0.5, 0.5), 1e-9), (paper, (300.0, 300.0), SolverConfig().tol)]
+    for ds, (lam1, lam2), tol in problems:
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
         model, report = fit(ds, cfg)
-        x, losses, objectives = reference_fit(ds, cfg)
+        x, losses, objectives, cg_steps = reference_fit(ds, cfg)
         assert np.array_equal(model.weights, x)
         assert np.array_equal(model.w, x[: ds.layout.d_t])
         assert np.array_equal(model.u, x[ds.layout.d_t :])
         assert report.objective_trace == objectives
         assert report.loss_trace == losses
         assert report.iterations_run == len(objectives)
+        assert report.cg_steps == cg_steps
+    assert min(report.cg_steps) < _CG_STEPS
 
 
 class CountingGram(np.ndarray):
@@ -626,18 +640,33 @@ class CountingGram(np.ndarray):
 
 def test_fit_makes_one_gram_product_per_cg_step_and_one_per_iteration():
     """Each iteration shares one G X between the loss and the next step's
-    starting residual: 1 + (_CG_STEPS + 1) k products in k penalised
-    iterations, 1 + k on the exact path with both weights zero."""
-    layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
-    for lam1, lam2, per_iteration in ((0.3, 0.25, _CG_STEPS + 1), (0.0, 0.0, 1)):
-        ds = build_dataset(layout, n=40, n_classes=3, seed=719)
+    starting residual: 1 + sum(cg_steps[k] + 1) products, where a penalised
+    iteration takes at most _CG_STEPS CG steps and the exact path with both
+    weights zero takes none."""
+    small = build_dataset(
+        FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,)),
+        n=40,
+        n_classes=3,
+        seed=719,
+    )
+    paper = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    cases = ((small, 0.3, 0.25), (small, 0.0, 0.0), (paper, 300.0, 300.0))
+    for ds, lam1, lam2 in cases:
         blocks = ds.normal_equations
         gram = blocks.gram.view(CountingGram)
         gram.products = 0
         ds.__dict__["normal_equations"] = blocks._replace(gram=gram)
         _, report = fit(ds, SolverConfig(lambda1=lam1, lambda2=lam2, max_iters=40))
+        ds.__dict__["normal_equations"] = blocks
         assert report.iterations_run > 1
-        assert gram.products == 1 + per_iteration * report.iterations_run
+        assert len(report.cg_steps) == report.iterations_run
+        assert gram.products == 1 + sum(k + 1 for k in report.cg_steps)
+        if lam1 == lam2 == 0.0:
+            assert set(report.cg_steps) == {0}
+        else:
+            assert 1 <= min(report.cg_steps) and max(report.cg_steps) <= _CG_STEPS
+    # the last case ends some inner solves early
+    assert min(report.cg_steps) < _CG_STEPS
 
 
 def test_iteration_update_never_raises_objective():
@@ -659,24 +688,25 @@ def test_iteration_update_never_raises_objective():
 
 def test_inexact_steps_at_paper_shape():
     """At 45 + 297 features, where 5 CG steps are far from an exact solve:
-    every step from the current weights lowers loss + penalty, and an exact
-    solve of the surrogate is a fixed point of the step.  Some blocks start
-    at zero, so their diagonals sit at 0.5 / epsilon."""
-    layout = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    every step from the current weights lowers loss + penalty, whether it
+    runs all _CG_STEPS steps (tol 0) or ends early at the default tol, and
+    an exact solve of the surrogate is a fixed point of the step.  Some
+    blocks start at zero, so their diagonals sit at 0.5 / epsilon."""
+    layout = PAPER_LAYOUT
     dims = layout.joint_dims + layout.object_block_dims
     rng = np.random.default_rng(149)
     for k, n in enumerate((150, 300, 600)):
         ds = build_dataset(layout, n=n, n_classes=6, seed=600 + k)
         blocks = ds.normal_equations
-        for lam in (1e-3, 0.1, 10.0):
-            step = _irls_step(blocks, layout, lam, lam)
+        for lam, tol in ((1e-3, 0.0), (0.1, 0.0), (10.0, 0.0), (300.0, SolverConfig().tol)):
+            step = _irls_step(blocks, layout, lam, lam, tol)
             x = 0.5 * rng.standard_normal((342, 6))
             x[:9] = 0.0
             x[45:93] = 0.0
             for _ in range(10):
                 d = reweights(x, dims, 1e-8)
                 before = objective(ds, x, lam, lam)
-                x = step(x, blocks.gram @ x, d)
+                x = step(x, blocks.gram @ x, d)[0]
                 after = objective(ds, x, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
             exact = np.column_stack(
@@ -685,13 +715,73 @@ def test_inexact_steps_at_paper_shape():
                     for c in range(6)
                 ]
             )
-            again = step(exact, blocks.gram @ exact, d)
+            again = step(exact, blocks.gram @ exact, d)[0]
             assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
         # a class with no instances has nothing to solve: from zero it stays
         # exactly zero, without a 0/0
         labels = np.column_stack([ds.labels, np.zeros(n)])
         empty = Dataset(layout=layout, features=ds.features, labels=labels)
         assert not joint_step(empty, 0.1, 0.1, np.ones((342, 7)))[:, 6].any()
+
+
+def test_step_is_invariant_under_scaling_the_problem():
+    """(2G, 2XY, 2 lambda) is the same problem as (G, XY, lambda) with the
+    loss doubled.  Doubling is exact in floating point, and the early exit
+    compares r'M^-1 r with its own starting value, so from the same x the
+    step returns the same x after the same number of CG steps."""
+    layout = PAPER_LAYOUT
+    dims = layout.joint_dims + layout.object_block_dims
+    ds = build_dataset(layout, n=500, n_classes=6, seed=709)
+    blocks = ds.normal_equations
+    doubled = blocks._replace(gram=2.0 * blocks.gram, xy=2.0 * blocks.xy, yy=2.0 * blocks.yy)
+    x = 0.01 * np.random.default_rng(151).standard_normal(blocks.xy.shape)
+    steps_seen = set()
+    for lam in (0.5, 300.0, 1000.0):
+        d = reweights(x, dims, 1e-8)
+        for tol in (SolverConfig().tol, 1e-3):
+            once, steps = _irls_step(blocks, layout, lam, lam, tol)(x, blocks.gram @ x, d)
+            twice, steps_twice = _irls_step(doubled, layout, 2 * lam, 2 * lam, tol)(
+                x, doubled.gram @ x, d
+            )
+            assert np.array_equal(once, twice)
+            assert steps == steps_twice
+            steps_seen.add(steps)
+    assert min(steps_seen) < _CG_STEPS
+
+
+def zero_row_dataset(layout, n, seed, row):
+    """build_dataset with feature row set to 0 in every instance."""
+    ds = build_dataset(layout, n=n, n_classes=3, seed=seed)
+    features = ds.features.copy()
+    features[row] = 0.0
+    return Dataset(layout=layout, features=features, labels=ds.labels)
+
+
+def test_fit_holds_the_weights_of_an_all_zero_feature_at_zero():
+    """A feature that is 0 in every instance gives G a zero row, column and
+    diagonal entry.  Its weight is 0 at every optimum, so fit holds it at
+    exactly 0 in every variant: the unpenalised side's check leaves the row
+    out instead of failing, its preconditioner entry is 0, not 1 / 0, and
+    the exact path solves on the other rows.  With both weights zero the
+    fit is the minimum-norm least-squares solution."""
+    layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2, 1))
+    for row in (1, layout.d_t + 2):
+        ds = zero_row_dataset(layout, n=60, seed=721, row=row)
+        for lam1, lam2 in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25), (0.0, 0.0)):
+            model, report = fit(ds, SolverConfig(lambda1=lam1, lambda2=lam2))
+            assert report.converged
+            assert np.all(np.isfinite(model.weights))
+            assert not model.weights[row].any()
+            assert model.weights[np.arange(layout.d_t + layout.d_o) != row].all()
+            trace = np.asarray(report.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, trace[:-1]))
+        oracle, *_ = np.linalg.lstsq(ds.features.T, ds.labels, rcond=None)
+        assert np.allclose(model.weights, oracle, atol=1e-9)
+    # a side that is rank deficient on its other rows still fails
+    thin = FeatureLayout(joint_dims=(4, 3), object_count=1, modality_dims=(1,))
+    ds = zero_row_dataset(thin, n=3, seed=29, row=0)
+    with pytest.raises(SingularityError, match="skeleton-weight system"):
+        fit(ds, SolverConfig(lambda1=0.0, lambda2=0.1))
 
 
 # --- the scalar inequality behind the reweighting scheme ----------------------
