@@ -577,28 +577,49 @@ def test_dataset_file_round_trip_is_exact(dataset, round_trip_dir):
         assert np.array(values).tobytes() == expected[:, i].tobytes()
 
 
-def test_save_dataset_memory_stays_below_three_file_sizes(tmp_path):
-    """At the paper's width the writer holds about one copy of the file, not the rows twice."""
+def traced_peak(call, *args):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_file_memory_at_paper_shape(tmp_path):
+    """At the paper's shape the writer holds a few chunks of rows, not the
+    file, and the reader about two feature matrices (its float64 blocks,
+    their concatenation, Dataset's copy), not the file's text and floats."""
     layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
     rng = np.random.default_rng(0)
-    n = 2000
+    n = 5000
     dataset = Dataset(
         layout=layout,
-        features=np.vstack(
-            (rng.standard_normal((layout.d_t, n)), rng.standard_normal((layout.d_o, n)))
-        ),
+        features=rng.standard_normal((layout.d_t + layout.d_o, n)),
         labels=np.eye(6)[rng.integers(0, 6, size=n)],
         class_names=tuple(f"class_{c}" for c in range(6)),
     )
     path = tmp_path / "wide.txt"
-    tracemalloc.start()
-    try:
-        save_dataset(dataset, path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
-    assert peak < 3 * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+    nbytes = dataset.features.nbytes
+    save_peak = traced_peak(save_dataset, dataset, path)
+    assert save_peak <= 0.5 * nbytes, f"save peak {save_peak / 1e6:.1f} MB"
+    load_peak = traced_peak(load_dataset, path)
+    assert load_peak <= 3 * nbytes, f"load peak {load_peak / 1e6:.1f} MB"
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("encoding failed")
+
+    with pytest.raises(RuntimeError, match="encoding failed"):
+        poseact.data._atomic_write(path, chunks(), overwrite=True)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
 
 
 def write_lines(tmp_path, *lines):
@@ -661,25 +682,27 @@ def test_names_utf8_cannot_hold_are_rejected(tmp_path):
             load_dataset(path)
 
 
+ROW_ERRORS = [
+    ("[0.0, 0.0", r"row 0 \(line 2\)"),
+    ('{"a": 1}', "expected a JSON array"),
+    ('[0.0, "a"]', "entry 1 is not a number"),
+    ('[0.0, true, "a"]', "entry 1 is not a number"),
+    ('[0.0, NaN, "a"]', "entry 1 is not finite"),
+    ('[0.0, 0.0, 0.0, "a"]', "expected 2 features"),
+    ('[0.0, 0.0, "zzz"]', "unknown label"),
+    ("[0.0, 0.0, 17]", "label must be a string"),
+    # one past the float range: isfinite would overflow converting it
+    ("[0.0, " + "9" * 401 + ', "a"]', "entry 1 is too large for a float"),
+    # past the interpreter's digit limit for integer literals
+    ("[0.0, " + "9" * 5000 + ', "a"]', r"row 0 \(line 2\) is not valid JSON"),
+    # nested past the interpreter's recursion limit
+    ("[" * 100_000, r"row 0 \(line 2\) is not valid JSON \(maximum recursion depth"),
+]
+
+
 def test_load_dataset_row_errors(tmp_path):
     header = good_header()
-    cases = [
-        ("[0.0, 0.0", r"row 0 \(line 2\)"),
-        ('{"a": 1}', "expected a JSON array"),
-        ('[0.0, "a"]', "entry 1 is not a number"),
-        ('[0.0, true, "a"]', "entry 1 is not a number"),
-        ('[0.0, NaN, "a"]', "entry 1 is not finite"),
-        ('[0.0, 0.0, 0.0, "a"]', "expected 2 features"),
-        ('[0.0, 0.0, "zzz"]', "unknown label"),
-        ("[0.0, 0.0, 17]", "label must be a string"),
-        # one past the float range: isfinite would overflow converting it
-        ("[0.0, " + "9" * 401 + ', "a"]', "entry 1 is too large for a float"),
-        # past the interpreter's digit limit for integer literals
-        ("[0.0, " + "9" * 5000 + ', "a"]', r"row 0 \(line 2\) is not valid JSON"),
-        # nested past the interpreter's recursion limit
-        ("[" * 100_000, r"row 0 \(line 2\) is not valid JSON \(maximum recursion depth"),
-    ]
-    for row, fragment in cases:
+    for row, fragment in ROW_ERRORS:
         path = write_lines(tmp_path, header, row)
         with pytest.raises(DataFormatError, match=fragment):
             load_dataset(path)
@@ -709,6 +732,217 @@ def test_load_dataset_labeled_rows_need_two_classes(tmp_path):
     path = write_lines(tmp_path, good_header(classes=["only"]), '[0.0, 0.0, "only"]')
     with pytest.raises(DataFormatError, match="fewer than two classes"):
         load_dataset(path)
+
+
+# --- the streaming reader and writer against the whole-file ones they replaced ----
+
+
+def reference_checked_rows(lines, width, classes):
+    """The row loop of the whole-text reader: every row parsed and checked in
+    file order, then all of them stacked by one np.array call."""
+    features = []
+    label_indices = []
+    labeled = None
+    class_index = {name: c for c, name in enumerate(classes)}
+    for offset, raw in enumerate(lines):
+        row_id = f"row {offset} (line {offset + 2})"
+        try:
+            row, check = orjson.loads(raw), poseact.data._check_orjson_numbers
+        except orjson.JSONDecodeError:
+            row, check = poseact.data._parse_json(raw, row_id), poseact.data._check_numbers
+        if not isinstance(row, list):
+            raise DataFormatError(f"{row_id}: expected a JSON array")
+        has_label = len(row) == width + 1
+        if not has_label and len(row) != width:
+            raise DataFormatError(
+                f"{row_id}: {len(row)} entries, expected {width} features"
+                f" plus an optional label"
+            )
+        if labeled is None:
+            labeled = has_label
+        elif labeled != has_label:
+            raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
+        values = row[:width]
+        check(values, row_id)
+        if has_label:
+            label = row[width]
+            if not isinstance(label, str):
+                raise DataFormatError(
+                    f"{row_id}: label must be a string, got {poseact.data._shown(label)}"
+                )
+            if label not in class_index:
+                raise DataFormatError(f"{row_id}: unknown label {label!r}")
+            label_indices.append(class_index[label])
+        features.append(values)
+    if not features:
+        raise DataFormatError("file has a header but no instance rows")
+    data = np.array(features, dtype=np.float64).T
+    labels = None
+    if labeled:
+        if len(classes) < 2:
+            raise DataFormatError(
+                "rows carry labels but the header declares fewer than two classes"
+            )
+        labels = np.zeros((len(features), len(classes)))
+        labels[np.arange(len(features)), label_indices] = 1.0
+    return data, labels
+
+
+def reference_load_dataset(path):
+    """The whole-text reader load_dataset replaced: decode the whole file,
+    split it at "\n", then parse the header and the rows."""
+    lines = poseact.data._read_text(path).split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataFormatError("file is empty")
+    layout, classes, names = poseact.data._parse_header(lines.pop(0))
+    data, labels = reference_checked_rows(lines, layout.d_t + layout.d_o, classes)
+    return Dataset(
+        layout=layout,
+        features=data,
+        labels=labels,
+        class_names=classes if classes else None,
+        names=names,
+    )
+
+
+def reference_dataset_bytes(dataset):
+    """The whole-file writer save_dataset replaced: every row into one buffer."""
+    layout, names = poseact.data._encode_header(dataset.layout, dataset.names)
+    header = {
+        "format": DATASET_FORMAT,
+        "version": FORMAT_VERSION,
+        **layout,
+        "classes": list(dataset.class_names) if dataset.class_names else [],
+        "names": names,
+    }
+    if dataset.labels is None:
+        labels = [()] * dataset.n_instances
+    else:
+        labels = [(dataset.class_names[c],) for c in np.argmax(dataset.labels, axis=1).tolist()]
+    out = bytearray(orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE))
+    for x, label in zip(dataset.features.T, labels):
+        out += orjson.dumps([*x.tolist(), *label], option=orjson.OPT_APPEND_NEWLINE)
+    return bytes(out)
+
+
+def read_outcome(reader, path):
+    """What reader makes of path: the error's type and message, or the Dataset
+    down to its bytes and strides."""
+    try:
+        back = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    labels = None if back.labels is None else (back.labels.tobytes(), back.labels.strides)
+    features = back.features.tobytes(), back.features.strides
+    return back.layout, back.class_names, back.names, features, labels
+
+
+def assert_readers_agree(path):
+    assert read_outcome(load_dataset, path) == read_outcome(reference_load_dataset, path)
+
+
+def test_readers_agree_on_every_row_error(tmp_path):
+    header = good_header()
+    for row, _ in ROW_ERRORS:
+        assert_readers_agree(write_lines(tmp_path, header, row))
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(header.encode() + b'\n[0.0, 0.0, "\xe9"]\n')
+    assert_readers_agree(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "\n\n",
+        good_header(),
+        good_header() + "\n",
+        good_header() + "\n\n",
+        good_header() + '\n[0.0, 0.0, "a"]',
+        good_header() + '\n[0.0, 0.0, "a"]\n\n',
+        good_header() + '\n[0.0, 1.0, "a"]\n[1.0, 0.0, "b"]\n',
+        good_header() + '\n[0.0, 1.0]\r[1.0, 0.0]\r\n',
+        good_header(classes=["only"]) + '\n[0.0, 0.0, "only"]\n',
+        good_header() + '\n[0.0, 0.0, "a"]\n[0.0, 0.0]\n',
+    ],
+)
+def test_readers_agree_on_short_files(tmp_path, text):
+    path = tmp_path / "short.txt"
+    path.write_bytes(text.encode())
+    assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("n", [1, poseact.data._CHUNK_ROWS, poseact.data._CHUNK_ROWS + 1, 300])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_streaming_matches_the_whole_file_io_across_chunk_boundaries(tmp_path, n, labeled):
+    dataset = named_dataset(n=n, seed=n)
+    if not labeled:
+        dataset = replace(dataset, labels=None, class_names=None)
+    path = tmp_path / "rows.txt"
+    save_dataset(dataset, path)
+    assert path.read_bytes() == reference_dataset_bytes(dataset)
+    assert_readers_agree(path)
+
+
+def test_readers_agree_on_one_byte_corruptions(tmp_path):
+    small = tmp_path / "small.txt"
+    save_dataset(named_dataset(n=6, seed=5), small)
+    original = small.read_bytes()
+    path = tmp_path / "corrupted.txt"
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        at = int(rng.integers(len(original)))
+        path.write_bytes(original[:at] + bytes([int(rng.integers(256))]) + original[at + 1 :])
+        assert read_outcome(load_dataset, path) == read_outcome(reference_load_dataset, path), seed
+
+
+def test_a_bad_byte_anywhere_wins_at_its_offset_in_the_file(file_of_300_rows, tmp_path):
+    """A bad byte past the reader's first buffer is named at its offset in the
+    file, also behind an earlier fault that would be named without it."""
+    lines = file_of_300_rows.read_bytes().split(b"\n")
+    lines[-2] = lines[-2].replace(b"]", b"\xff]")
+    late = b"\n".join(lines)
+    assert late.index(b"\xff") > 8192  # past the text layer's first 8 KiB read
+    for name, content, fault in [
+        ("late.txt", late, None),
+        ("bad_header.txt", b"{not json" + late[late.index(b"\n") :], "line 1: header"),
+        ("bad_row.txt", late.replace(b"\n[", b"\n[[", 1), r"row 0 \(line 2\)"),
+    ]:
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert_readers_agree(path)
+        with pytest.raises(DataFormatError) as caught:
+            load_dataset(path)
+        at = content.index(b"\xff")
+        assert str(caught.value) == f"{path} is not UTF-8 text (bad byte at {at})"
+        if fault:
+            path.write_bytes(content.replace(b"\xff", b""))
+            with pytest.raises(DataFormatError, match=fault):
+                load_dataset(path)
+    path = tmp_path / "truncated.txt"
+    path.write_bytes(file_of_300_rows.read_bytes() + "é".encode()[:1])
+    assert_readers_agree(path)
+    at = path.stat().st_size - 1
+    with pytest.raises(DataFormatError, match=rf"not UTF-8 text \(bad byte at {at}\)"):
+        load_dataset(path)
+
+
+def test_crlf_and_cr_files_load_as_their_lf_twin(tmp_path):
+    """Lines end at "\n", "\r\n" or a lone "\r", as text mode reads them."""
+    dataset = named_dataset(n=150, seed=8)
+    lf = tmp_path / "lf.txt"
+    save_dataset(dataset, lf)
+    expected = read_outcome(load_dataset, lf)
+    content = lf.read_bytes()
+    # the file spans several of the text layer's 8 KiB reads
+    assert len(content) > 8192 and b"\r" not in content
+    for name, ending in (("crlf.txt", b"\r\n"), ("cr.txt", b"\r")):
+        path = tmp_path / name
+        path.write_bytes(content.replace(b"\n", ending))
+        assert read_outcome(load_dataset, path) == expected, name
 
 
 JSON_VALUES = (
