@@ -224,7 +224,27 @@ def _real_array(value, what, ndim=2):
     return arr
 
 
+class _Fresh(NamedTuple):
+    """A matrix that a producer in this package built for one Dataset and
+    drops: Dataset keeps it instead of copying it.  The producer hands it over
+    laid out as a copy would be, so the dataset is the same either way."""
+
+    array: np.ndarray
+
+
 def _frozen_array(value, what, ndim=2):
+    """value as a read-only float64 array: a copy, unless value is _Fresh.
+
+    A _Fresh array is kept as it is, and it and every array behind it (its
+    base chain) are made read-only, so no view its producer made can write
+    into it.
+    """
+    if isinstance(value, _Fresh):
+        owner = value.array
+        while isinstance(owner, np.ndarray):
+            owner.setflags(write=False)
+            owner = owner.base
+        return value.array
     arr = np.array(_real_array(value, what, ndim), dtype=np.float64)
     arr.setflags(write=False)
     return arr
@@ -250,7 +270,10 @@ class Dataset:
 
     features is the d x N matrix [skeleton; objects], instance i in column
     i, stored as a read-only copy in the memory order it was given;
-    skeleton (d_t x N) and objects (d_o x N) are its row views.  labels,
+    skeleton (d_t x N) and objects (d_o x N) are its row views.  Only the
+    producers in data (generate, split, standardize, Standardizer.apply,
+    load_dataset) skip that copy: each hands over the one d x N matrix it
+    built, which the dataset keeps, read-only, as it would a copy.  labels,
     when present, is N x C with exactly one 1.0 per row and 0.0 elsewhere,
     and class_names gives the string behind each column.
     """
@@ -326,7 +349,7 @@ class Dataset:
         G = [T; O][T; O]' and XY = [T; O] Y are one product each over
         features, one O(N d^2) pass; nothing after it depends on N.  G comes
         from a symmetric rank-k update, so it is exactly symmetric.  The data
-        arrays are read-only, so the cached blocks cannot go stale; a copy
+        arrays are read-only, so the cached blocks cannot go stale; a dataset
         made by standardize, split or Standardizer.apply builds its own.
         """
         if self.labels is None:

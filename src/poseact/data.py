@@ -17,12 +17,20 @@ writes each chunk as it goes, so it never holds the file; at the paper's
 shape (5000 rows of 342 features) its tracemalloc peak is about 0.13x
 the feature matrix.
 
+Every dataset producer here (generate, split, standardize, Standardizer.apply
+and load_dataset) allocates one d x N matrix for its result and hands it to
+Dataset, which keeps it rather than copying it as it copies a caller's array.
+At 342 features the tracemalloc peaks are about 1.06x the output matrix for
+split, 1.13x for standardize and Standardizer.apply (the finiteness check's
+boolean scratch is the rest) and 1.16x for generate, which draws its noise
+one feature row at a time.
+
 The dataset reader streams too: it reads the file line by line in text
 mode (UTF-8, universal newlines, so "\r\n" and a lone "\r" end a line as
 "\n" does) and stacks every _CHUNK_ROWS parsed rows into one float64
 block, so it never holds the file's text and holds Python floats for only
-that many rows; at the same shape its peak is about 2.1x the feature matrix
-(the blocks, then their concatenation and Dataset's copy).  When a file
+that many rows; at the same shape its peak is about 2.0x the feature matrix
+(the blocks and their concatenation, which Dataset keeps).  When a file
 fails, by a byte that is not UTF-8 or by any DataFormatError, its whole
 encoding is checked before anything is raised: a bad byte anywhere is named
 first, at its offset in the file, as a reader of the whole text would.
@@ -66,6 +74,7 @@ from .core import (
     FeatureLayout,
     GroupNames,
     Model,
+    _Fresh,
     _frozen_array,
     _require_finite,
     _str_tuple,
@@ -135,12 +144,27 @@ class Standardizer:
         object.__setattr__(self, "constant", tuple(checked))
 
     def apply(self, dataset: Dataset) -> Dataset:
-        """Transform a dataset exactly the way the training set was transformed."""
+        """Transform a dataset exactly the way the training set was transformed.
+
+        The features are centered and scaled in place in the one d x N array
+        that the new dataset keeps.  A value that leaves the float64 range on
+        the way is a ValidationError naming its feature.
+        """
         if dataset.layout != self.layout:
             raise LayoutError("dataset layout does not match standardizer layout")
-        features = dataset.features - self.mean[:, None]
-        features /= self.scale[:, None]
-        return replace(dataset, features=features)
+        mean, scale = self.mean[:, None], self.scale[:, None]
+        try:
+            with np.errstate(over="raise"):
+                features = dataset.features - mean
+                features /= scale
+        except FloatingPointError:
+            with np.errstate(over="ignore"):  # failing input only: find the feature
+                finite = np.isfinite((dataset.features - mean) / scale).all(axis=1)
+            raise ValidationError(
+                f"standardizing overflows float64 at feature {np.argmin(finite)}: "
+                f"a value lies too far from the training mean for the training scale"
+            ) from None
+        return replace(dataset, features=_Fresh(features))
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
@@ -150,17 +174,26 @@ def standardize(dataset: Dataset) -> tuple[Dataset, Standardizer]:
     transform itself, for replaying on held-out data.  A constant feature
     (row max == row min) is centered on its own value, so it maps to exactly
     0, and keeps scale 1; its rounded mean could miss the value and leave a
-    std of about 1e-17 that would blow held-out values up.
+    std of about 1e-17 that would blow held-out values up.  A feature whose
+    mean or variance leaves the float64 range is a ValidationError naming it.
     """
     if dataset.n_instances < 2:
         raise ValidationError("standardize needs at least two instances")
     features = dataset.features
-    mean = features.mean(axis=1)
-    scale = features.std(axis=1)
+    # an overflow leaves an inf, or a nan where infs of both signs meet: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=1)
+        scale = features.std(axis=1)
     constant = features.max(axis=1) == features.min(axis=1)
     mean[constant] = features[constant, 0]
     # a spread too small to square (std underflows to 0) keeps scale 1 too
     scale[constant | (scale == 0.0)] = 1.0
+    finite = np.isfinite(mean) & np.isfinite(scale)
+    if not finite.all():
+        raise ValidationError(
+            f"standardize overflows float64 at feature {np.argmin(finite)}: "
+            f"its mean or variance is too large to represent"
+        )
     transform = Standardizer(
         layout=dataset.layout,
         mean=mean,
@@ -272,11 +305,14 @@ def generate(spec: SynthSpec) -> GeneratedData:
     labels = np.zeros((spec.n_instances, spec.n_classes))
     labels[np.arange(spec.n_instances), winners] = 1.0
     if spec.noise_sigma > 0:
-        features += spec.noise_sigma * rng.standard_normal(features.shape)
+        # one feature row at a time: the same draws as one d x N call, without
+        # a second d x N array
+        for row in features:
+            row += spec.noise_sigma * rng.standard_normal(row.shape)
 
     dataset = Dataset(
         layout=layout,
-        features=features,
+        features=_Fresh(features),
         labels=labels,
         class_names=tuple(f"class_{c}" for c in range(spec.n_classes)),
     )
@@ -302,17 +338,17 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
             f"train_fraction {frac} leaves an empty side for {n} instances"
         )
     order = np.random.default_rng(seed).permutation(n)
-    # one gather for both sides; take is several times faster than features[:, order]
-    features = dataset.features.take(order, axis=1)
 
     def part(cols):
+        # one gather per side, which the side keeps: take is several times faster
+        # than features[:, cols] and, like Dataset's copy would, gives C order
         return replace(
             dataset,
-            features=features[:, cols],
-            labels=None if dataset.labels is None else dataset.labels[order[cols]],
+            features=_Fresh(dataset.features.take(cols, axis=1)),
+            labels=None if dataset.labels is None else dataset.labels[cols],
         )
 
-    return part(slice(n_train)), part(slice(n_train, None))
+    return part(order[:n_train]), part(order[n_train:])
 
 
 # --- files -------------------------------------------------------------------
@@ -527,8 +563,8 @@ def _checked_rows(lines, width, classes):
     Returns the width x N feature matrix and the one-hot labels (None for
     unlabeled rows).  Every _CHUNK_ROWS parsed rows become one float64 block,
     so at most that many rows are held as Python floats; the blocks are
-    concatenated once at the end and freed on return, before Dataset copies
-    the matrix.
+    concatenated once at the end and freed on return.  The concatenation is
+    the one matrix the reader allocates: Dataset keeps it, as its transpose.
     """
     blocks = []
     rows = []
@@ -570,7 +606,10 @@ def _checked_rows(lines, width, classes):
         blocks.append(np.array(rows, dtype=np.float64))
     if not blocks:
         raise DataFormatError("file has a header but no instance rows")
-    data = np.concatenate(blocks).T
+    stacked = np.concatenate(blocks)  # N x width
+    # width x N in F order; a lone row becomes a C-ordered column, as a copy of
+    # the transpose would be
+    data = stacked.T if len(stacked) > 1 else stacked.reshape(width, 1)
     labels = None
     if labeled:
         if len(classes) < 2:
@@ -603,7 +642,7 @@ def load_dataset(path) -> Dataset:
         raise
     return Dataset(
         layout=layout,
-        features=data,
+        features=_Fresh(data),
         labels=labels,
         class_names=classes if classes else None,
         names=names,

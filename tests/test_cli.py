@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,37 @@ def test_standardize_flag_flows_into_model_and_predict(tmp_path, data_file, caps
     assert doc["accuracy"] > 0.8
     report = json.loads((tmp_path / "standardized.report.json").read_text())
     assert report["standardized"] is True
+
+
+def test_standardize_overflow_exits_1_without_a_warning(tmp_path, data_file, capsys):
+    """A value that leaves the float64 range when standardized is named as an
+    overflow, in train and in predict, and no numpy warning leaks."""
+    model_path = tmp_path / "standardized.json"
+    train = ["train", "--data", str(data_file), "--model", str(model_path), "--standardize"]
+    assert main(train + ["--max-iters", "5"]) == 0
+    scale = load_model(model_path).standardizer.scale
+    feature = int(np.argmin(scale))
+    assert scale[feature] < 1.0
+    lines = data_file.read_text(encoding="utf-8").split("\n")
+    huge_value = float(np.finfo(np.float64).max)  # over the range once divided by a scale < 1
+    for k, value in ((1, huge_value), (2, -huge_value)):
+        row = json.loads(lines[k])
+        row[feature] = value
+        lines[k] = json.dumps(row)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    cases = [
+        (["train", "--data", str(huge), "--model", str(tmp_path / "m.json"), "--standardize"],
+         "standardize"),
+        (["predict", "--data", str(huge), "--model", str(model_path)], "standardizing"),
+    ]
+    for argv, verb in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"{verb} overflows float64 at feature {feature}" in err, (argv, err)
 
 
 def test_exit_code_1_for_missing_files(tmp_path, capsys):

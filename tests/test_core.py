@@ -18,6 +18,8 @@ from poseact import (
     predict_batch,
     smoothed_gradients,
     smoothed_objective,
+    split,
+    standardize,
     stationarity_residual,
 )
 from poseact.core import GroupNames, _group_norms, _penalty, default_names, objective
@@ -176,6 +178,36 @@ def test_dataset_copies_its_features_once():
     assert ds.features.nbytes == features.nbytes
     # the copy itself plus the finiteness pass's boolean scratch (an eighth of it)
     assert features.nbytes <= peak < 1.5 * features.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("producer", ["split", "standardize", "apply"])
+def test_dataset_producers_allocate_one_matrix(producer):
+    """At the paper's shape split, standardize and Standardizer.apply each build
+    the d x N matrix their dataset keeps, with no second copy: the peak is that
+    matrix plus the finiteness pass's boolean scratch and the labels."""
+    layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
+    rng = np.random.default_rng(2)
+    n = 2000
+    dataset = Dataset(
+        layout=layout,
+        features=rng.standard_normal((layout.d_t + layout.d_o, n)),
+        labels=np.eye(6)[rng.integers(0, 6, size=n)],
+    )
+    _, transform = standardize(dataset)
+    calls = {
+        "split": lambda: split(dataset, 0.7, seed=1),
+        "standardize": lambda: standardize(dataset)[:1],
+        "apply": lambda: (transform.apply(dataset),),
+    }
+    tracemalloc.start()
+    try:
+        made = calls[producer]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(part.features.nbytes for part in made)
+    assert nbytes == dataset.features.nbytes
+    assert peak <= 1.2 * nbytes, f"peak {peak / nbytes:.2f}x the output"
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

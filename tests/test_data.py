@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,54 @@ def test_standardizer_apply_rejects_wrong_width(small_dataset):
     other = build_dataset(other_layout, n=9, n_classes=2, seed=0)
     with pytest.raises(LayoutError, match="dataset layout does not match standardizer layout"):
         transform.apply(other)
+
+
+def overflow_free(call, *args):
+    """call(*args) with every warning raised as an error, so none can leak."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1.7e308, -1.7e308] + [0.0] * 14,  # the squares overflow
+        [1.7e308] * 15 + [1.6e308],  # the sum overflows
+        [1.7e308, -1.7e308] * 8,  # partial sums of opposite sign meet as inf - inf
+    ],
+)
+def test_standardize_names_a_feature_whose_statistics_overflow(small_layout, row):
+    dataset = build_dataset(small_layout, n=16, n_classes=2, seed=1)
+    features = dataset.features.copy()
+    features[4] = row
+    with pytest.raises(ValidationError, match="standardize overflows float64 at feature 4"):
+        overflow_free(standardize, replace(dataset, features=features))
+
+
+def test_standardize_maps_a_huge_constant_feature_to_zero(small_layout):
+    dataset = build_dataset(small_layout, n=5, n_classes=2, seed=1)
+    features = dataset.features.copy()
+    features[2] = 1.7e308
+    scaled, transform = overflow_free(standardize, replace(dataset, features=features))
+    assert transform.constant == (2,) and transform.mean[2] == 1.7e308
+    assert np.all(scaled.features[2] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "mean, scale, value",
+    [(0.0, 0.5, 1.7e308), (-1.0e308, 1.0, 1.7e308), (1.0e308, 2.0, -1.7e308)],
+)
+def test_standardizer_apply_names_a_feature_that_overflows(small_layout, mean, scale, value):
+    dataset = build_dataset(small_layout, n=5, n_classes=2, seed=2)
+    rows = small_layout.d_t + small_layout.d_o
+    transform = Standardizer(
+        small_layout, mean=np.full(rows, mean), scale=np.full(rows, scale)
+    )
+    features = dataset.features.copy()
+    features[3, 2] = value
+    with pytest.raises(ValidationError, match="standardizing overflows float64 at feature 3"):
+        overflow_free(transform.apply, replace(dataset, features=features))
 
 
 def test_standardizer_validates_its_fields():
@@ -295,8 +344,8 @@ def test_generate_noise_perturbs_features_but_not_labels():
 
 
 def test_generate_matches_a_two_block_draw():
-    """One d x N draw for the features and one for the noise give the same stream
-    as drawing the skeleton block, then the object block."""
+    """One d x N draw for the features, then the noise drawn row by row, give the
+    same stream as drawing the skeleton block, then the object block."""
     spec = make_spec(n_instances=60, noise_sigma=0.7, seed=23)
     made = generate(spec)
     rng = np.random.default_rng(spec.seed)
@@ -323,7 +372,12 @@ def test_generate_matches_a_two_block_draw():
 
 def assert_stacked(dataset):
     d_t = dataset.layout.d_t
-    assert not dataset.features.flags.writeable
+    # neither the matrix nor any array behind it, such as one its producer
+    # sliced or transposed, can be written to
+    owner = dataset.features
+    while isinstance(owner, np.ndarray):
+        assert not owner.flags.writeable
+        owner = owner.base
     assert np.shares_memory(dataset.skeleton, dataset.features[:d_t])
     assert np.shares_memory(dataset.objects, dataset.features[d_t:])
     assert np.array_equal(dataset.features, np.vstack([dataset.skeleton, dataset.objects]))
@@ -401,6 +455,76 @@ def test_split_rejects_bad_fractions(small_layout):
         split(dataset, 0.01, seed=0)
     with pytest.raises(ConfigError, match="empty side"):
         split(dataset, 0.99, seed=0)
+
+
+def reference_split(dataset, train_fraction, seed):
+    """split as it was before each side kept its own gather: one permuted copy
+    of the whole matrix, then Dataset's copy of each side's slice of it."""
+    n = dataset.n_instances
+    n_train = int(round(train_fraction * n))
+    order = np.random.default_rng(seed).permutation(n)
+    features = dataset.features.take(order, axis=1)
+
+    def part(cols):
+        return replace(
+            dataset,
+            features=features[:, cols],
+            labels=None if dataset.labels is None else dataset.labels[order[cols]],
+        )
+
+    return part(slice(n_train)), part(slice(n_train, None))
+
+
+def reference_apply(transform, dataset):
+    """Standardizer.apply as it was before the dataset kept its result: Dataset
+    copies the centered and scaled array."""
+    features = dataset.features - transform.mean[:, None]
+    features /= transform.scale[:, None]
+    return replace(dataset, features=features)
+
+
+def dataset_outcome(dataset):
+    """A dataset down to the bytes and strides of its arrays."""
+    labels = None if dataset.labels is None else (dataset.labels.tobytes(), dataset.labels.strides)
+    features = dataset.features.tobytes(), dataset.features.strides
+    return dataset.layout, dataset.class_names, dataset.names, features, labels
+
+
+def ordered_dataset(layout, n, order, labeled, seed):
+    """build_dataset held in the given memory order (a loaded dataset is F-ordered)."""
+    dataset = build_dataset(layout, n=n, n_classes=3, seed=seed)
+    features = np.asarray(dataset.features, order=order)
+    if labeled:
+        return replace(dataset, features=features)
+    return replace(dataset, features=features, labels=None, class_names=None)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("sides", [(1, 65), (65, 1), (2, 2), (2, 65), (1, 1)])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_split_matches_the_copying_split(small_layout, order, sides, labeled):
+    n = sum(sides)
+    dataset = ordered_dataset(small_layout, n, order, labeled, seed=n)
+    assert dataset.features.flags[f"{order}_CONTIGUOUS"]
+    fraction = sides[0] / n
+    new = split(dataset, fraction, seed=n)
+    old = reference_split(dataset, fraction, seed=n)
+    assert tuple(side.n_instances for side in new) == sides
+    assert [dataset_outcome(side) for side in new] == [dataset_outcome(side) for side in old]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 65])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_standardizer_apply_matches_the_copying_apply(small_layout, order, n, labeled):
+    _, transform = standardize(build_dataset(small_layout, n=40, n_classes=3, seed=5))
+    dataset = ordered_dataset(small_layout, n, order, labeled, seed=n)
+    assert dataset.features.flags[f"{order}_CONTIGUOUS"]
+    expected = dataset_outcome(reference_apply(transform, dataset))
+    assert dataset_outcome(transform.apply(dataset)) == expected
+    if n > 1:
+        scaled, fitted = standardize(dataset)
+        assert dataset_outcome(scaled) == dataset_outcome(reference_apply(fitted, dataset))
 
 
 def test_split_handles_unlabeled_data(small_layout):
@@ -589,8 +713,8 @@ def traced_peak(call, *args):
 
 def test_dataset_file_memory_at_paper_shape(tmp_path):
     """At the paper's shape the writer holds a few chunks of rows, not the
-    file, and the reader about two feature matrices (its float64 blocks,
-    their concatenation, Dataset's copy), not the file's text and floats."""
+    file, and the reader about two feature matrices (its float64 blocks and
+    their concatenation, which Dataset keeps), not the file's text and floats."""
     layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
     rng = np.random.default_rng(0)
     n = 5000
@@ -834,9 +958,7 @@ def read_outcome(reader, path):
         back = reader(path)
     except Exception as exc:
         return type(exc), str(exc)
-    labels = None if back.labels is None else (back.labels.tobytes(), back.labels.strides)
-    features = back.features.tobytes(), back.features.strides
-    return back.layout, back.class_names, back.names, features, labels
+    return dataset_outcome(back)
 
 
 def assert_readers_agree(path):
