@@ -12,10 +12,11 @@ The dataset writer encodes the header and rows with orjson.dumps: compact,
 names as raw UTF-8, floats in their shortest round-trip spelling ("1e-7"),
 read back bit-exact by json and orjson alike; files that earlier versions
 wrote with json.dumps load unchanged.  Model files go through json alone.
-The dataset writer streams: it encodes _CHUNK_ROWS rows at a time and
-writes each chunk as it goes, so it never holds the file; at the paper's
-shape (5000 rows of 342 features) its tracemalloc peak is about 0.13x
-the feature matrix.
+The dataset writer streams: it encodes _CHUNK_ROWS rows at a time, each
+row by orjson straight from its float64 values, and writes each chunk as it
+goes, so it never holds the file or a Python float per value; at the
+paper's shape (5000 rows of 342 features) its tracemalloc peak is about
+0.08x the feature matrix.
 
 Every dataset producer here (generate, split, standardize, Standardizer.apply
 and load_dataset) allocates one d x N matrix for its result and hands it to
@@ -27,10 +28,11 @@ one feature row at a time.
 
 The dataset reader streams too: it reads the file line by line in text
 mode (UTF-8, universal newlines, so "\r\n" and a lone "\r" end a line as
-"\n" does) and stacks every _CHUNK_ROWS parsed rows into one float64
-block, so it never holds the file's text and holds Python floats for only
-that many rows; at the same shape its peak is about 2.0x the feature matrix
-(the blocks and their concatenation, which Dataset keeps).  When a file
+"\n" does) and writes every _CHUNK_ROWS parsed rows into one float64
+matrix sized from the file's length, so it never holds the file's text and
+holds Python floats for only that many rows; at the same shape its peak is
+about 1.14x the feature matrix (the matrix Dataset keeps, its headroom and
+one chunk of rows).  When a file
 fails, by a byte that is not UTF-8 or by any DataFormatError, its whole
 encoding is checked before anything is raised: a bad byte anywhere is named
 first, at its offset in the file, as a reader of the whole text would.
@@ -62,7 +64,6 @@ import math
 import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +106,8 @@ DATASET_FORMAT = "poseact-dataset"
 MODEL_FORMAT = "poseact-model"
 FORMAT_VERSION = 1
 
-# rows per float64 block the dataset reader stacks and per chunk the writer
-# encodes: bounds the Python objects either holds at once
+# rows the dataset reader parses before writing them into its matrix, and
+# per chunk the writer encodes: bounds the Python objects either holds at once
 _CHUNK_ROWS = 64
 
 
@@ -299,8 +300,12 @@ def generate(spec: SynthSpec) -> GeneratedData:
 
     features = rng.standard_normal((layout.d_t + layout.d_o, spec.n_instances))
     skeleton, objects = features[: layout.d_t], features[layout.d_t :]
-    # two products, not one over [T; O]: a rounding change could flip a near-tie label
-    scores = skeleton.T @ true_w + objects.T @ true_u
+    # two products, not one over [T; O]: a rounding change could flip a near-tie label.
+    # Each is taken as C x d times the C-ordered d x N block and transposed: with
+    # the block transposed instead (N x d), OpenBLAS at 2 threads keeps a
+    # workspace about that block's size for the life of the process.  The scores
+    # are bit-identical either way.
+    scores = (true_w.T @ skeleton + true_u.T @ objects).T
     winners = np.argmax(scores, axis=1)
     labels = np.zeros((spec.n_instances, spec.n_classes))
     labels[np.arange(spec.n_instances), winners] = 1.0
@@ -480,18 +485,24 @@ def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
         "classes": list(dataset.class_names) if dataset.class_names else [],
         "names": names,
     }
+    # what follows a row's numbers: its label, each class's encoded once, and
+    # the closing bracket
     if dataset.labels is None:
-        labels = [()] * dataset.n_instances
+        ends = [b"]\n"] * dataset.n_instances
     else:
-        labels = [(dataset.class_names[c],) for c in np.argmax(dataset.labels, axis=1).tolist()]
+        label_ends = [b"," + orjson.dumps(name) + b"]\n" for name in dataset.class_names]
+        ends = [label_ends[c] for c in np.argmax(dataset.labels, axis=1).tolist()]
 
     def chunks():
         yield orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE)
-        rows = zip(dataset.features.T, labels)
-        while block := list(islice(rows, _CHUNK_ROWS)):
+        rows = dataset.features.T
+        for start in range(0, dataset.n_instances, _CHUNK_ROWS):
+            # orjson spells a C-contiguous float64 row as it spells the same
+            # Python floats, without making them
+            block = np.ascontiguousarray(rows[start : start + _CHUNK_ROWS])
             yield b"".join(
-                orjson.dumps([*x.tolist(), *label], option=orjson.OPT_APPEND_NEWLINE)
-                for x, label in block
+                orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[:-1] + end
+                for x, end in zip(block, ends[start : start + _CHUNK_ROWS])
             )
 
     _atomic_write(path, chunks(), overwrite)
@@ -557,16 +568,30 @@ def _check_orjson_numbers(values, where):
         _check_numbers(values, where)  # names the bad entry
 
 
-def _checked_rows(lines, width, classes):
+def _put_rows(matrix, n, rows):
+    """Write rows into matrix from row n on, first growing it by half (in
+    place) if they do not fit; returns the new row count."""
+    end = n + len(rows)
+    if end > len(matrix):
+        matrix.resize((max(end, len(matrix) * 3 // 2), matrix.shape[1]), refcheck=False)
+    matrix[n:end] = rows
+    return end
+
+
+def _checked_rows(lines, width, classes, remaining_bytes):
     """Parse and check the instance rows in file order, raising the first error.
 
     Returns the width x N feature matrix and the one-hot labels (None for
-    unlabeled rows).  Every _CHUNK_ROWS parsed rows become one float64 block,
-    so at most that many rows are held as Python floats; the blocks are
-    concatenated once at the end and freed on return.  The concatenation is
-    the one matrix the reader allocates: Dataset keeps it, as its transpose.
+    unlabeled rows).  Every _CHUNK_ROWS parsed rows are written into one
+    N x width float64 matrix, so at most that many rows are held as Python
+    floats.  The matrix is sized at the first row, as remaining_bytes (the
+    file's bytes after the header) over that row's length plus 1/16 and one
+    chunk of headroom, so no second pass counts the rows; it grows if the
+    rows run short and is trimmed in place at the end.  It is the one matrix
+    the reader allocates: Dataset keeps it, as its transpose.
     """
-    blocks = []
+    matrix = None
+    n = 0
     rows = []
     label_indices: list[int] = []
     labeled = None
@@ -598,18 +623,21 @@ def _checked_rows(lines, width, classes):
             if label not in class_index:
                 raise DataFormatError(f"{row_id}: unknown label {label!r}")
             label_indices.append(class_index[label])
+        if matrix is None:
+            expected = remaining_bytes // (len(raw) + 1)
+            matrix = np.empty((expected + expected // 16 + _CHUNK_ROWS, width))
         rows.append(values)
         if len(rows) == _CHUNK_ROWS:
-            blocks.append(np.array(rows, dtype=np.float64))
+            n = _put_rows(matrix, n, rows)
             rows = []
-    if rows:
-        blocks.append(np.array(rows, dtype=np.float64))
-    if not blocks:
+    if matrix is None:
         raise DataFormatError("file has a header but no instance rows")
-    stacked = np.concatenate(blocks)  # N x width
+    if rows:
+        n = _put_rows(matrix, n, rows)
+    matrix.resize((n, width), refcheck=False)
     # width x N in F order; a lone row becomes a C-ordered column, as a copy of
     # the transpose would be
-    data = stacked.T if len(stacked) > 1 else stacked.reshape(width, 1)
+    data = matrix.T if n > 1 else matrix.reshape(width, 1)
     labels = None
     if labeled:
         if len(classes) < 2:
@@ -634,7 +662,8 @@ def load_dataset(path) -> Dataset:
                 raise DataFormatError("file is empty")
             layout, classes, names = _parse_header(header.removesuffix("\n"))
             lines = (line.removesuffix("\n") for line in handle)
-            data, labels = _checked_rows(lines, layout.d_t + layout.d_o, classes)
+            remaining = max(os.fstat(handle.fileno()).st_size - len(header.encode()), 0)
+            data, labels = _checked_rows(lines, layout.d_t + layout.d_o, classes, remaining)
     except (UnicodeDecodeError, DataFormatError) as exc:
         _read_text(path)  # a bad byte anywhere wins, named at its offset in the file
         if isinstance(exc, UnicodeDecodeError):  # gone now: the file changed since

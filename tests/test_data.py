@@ -6,9 +6,12 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -370,6 +373,101 @@ def test_generate_matches_a_two_block_draw():
     assert np.array_equal(np.argmax(made.dataset.labels, axis=1), winners)
 
 
+PAPER_LAYOUT = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
+
+
+def paper_spec(n, seed):
+    """The paper's shape, 6 classes, one planted joint and one planted block each."""
+    return SynthSpec(
+        layout=PAPER_LAYOUT,
+        n_classes=6,
+        n_instances=n,
+        noise_sigma=0.5,
+        planted_joints=tuple((2 * c + 1,) for c in range(6)),
+        planted_blocks=tuple(((c % 3, c // 2),) for c in range(6)),
+        seed=seed,
+    )
+
+
+def reference_generate(spec):
+    """generate's draws with its scores taken as skeleton.T @ true_w + objects.T @ true_u,
+    the product over the transposed feature blocks: (features, true_weights, winners)."""
+    layout = spec.layout
+    rng = np.random.default_rng(spec.seed)
+    true_weights = np.zeros((layout.d_t + layout.d_o, spec.n_classes))
+    true_w, true_u = true_weights[: layout.d_t], true_weights[layout.d_t :]
+    for c in range(spec.n_classes):
+        for j in spec.planted_joints[c]:
+            sl = layout.joint_slices[j]
+            true_w[sl, c] = rng.standard_normal(sl.stop - sl.start)
+    for c in range(spec.n_classes):
+        for o, m in spec.planted_blocks[c]:
+            sl = layout.object_block_slices[layout.object_block_index(o, m)]
+            true_u[sl, c] = rng.standard_normal(sl.stop - sl.start)
+    features = rng.standard_normal((layout.d_t + layout.d_o, spec.n_instances))
+    skeleton, objects = features[: layout.d_t], features[layout.d_t :]
+    winners = np.argmax(skeleton.T @ true_w + objects.T @ true_u, axis=1)
+    for row in features:
+        row += spec.noise_sigma * rng.standard_normal(row.shape)
+    return features, true_weights, winners
+
+
+@pytest.mark.parametrize("n, seed", [(7000, 1), (7000, 2), (7000, 3), (20000, 4), (20000, 5)])
+def test_generate_data_is_unmoved_by_the_score_orientation(n, seed):
+    """The scores' orientation is a memory choice only: at the paper's shape the
+    labels are the argmax of the transposed-block product, and the features and
+    ground truth are byte-identical."""
+    spec = paper_spec(n, seed)
+    made = generate(spec)
+    features, true_weights, winners = reference_generate(spec)
+    assert made.dataset.features.tobytes() == features.tobytes()
+    assert made.true_weights.tobytes() == true_weights.tobytes()
+    assert np.array_equal(np.argmax(made.dataset.labels, axis=1), winners)
+
+
+GENERATE_RSS_CHILD = """
+from pathlib import Path
+from poseact import FeatureLayout, SynthSpec, generate
+
+def peak_rss():
+    # VmHWM, not ru_maxrss: the latter keeps the spawning process's peak across exec
+    status = Path("/proc/self/status").read_text().split("VmHWM:")[1]
+    return int(status.split()[0]) * 1024
+
+def spec(n):
+    layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))
+    return SynthSpec(layout, 6, n, 0.5, ((0,),) * 6, (((0, 0),),) * 6)
+
+generate(spec(200))  # the first products' one-off set-up, not counted
+before = peak_rss()
+made = generate(spec(7000))
+print((peak_rss() - before) / made.dataset.features.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_generate_leaves_no_blas_workspace_in_the_process():
+    """generate's peak resident memory grows by about its feature matrix.
+
+    tracemalloc cannot see what a BLAS library allocates, so this reads the
+    peak RSS of a fresh interpreter with OpenBLAS at 2 threads.  Scores
+    taken over the transposed d x N blocks (N x d operands) left OpenBLAS
+    holding a workspace about that size: the peak grew by about 2.0x the
+    feature matrix, against about 1.2x now."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    package_root = str(Path(poseact.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([package_root, env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", GENERATE_RSS_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    growth = float(child.stdout)
+    assert growth <= 1.5, f"generate grew peak RSS by {growth:.2f}x its feature matrix"
+
+
 def assert_stacked(dataset):
     d_t = dataset.layout.d_t
     # neither the matrix nor any array behind it, such as one its producer
@@ -713,14 +811,14 @@ def traced_peak(call, *args):
 
 def test_dataset_file_memory_at_paper_shape(tmp_path):
     """At the paper's shape the writer holds a few chunks of rows, not the
-    file, and the reader about two feature matrices (its float64 blocks and
-    their concatenation, which Dataset keeps), not the file's text and floats."""
-    layout = FeatureLayout((3,) * 15, 3, (48, 36, 15))  # 45 + 297 = 342 features
+    file, and the reader about one feature matrix (the one it fills and
+    Dataset keeps, with its headroom) plus one chunk of rows, not the file's
+    text and floats."""
     rng = np.random.default_rng(0)
     n = 5000
     dataset = Dataset(
-        layout=layout,
-        features=rng.standard_normal((layout.d_t + layout.d_o, n)),
+        layout=PAPER_LAYOUT,
+        features=rng.standard_normal((PAPER_LAYOUT.d_t + PAPER_LAYOUT.d_o, n)),
         labels=np.eye(6)[rng.integers(0, 6, size=n)],
         class_names=tuple(f"class_{c}" for c in range(6)),
     )
@@ -729,7 +827,7 @@ def test_dataset_file_memory_at_paper_shape(tmp_path):
     save_peak = traced_peak(save_dataset, dataset, path)
     assert save_peak <= 0.5 * nbytes, f"save peak {save_peak / 1e6:.1f} MB"
     load_peak = traced_peak(load_dataset, path)
-    assert load_peak <= 3 * nbytes, f"load peak {load_peak / 1e6:.1f} MB"
+    assert load_peak <= 1.3 * nbytes, f"load peak {load_peak / 1e6:.1f} MB"
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
@@ -932,7 +1030,8 @@ def reference_load_dataset(path):
 
 
 def reference_dataset_bytes(dataset):
-    """The whole-file writer save_dataset replaced: every row into one buffer."""
+    """The whole-file writer save_dataset replaced: every row, as a list of
+    Python floats and its label, encoded into one buffer."""
     layout, names = poseact.data._encode_header(dataset.layout, dataset.names)
     header = {
         "format": DATASET_FORMAT,
@@ -1007,6 +1106,50 @@ def test_streaming_matches_the_whole_file_io_across_chunk_boundaries(tmp_path, n
     save_dataset(dataset, path)
     assert path.read_bytes() == reference_dataset_bytes(dataset)
     assert_readers_agree(path)
+
+
+def hard_floats(n, seed):
+    """n finite floats: the edge values, random bit patterns and random exponents."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, size=n)
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 2.0**53, 2.0**63, 1e22, 0.1]
+    edges += [2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    values = np.concatenate((edges, bits, scaled))
+    return values[np.isfinite(values)][:n]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("labeled", [True, False])
+def test_save_dataset_spells_floats_as_the_list_writer(tmp_path, order, labeled):
+    """Rows encoded from numpy by orjson are the bytes of rows encoded from
+    Python floats, label escapes included."""
+    layout = FeatureLayout((3,) * 5, 2, (40, 33))  # 15 + 146 features
+    n = 150
+    features = hard_floats(161 * n, seed=labeled).reshape(161, n)
+    classes = ('say "hi"', "wävé", "back\\slash", "tab\t")
+    dataset = Dataset(
+        layout=layout,
+        features=np.asarray(features, order=order),
+        labels=np.eye(4)[np.arange(n) % 4] if labeled else None,
+        class_names=classes,
+    )
+    path = tmp_path / "hard.txt"
+    save_dataset(dataset, path)
+    assert path.read_bytes() == reference_dataset_bytes(dataset)
+    assert load_dataset(path).features.tobytes() == dataset.features.tobytes()
+
+
+@pytest.mark.parametrize("first, rest", [("-1.2345678901234567e-300", "0"), ("0", "-0.12345678901234567")])
+def test_reader_sized_from_an_unlike_first_row_matches_the_whole_file_reader(tmp_path, first, rest):
+    """A first row much longer than the rest makes the reader grow its matrix
+    several times; a much shorter one leaves it far too large until it is
+    trimmed.  Either way the dataset is the whole-file reader's."""
+    lines = [good_header(), json.dumps([float(first)] * 2)]
+    lines += [json.dumps([float(rest) * k] * 2) for k in range(1, 1000)]
+    path = write_lines(tmp_path, *lines)
+    assert_readers_agree(path)
+    assert load_dataset(path).n_instances == 1000
 
 
 def test_readers_agree_on_one_byte_corruptions(tmp_path):
