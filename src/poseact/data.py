@@ -28,11 +28,10 @@ one feature row at a time.
 
 The dataset reader streams too: it reads the file line by line in text
 mode (UTF-8, universal newlines, so "\r\n" and a lone "\r" end a line as
-"\n" does) and writes every _CHUNK_ROWS parsed rows into one float64
-matrix sized from the file's length, so it never holds the file's text and
-holds Python floats for only that many rows; at the same shape its peak is
-about 1.14x the feature matrix (the matrix Dataset keeps, its headroom and
-one chunk of rows).  When a file
+"\n" does) and packs each parsed row into one float64 matrix sized from
+the file's length, so it never holds the file's text and holds Python
+floats for one row only; at the same shape its peak is about 1.14x the
+feature matrix (the matrix Dataset keeps and its headroom).  When a file
 fails, by a byte that is not UTF-8 or by any DataFormatError, its whole
 encoding is checked before anything is raised: a bad byte anywhere is named
 first, at its offset in the file, as a reader of the whole text would.
@@ -50,11 +49,16 @@ shown as orjson's float, and a row nested deeper than json's recursion
 limit but within orjson's 1024 levels gets a width or type message.  The
 header is read with json alone.
 
-A row's numbers are checked as a whole (their types as one set, their
-finiteness in one C-level pass); only a row that fails is walked value by
-value to name the bad entry, so a valid file never runs a Python loop per
-value.  A row orjson parsed needs only the type check: orjson yields no
-non-finite number.
+A row's numbers are checked by the one C call that packs them into the
+matrix: struct stores an int or a float as the double numpy would, and
+refuses a string, null, a list, an object or an integer past the float
+range.  It takes true and false, as 1.0 and 0.0, but no number's text
+holds a "t" or an "f", so a row orjson parsed is searched for those two
+letters before its first quote, the label's opening one.  orjson yields no
+non-finite number, so a row it parsed whose pack succeeds and whose text
+shows no bool is valid.  Any other row, and every row json parsed, is
+checked by _check_numbers, which names the first bad entry, so a valid
+file never runs a Python loop per value.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -106,8 +111,8 @@ DATASET_FORMAT = "poseact-dataset"
 MODEL_FORMAT = "poseact-model"
 FORMAT_VERSION = 1
 
-# rows the dataset reader parses before writing them into its matrix, and
-# per chunk the writer encodes: bounds the Python objects either holds at once
+# rows the dataset writer encodes per chunk, which bounds the Python objects it
+# holds at once; also the reader's spare rows when it sizes its matrix
 _CHUNK_ROWS = 64
 
 
@@ -558,50 +563,31 @@ def _check_numbers(values, where):
         raise DataFormatError(f"{where}: entry {k} is too large for a float") from None
 
 
-def _check_orjson_numbers(values, where):
-    """_check_numbers for a row orjson parsed: the types alone decide.
-
-    orjson yields no non-finite number (it rejects NaN, Infinity and every
-    literal past the float range), so the finiteness pass is skipped.
-    """
-    if not set(map(type, values)) <= {int, float}:
-        _check_numbers(values, where)  # names the bad entry
-
-
-def _put_rows(matrix, n, rows):
-    """Write rows into matrix from row n on, first growing it by half (in
-    place) if they do not fit; returns the new row count."""
-    end = n + len(rows)
-    if end > len(matrix):
-        matrix.resize((max(end, len(matrix) * 3 // 2), matrix.shape[1]), refcheck=False)
-    matrix[n:end] = rows
-    return end
-
-
 def _checked_rows(lines, width, classes, remaining_bytes):
     """Parse and check the instance rows in file order, raising the first error.
 
     Returns the width x N feature matrix and the one-hot labels (None for
-    unlabeled rows).  Every _CHUNK_ROWS parsed rows are written into one
-    N x width float64 matrix, so at most that many rows are held as Python
+    unlabeled rows).  Each row's values are packed straight into one N x
+    width float64 matrix, so only the row being read is held as Python
     floats.  The matrix is sized at the first row, as remaining_bytes (the
-    file's bytes after the header) over that row's length plus 1/16 and one
-    chunk of headroom, so no second pass counts the rows; it grows if the
-    rows run short and is trimmed in place at the end.  It is the one matrix
-    the reader allocates: Dataset keeps it, as its transpose.
+    file's bytes after the header) over that row's length plus 1/16 and
+    _CHUNK_ROWS rows of headroom, so no second pass counts the rows; it
+    grows by half if the rows run short and is trimmed in place at the end.
+    It is the one matrix the reader allocates: Dataset keeps it, as its
+    transpose.
     """
     matrix = None
     n = 0
-    rows = []
+    row_format = struct.Struct(f"{width}d")
     label_indices: list[int] = []
     labeled = None
     class_index = {name: c for c, name in enumerate(classes)}
     for offset, raw in enumerate(lines):
         row_id = f"row {offset} (line {offset + 2})"
         try:
-            row, check = orjson.loads(raw), _check_orjson_numbers
+            row, by_orjson = orjson.loads(raw), True
         except orjson.JSONDecodeError:
-            row, check = _parse_json(raw, row_id), _check_numbers
+            row, by_orjson = _parse_json(raw, row_id), False
         if not isinstance(row, list):
             raise DataFormatError(f"{row_id}: expected a JSON array")
         has_label = len(row) == width + 1
@@ -614,26 +600,33 @@ def _checked_rows(lines, width, classes, remaining_bytes):
             labeled = has_label
         elif labeled != has_label:
             raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
-        values = row[:width]
-        check(values, row_id)
+        label = row.pop() if has_label else None
+        if matrix is None:
+            expected = remaining_bytes // (len(raw) + 1)
+            matrix = np.empty((expected + expected // 16 + _CHUNK_ROWS, width))
+        elif n == len(matrix):
+            matrix.resize((len(matrix) * 3 // 2, width), refcheck=False)
+        # the pack is the type check, bools aside; see the module docstring
+        try:
+            row_format.pack_into(matrix, n * row_format.size, *row)
+        except (struct.error, OverflowError):
+            suspect = True
+        else:
+            # with every value packed, a quote can only open the label
+            end = raw.find('"')
+            end = end if end >= 0 else len(raw)
+            suspect = not by_orjson or raw.find("t", 0, end) >= 0 or raw.find("f", 0, end) >= 0
+        if suspect:
+            _check_numbers(row, row_id)  # names the first bad entry
         if has_label:
-            label = row[width]
             if not isinstance(label, str):
                 raise DataFormatError(f"{row_id}: label must be a string, got {_shown(label)}")
             if label not in class_index:
                 raise DataFormatError(f"{row_id}: unknown label {label!r}")
             label_indices.append(class_index[label])
-        if matrix is None:
-            expected = remaining_bytes // (len(raw) + 1)
-            matrix = np.empty((expected + expected // 16 + _CHUNK_ROWS, width))
-        rows.append(values)
-        if len(rows) == _CHUNK_ROWS:
-            n = _put_rows(matrix, n, rows)
-            rows = []
+        n += 1
     if matrix is None:
         raise DataFormatError("file has a header but no instance rows")
-    if rows:
-        n = _put_rows(matrix, n, rows)
     matrix.resize((n, width), refcheck=False)
     # width x N in F order; a lone row becomes a C-ordered column, as a copy of
     # the transpose would be

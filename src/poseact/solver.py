@@ -17,8 +17,11 @@ the system is the same in every iteration, so it is factored once per fit
 and solved exactly.  A floor on block norms keeps the diagonals finite
 when a block collapses toward zero, at the price of optimizing a smoothed
 objective whose minimizers approach the exact ones as the floor shrinks.
-A feature that is zero in every instance (a zero diagonal entry of G)
-adds nothing to the loss, so its weight is held at exactly 0.
+A feature counts as zero when its diagonal entry of G is 0 in float64:
+one that is 0 in every instance, which adds nothing to the loss, and also
+one whose entries all lie below about 1.5e-162 in magnitude, whose squares
+underflow although G and XY may be nonzero elsewhere in its row.  The
+weight of a zero feature is held at exactly 0.
 
 The updates, the loss and objective behind the stopping test, the
 stationarity residual and the smoothed diagnostics all read the dataset's
@@ -242,10 +245,12 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     residual energy is at most tol times its value at the start of the
     step; the report's cg_steps lists the steps taken.  With both weights
     zero it solves exactly with a factorization made once, before the first
-    iteration.  The weights of a feature that is zero in every instance
-    start and stay at exactly 0.  A zero weight whose side has a
-    rank-deficient Gram block (T T' or O O', or G itself when both are
-    zero) on its other features raises SingularityError.  Every iteration,
+    iteration.  The weights of a zero feature, one whose diagonal entry of
+    G is 0 in float64 (entries below about 1.5e-162 in magnitude count,
+    their squares underflowing), start and stay at exactly 0.  A zero
+    weight whose side has a rank-deficient Gram block (T T' or O O', or G
+    itself when both are zero) on its other features raises
+    SingularityError.  Every iteration,
     its loss and objective included, works on dataset.normal_equations and
     makes no pass over the N instances; on a fresh dataset the first use
     builds and caches them (O(N d^2)), and that build counts towards

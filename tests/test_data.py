@@ -812,8 +812,8 @@ def traced_peak(call, *args):
 def test_dataset_file_memory_at_paper_shape(tmp_path):
     """At the paper's shape the writer holds a few chunks of rows, not the
     file, and the reader about one feature matrix (the one it fills and
-    Dataset keeps, with its headroom) plus one chunk of rows, not the file's
-    text and floats."""
+    Dataset keeps, with its headroom) plus one row, not the file's text and
+    floats."""
     rng = np.random.default_rng(0)
     n = 5000
     dataset = Dataset(
@@ -969,9 +969,9 @@ def reference_checked_rows(lines, width, classes):
     for offset, raw in enumerate(lines):
         row_id = f"row {offset} (line {offset + 2})"
         try:
-            row, check = orjson.loads(raw), poseact.data._check_orjson_numbers
+            row = orjson.loads(raw)
         except orjson.JSONDecodeError:
-            row, check = poseact.data._parse_json(raw, row_id), poseact.data._check_numbers
+            row = poseact.data._parse_json(raw, row_id)
         if not isinstance(row, list):
             raise DataFormatError(f"{row_id}: expected a JSON array")
         has_label = len(row) == width + 1
@@ -985,7 +985,7 @@ def reference_checked_rows(lines, width, classes):
         elif labeled != has_label:
             raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
         values = row[:width]
-        check(values, row_id)
+        poseact.data._check_numbers(values, row_id)
         if has_label:
             label = row[width]
             if not isinstance(label, str):
@@ -1138,6 +1138,92 @@ def test_save_dataset_spells_floats_as_the_list_writer(tmp_path, order, labeled)
     save_dataset(dataset, path)
     assert path.read_bytes() == reference_dataset_bytes(dataset)
     assert load_dataset(path).features.tobytes() == dataset.features.tobytes()
+
+
+SEVEN_HEADER = good_header(joint_dims=[3, 2], modality_dims=[2])  # seven features a row
+# labels whose text holds a "t", an "f", an escaped quote, or is a JSON literal's
+BOOL_LETTER_CLASSES = ["a", "fetch_t", "tft", 'say "t"', "true"]
+
+
+def number_texts(count, seed):
+    """count number spellings: ints (-0 and [2**63, 2**64) among them), the
+    float edges and random bit patterns, shuffled."""
+    rng = np.random.default_rng(seed)
+    ints = ["0", "-0", "1", "-1", str(2**53 + 1), str(-(2**63)), str(2**63 - 1), str(2**63)]
+    ints += [str(2**64 - 1), str(2**63 + 1025), str(10**29 + 1), str(-(10**29) - 1)]
+    ints += [str(int(v)) for v in rng.integers(2**63, 2**64, size=20, dtype=np.uint64)]
+    ints += [str(int(v)) for v in rng.integers(-(2**63), 2**63, size=20, dtype=np.int64)]
+    floats = ["5e-324", "-5e-324", "-0.0", "0.0", "1.7976931348623157e308", "-1.7976931348623157e308"]
+    floats += [repr(v) for v in hard_floats(count, seed).tolist()]
+    texts = (ints + floats) * (count // (len(ints) + len(floats)) + 1)
+    return [texts[i] for i in rng.permutation(len(texts))[:count]]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("spaced", [False, True])
+def test_packed_rows_are_the_list_fill_bit_for_bit(tmp_path, n, labeled, spaced):
+    """Every number spelling loads to the double the list fill stored, in the
+    same F order, a lone row as the same C-ordered column, either side of the
+    chunk boundary; with json.dumps spacing too."""
+    texts = number_texts(7 * n, seed=n)
+    rows = [texts[7 * k : 7 * k + 7] for k in range(n)]
+    labels = [[json.dumps("ab"[k % 2])] if labeled else [] for k in range(n)]
+    sep = ", " if spaced else ","
+    lines = ("[" + sep.join(row + label) + "]" for row, label in zip(rows, labels))
+    path = write_lines(tmp_path, SEVEN_HEADER, *lines)
+    assert_readers_agree(path)
+    features = load_dataset(path).features
+    # an int is stored as float(int): "-0" as 0.0, not -0.0
+    expected = np.array([[float(json.loads(t)) for t in row] for row in rows]).T
+    assert features.tobytes() == expected.tobytes()
+    assert features.flags.f_contiguous and (n > 1 or features.flags.c_contiguous)
+
+
+BAD_ENTRIES = {
+    "true": "is not a number (True)",
+    "false": "is not a number (False)",
+    '"s"': "is not a number ('s')",
+    "null": "is not a number (None)",
+    "[]": "is not a number ([])",
+    "{}": "is not a number ({})",
+    "9" * 400: "is too large for a float",
+    "NaN": "is not finite (nan)",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ENTRIES))
+@pytest.mark.parametrize("at_row", [0, 64])
+def test_a_bad_entry_is_named_as_the_list_fill_named_it(tmp_path, bad, at_row):
+    """A non-number at the first, a middle or the last entry of row 0 or row
+    64 gets the message the list fill gave, whatever the row's label."""
+    header = good_header(joint_dims=[3, 2], modality_dims=[2], classes=BOOL_LETTER_CLASSES)
+    for label in [*BOOL_LETTER_CLASSES, None]:
+        tail = "" if label is None else ", " + json.dumps(label)
+        good = "[" + ", ".join(["0.5"] * 7) + tail + "]"
+        for k in (0, 3, 6):
+            entries = ["1.25"] * 7
+            entries[k] = bad
+            lines = [good] * 66
+            lines[at_row] = "[" + ", ".join(entries) + tail + "]"
+            path = write_lines(tmp_path, header, *lines)
+            assert_readers_agree(path)
+            with pytest.raises(DataFormatError) as caught:
+                load_dataset(path)
+            where = f"row {at_row} (line {at_row + 2})"
+            assert str(caught.value) == f"{where}: entry {k} {BAD_ENTRIES[bad]}", (label, k)
+
+
+def test_a_bool_before_a_label_with_bool_letters_is_named(tmp_path):
+    """A bool packs as 1.0 or 0.0; the row's text before the label betrays it,
+    also when the label itself holds a "t", an "f" or an escaped quote."""
+    header = good_header(classes=BOOL_LETTER_CLASSES)
+    for label in BOOL_LETTER_CLASSES:
+        for literal, shown in (("true", "True"), ("false", "False")):
+            path = write_lines(tmp_path, header, f"[0.0, {literal}, {json.dumps(label)}]")
+            with pytest.raises(DataFormatError) as caught:
+                load_dataset(path)
+            assert str(caught.value) == f"row 0 (line 2): entry 1 is not a number ({shown})"
 
 
 @pytest.mark.parametrize("first, rest", [("-1.2345678901234567e-300", "0"), ("0", "-0.12345678901234567")])
@@ -1381,9 +1467,15 @@ def test_orjson_yields_no_non_finite_number(literal):
 
 
 def test_rows_orjson_parsed_skip_the_finiteness_pass(file_of_300_rows, monkeypatch):
+    """Also when the labels hold a "t", an "f" or an escaped quote: only the
+    text before a label is searched for a bool."""
+    bool_letters = file_of_300_rows.with_name("bool_letters.txt")
+    dataset = named_dataset(n=300, seed=4)
+    save_dataset(replace(dataset, class_names=("fetch_t", 'say "t"', "true")), bool_letters)
     calls = []
     monkeypatch.setattr(poseact.data, "_check_numbers", lambda *args: calls.append(args))
-    assert load_dataset(file_of_300_rows).n_instances == 300
+    for path in (file_of_300_rows, bool_letters):
+        assert load_dataset(path).n_instances == 300
     assert calls == []
 
 

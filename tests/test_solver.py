@@ -784,6 +784,24 @@ def test_fit_holds_the_weights_of_an_all_zero_feature_at_zero():
         fit(ds, SolverConfig(lambda1=0.0, lambda2=0.1))
 
 
+def test_a_feature_whose_squares_underflow_counts_as_zero():
+    """A feature is zero when its Gram diagonal entry is 0 in float64, so one
+    scaled below about 1.5e-162 counts although its row of G is not all
+    zero: its weight is held at 0 in every variant, and lambda1 = 0 raises
+    no SingularityError."""
+    layout = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2, 1))
+    ds = build_dataset(layout, n=60, n_classes=3, seed=721)
+    features = ds.features.copy()
+    features[1] *= 1e-170
+    ds = Dataset(layout=layout, features=features, labels=ds.labels)
+    blocks = ds.normal_equations
+    assert blocks.gram[1, 1] == 0.0 and blocks.gram[1].any() and blocks.xy[1].any()
+    for lam1, lam2 in ((0.3, 0.25), (0.3, 0.0), (0.0, 0.25), (0.0, 0.0), (0.1, 0.1)):
+        model, _ = fit(ds, SolverConfig(lambda1=lam1, lambda2=lam2))
+        assert np.all(np.isfinite(model.weights))
+        assert not model.weights[1].any()
+
+
 # --- the scalar inequality behind the reweighting scheme ----------------------
 
 
