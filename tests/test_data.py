@@ -1196,7 +1196,9 @@ BAD_ENTRIES = {
 @pytest.mark.parametrize("at_row", [0, 64])
 def test_a_bad_entry_is_named_as_the_list_fill_named_it(tmp_path, bad, at_row):
     """A non-number at the first, a middle or the last entry of row 0 or row
-    64 gets the message the list fill gave, whatever the row's label."""
+    64 gets the message the list fill gave, whatever the row's label.  A bool
+    packs as 1.0 or 0.0, so only the row's text before the label betrays it,
+    also when the label itself holds a "t", an "f" or an escaped quote."""
     header = good_header(joint_dims=[3, 2], modality_dims=[2], classes=BOOL_LETTER_CLASSES)
     for label in [*BOOL_LETTER_CLASSES, None]:
         tail = "" if label is None else ", " + json.dumps(label)
@@ -1212,18 +1214,6 @@ def test_a_bad_entry_is_named_as_the_list_fill_named_it(tmp_path, bad, at_row):
                 load_dataset(path)
             where = f"row {at_row} (line {at_row + 2})"
             assert str(caught.value) == f"{where}: entry {k} {BAD_ENTRIES[bad]}", (label, k)
-
-
-def test_a_bool_before_a_label_with_bool_letters_is_named(tmp_path):
-    """A bool packs as 1.0 or 0.0; the row's text before the label betrays it,
-    also when the label itself holds a "t", an "f" or an escaped quote."""
-    header = good_header(classes=BOOL_LETTER_CLASSES)
-    for label in BOOL_LETTER_CLASSES:
-        for literal, shown in (("true", "True"), ("false", "False")):
-            path = write_lines(tmp_path, header, f"[0.0, {literal}, {json.dumps(label)}]")
-            with pytest.raises(DataFormatError) as caught:
-                load_dataset(path)
-            assert str(caught.value) == f"row 0 (line 2): entry 1 is not a number ({shown})"
 
 
 @pytest.mark.parametrize("first, rest", [("-1.2345678901234567e-300", "0"), ("0", "-0.12345678901234567")])
