@@ -372,9 +372,12 @@ class Dataset:
 class Model:
     """Per-class weight columns over skeleton (w) and object (u) features.
 
-    weights is the (d_t + d_o) x C matrix [w; u], stored as a read-only copy
-    in the memory order it was given; w and u are its first d_t and last d_o
-    rows (views, not copies), so one frame scores as [t; o]'weights.  names
+    weights is the (d_t + d_o) x C matrix [w; u], stored as a read-only
+    column-major copy, one contiguous column per class, whatever order it
+    was given in: x'weights for one frame x = [t; o] is then one dot product
+    per column, which OpenBLAS runs in about half the time it takes on a
+    row-major copy.  w and u are its first d_t and last d_o rows (views, not
+    copies), so one frame scores as [t; o]'weights.  names
     and standardizer are optional metadata carried along so reports can
     label blocks and so raw inputs can be re-scaled the way the training
     data was; both must match the layout.  Scoring itself never touches
@@ -394,7 +397,7 @@ class Model:
             raise ValidationError("a model needs at least one class")
         if len(set(class_names)) != len(class_names):
             raise ValidationError("class names must be unique")
-        weights = _weight_matrix(self.weights, self.layout, len(class_names)).copy(order="K")
+        weights = _weight_matrix(self.weights, self.layout, len(class_names)).copy(order="F")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "class_names", class_names)
@@ -510,16 +513,38 @@ def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> floa
     return _objective(dataset, weights, lambda1, lambda2, 0.0, "objective")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _frame_part(value, what):
+    """value as a float64 array of any rank, for predict to check the shape: a
+    float64 ndarray as it is, anything else through _real_array
+    (ValidationError for bool, str, object or complex entries and for ragged
+    nesting) and then cast."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:  # about 0.04 us a frame
+        return value
+    return _real_array(value, what, ndim=None).astype(np.float64, copy=False)
+
+
 def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
     """Score one instance and return (class index, raw per-class scores).
 
     Scores are plain affine responses t'w_c + o'u_c with no squashing; exact
-    ties resolve to the lowest class index.  The frame is stacked as
-    x = [t; o], checked for finiteness once, and scored with the one product
-    x'[W; U] against model.weights.
+    ties resolve to the lowest class index.  The vectors must hold real
+    numbers (a bool, string, object or complex frame raises
+    ValidationError); a float64 array is used as it is, anything else is
+    checked and cast.  The frame is stacked as x = [t; o] and scored with
+    the one product x'[W; U] against the column-major model.weights.
+
+    Before the product, x is screened with one dot product: a finite x'x
+    proves every entry finite, since a NaN or an infinity makes it NaN or
+    inf.  Only a frame whose x'x is not finite gets the exact per-entry
+    check, so a frame too large to square in float64 still scores, and NaN
+    or +-inf raises ValidationError.  Neither step warns: np.vdot, unlike
+    ndarray.dot, does not report an overflow.
     """
-    t = np.asarray(skeleton_vec, dtype=np.float64)
-    o = np.asarray(object_vec, dtype=np.float64)
+    t = _frame_part(skeleton_vec, "skeleton vector")
+    o = _frame_part(object_vec, "object vector")
     if t.shape != (model.layout.d_t,):
         raise LayoutError(
             f"skeleton vector has shape {t.shape}, expected ({model.layout.d_t},)"
@@ -530,7 +555,7 @@ def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
         )
     x = np.concatenate((t, o))
     # before the product: inf * 0 there would raise a RuntimeWarning
-    if not np.logical_and.reduce(np.isfinite(x)):
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         raise ValidationError("input vectors contain non-finite values")
     scores = x.dot(model.weights)  # ndarray.dot dispatches faster than @ on one frame
     return int(scores.argmax()), scores

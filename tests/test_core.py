@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -13,9 +14,11 @@ from poseact import (
     FeatureLayout,
     Model,
     SolverConfig,
+    fit,
     loss,
     predict,
     predict_batch,
+    save_model,
     smoothed_gradients,
     smoothed_objective,
     split,
@@ -616,19 +619,104 @@ def test_predict_validates_inputs(small_layout):
 
 
 @pytest.mark.parametrize("side", ["skeleton", "object"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.nan,
+        np.inf,
+        -np.inf,
+        pytest.param((np.inf, -np.inf), id="inf_and_minus_inf"),
+        pytest.param((1.7e308, np.nan), id="nan_beside_huge"),
+    ],
+)
 def test_predict_rejects_non_finite_entries_without_a_warning(small_layout, side, value):
-    # zero weights: scoring first would meet inf * 0 and warn before the check
+    # zero weights: scoring first would meet inf * 0 and warn before the check;
+    # +inf and -inf square to +inf, so the screen meets no inf - inf either
     model = make_model(
         small_layout, np.zeros((small_layout.d_t, 2)), np.zeros((small_layout.d_o, 2)), 2
     )
     t, o = np.ones(small_layout.d_t), np.ones(small_layout.d_o)
-    (t if side == "skeleton" else o)[-1] = value
+    values = np.atleast_1d(value)
+    (t if side == "skeleton" else o)[-len(values) :] = values
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValidationError, match="input vectors contain non-finite values"):
             predict(model, t, o)
     assert caught == []
+
+
+@pytest.mark.parametrize("huge", [1.7e308, -1.7e308])
+def test_predict_scores_a_finite_frame_too_large_to_square(small_layout, huge):
+    """x'x overflows, so the screen fails and the exact check lets the frame
+    through; weights below 1/2 keep every score finite.  Warnings are errors
+    here, which pins that np.vdot reports no overflow where ndarray.dot would."""
+    rng = np.random.default_rng(89)
+    model = make_model(
+        small_layout,
+        rng.uniform(-0.5, 0.5, (small_layout.d_t, 3)),
+        rng.uniform(-0.5, 0.5, (small_layout.d_o, 3)),
+        3,
+    )
+    t, o = np.full(small_layout.d_t, 1e200), np.full(small_layout.d_o, -1e200)
+    o[1] = huge
+    x = np.concatenate((t, o))
+    assert np.vdot(x, x) == np.inf
+    idx, scores = predict(model, t, o)
+    reference = x.dot(model.weights)
+    assert np.all(np.isfinite(reference))
+    assert np.array_equal(scores, reference)
+    assert idx == int(np.argmax(reference))
+
+
+@pytest.mark.parametrize(
+    "make_frame",
+    [
+        pytest.param(lambda v: v.astype(str), id="strings"),
+        pytest.param(lambda v: v.astype(object), id="object"),
+        pytest.param(lambda v: v + 1j, id="complex"),
+        pytest.param(lambda v: v > 0, id="bool"),
+    ],
+)
+@pytest.mark.parametrize("side", ["skeleton", "object"])
+def test_predict_rejects_non_real_frames_without_a_warning(small_layout, make_frame, side):
+    rng = np.random.default_rng(97)
+    model = make_model(
+        small_layout,
+        rng.standard_normal((small_layout.d_t, 2)),
+        rng.standard_normal((small_layout.d_o, 2)),
+        2,
+    )
+    t, o = rng.standard_normal(small_layout.d_t), rng.standard_normal(small_layout.d_o)
+    if side == "skeleton":
+        t = make_frame(t)
+    else:
+        o = make_frame(o)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=f"{side} vector must hold real numbers"):
+            predict(model, t, o)
+    assert caught == []
+
+
+def test_predict_scores_lists_and_other_real_dtypes_as_float64(small_layout):
+    rng = np.random.default_rng(101)
+    model = make_model(
+        small_layout,
+        rng.standard_normal((small_layout.d_t, 3)),
+        rng.standard_normal((small_layout.d_o, 3)),
+        3,
+    )
+    t = rng.integers(-5, 5, small_layout.d_t).astype(np.float64)
+    o = rng.integers(-5, 5, small_layout.d_o).astype(np.float64)
+    idx, scores = predict(model, t, o)
+    for other in (
+        (t.tolist(), o.tolist()),  # Python floats
+        (t.astype(np.int64), o.astype(np.float32)),
+        (t.astype(">f8"), o),  # float64, but not the native descriptor
+    ):
+        other_idx, other_scores = predict(model, *other)
+        assert other_idx == idx
+        assert np.array_equal(other_scores, scores)
 
 
 def test_predict_scores_strided_views_as_contiguous_copies(small_dataset):
@@ -754,6 +842,73 @@ def test_model_validates_shapes_and_names(small_layout):
     # single-class models are allowed (scoring degenerates to one column)
     single = model(weights[:, :1], class_names=("a",))
     assert single.n_classes == 1
+
+
+def weight_orders(rng, rows, n_classes):
+    """The same weights C-ordered, F-ordered and as a strided view."""
+    weights = rng.standard_normal((rows, n_classes))
+    wide = np.zeros((2 * rows, 3 * n_classes))
+    wide[::2, ::3] = weights
+    return {"C": weights, "F": np.asfortranarray(weights), "strided": wide[::2, ::3]}
+
+
+def test_model_weights_are_column_major_whatever_the_input_order(small_dataset):
+    """One contiguous column per class, so one frame's product is one dot
+    product per column; scores do not depend on the order the weights came in."""
+    layout = small_dataset.layout
+    models = {
+        order: Model(
+            layout=layout,
+            weights=weights,
+            class_names=small_dataset.class_names,
+            hyperparams=SolverConfig(),
+        )
+        for order, weights in weight_orders(
+            np.random.default_rng(103), layout.d_t + layout.d_o, small_dataset.n_classes
+        ).items()
+    }
+    for model in models.values():
+        assert model.weights.flags.f_contiguous
+        assert not model.weights.flags.writeable
+        assert np.array_equal(model.weights, models["C"].weights)
+    for i in range(small_dataset.n_instances):
+        t, o = small_dataset.skeleton[:, i], small_dataset.objects[:, i]
+        idx, scores = predict(models["C"], t, o)
+        for model in models.values():
+            other_idx, other_scores = predict(model, t, o)
+            assert other_idx == idx
+            assert np.array_equal(other_scores, scores)
+
+
+def test_column_major_weights_change_no_model_file_or_batch_index(paper_dataset, tmp_path):
+    """A model held C-ordered, as models were before they were kept column-major,
+    writes the same file and predicts the same classes."""
+    rng = np.random.default_rng(107)
+    layout, n_classes = paper_dataset.layout, paper_dataset.n_classes
+    train, _ = standardize(paper_dataset)
+    fitted, _ = fit(train, SolverConfig(lambda1=1.0, lambda2=1.0))
+    for model in (
+        fitted,
+        make_model(
+            layout,
+            rng.standard_normal((layout.d_t, n_classes)),
+            rng.standard_normal((layout.d_o, n_classes)),
+            n_classes,
+        ),
+    ):
+        row_major = dataclasses.replace(model)
+        held = np.ascontiguousarray(model.weights)
+        held.setflags(write=False)
+        object.__setattr__(row_major, "weights", held)
+        assert row_major.weights.flags.c_contiguous and model.weights.flags.f_contiguous
+        save_model(model, tmp_path / "col.json", overwrite=True)
+        save_model(row_major, tmp_path / "row.json", overwrite=True)
+        assert (tmp_path / "col.json").read_bytes() == (tmp_path / "row.json").read_bytes()
+        for dataset in (paper_dataset, train):
+            indices, accuracy = predict_batch(model, dataset)
+            row_indices, row_accuracy = predict_batch(row_major, dataset)
+            assert np.array_equal(indices, row_indices)
+            assert accuracy == row_accuracy
 
 
 def test_model_arrays_are_frozen(small_layout):
