@@ -74,7 +74,9 @@ def importance_report(model: Model, signed: bool = False) -> ImportanceReport:
     exists for sign inspection, not ranking.
     """
     layout = model.layout
-    scores = (block_sums if signed else _group_norms)(model.weights, layout.block_dims)
+    score = block_sums if signed else _group_norms
+    # class-major, as the solver works: one contiguous row per class
+    scores = score(model.weights.T, layout.block_dims, axis=-1).T
     joint_by_class, object_by_block = scores[: layout.n_joints], scores[layout.n_joints :]
     per_object = object_by_block.reshape(layout.object_count, layout.n_modalities, -1)
     # unsigned scores are block norms, never negative; __post_init__ checks them

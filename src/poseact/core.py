@@ -11,6 +11,7 @@ skeleton rows first, with one-hot labels as rows of an N x C matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -434,25 +435,39 @@ def _weight_matrix(weights, layout: FeatureLayout, n_classes) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def block_sums(mat, dims) -> np.ndarray:
-    """Row sums of mat over consecutive blocks of dims[k] rows, all columns at once.
+@functools.lru_cache(maxsize=64)
+def _block_starts(dims) -> np.ndarray:
+    """The offset of every block of dims, read-only and cached per dims tuple:
+    np.cumsum on a tuple costs as much as the reduction it feeds."""
+    starts = np.cumsum(dims) - dims
+    starts.setflags(write=False)
+    return starts
 
-    mat is a vector or a d x C matrix with d == sum(dims); the result has
-    one row per block (len(dims), or len(dims) x C).  Every block quantity
-    goes through here, the group norms of _group_norms included.
+
+def block_sums(mat, dims, axis=0) -> np.ndarray:
+    """Sums of mat over consecutive blocks of dims[k] entries along axis, all classes at once.
+
+    mat is a vector or a d x C matrix with d == sum(dims) along axis: 0 for
+    the stacked weights [W; U] as they are shown, -1 for their class-major
+    transpose (C x d, C-ordered, one contiguous row per class), which the
+    solver and every diagnostic work in.  The result has one entry per
+    block along that axis, and both layouts give the same bits.  Every
+    block quantity goes through here, the group norms of _group_norms
+    included.
     """
-    return np.add.reduceat(mat, np.cumsum(dims) - dims, axis=0)
+    return np.add.reduceat(mat, _block_starts(tuple(dims)), axis=axis)
 
 
-def _group_norms(mat, dims, epsilon=0.0) -> np.ndarray:
-    """Euclidean norm of every block of every column of mat, one row per block,
-    each smoothed to sqrt(||block||^2 + epsilon^2)."""
-    return np.sqrt(block_sums(mat * mat, dims) + epsilon * epsilon)
+def _group_norms(mat, dims, epsilon=0.0, axis=0) -> np.ndarray:
+    """Euclidean norm of every block of every class of mat, one entry per block
+    along axis (as in block_sums), each smoothed to sqrt(||block||^2 + epsilon^2)."""
+    return np.sqrt(block_sums(mat * mat, dims, axis) + epsilon * epsilon)
 
 
 def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
     """lam1 times the skeletal norm plus lam2 times the attribute norm, summed from
-    norms, the block norms of the stacked weights [W; U] over layout.block_dims.
+    norms, the block norms of the stacked weights [W; U] over layout.block_dims,
+    class-major: one entry per block along the last axis (C x blocks).
 
     The skeletal norm sums the joint-block norms over all classes, an l1 norm
     across joints and an l2 norm inside each, which is what drives whole
@@ -460,19 +475,21 @@ def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
     modality) blocks.
     """
     joints = layout.n_joints
-    return lam1 * float(np.sum(norms[:joints])) + lam2 * float(np.sum(norms[joints:]))
+    return lam1 * float(norms[..., :joints].sum()) + lam2 * float(norms[..., joints:].sum())
 
 
-def _gram_loss(blocks: NormalEquations, x, gram_x) -> float:
+def _gram_loss(x, gram_x, xy, yy) -> float:
     """||[T; O]'X - Y||^2 for the stacked weights X = [W; U], expanded over the
-    normal equations in O(C d^2) from gram_x = G X, which the caller computes
-    (the solver reuses it for its next step).
+    normal equations in O(C d^2).  Class-major: x is X' (C x d), gram_x is
+    X'G, which the caller computes (the solver carries it through its CG
+    steps), and xy is (XY)'; yy holds the per-class ||y_c||^2.
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
-    total = np.sum(x * (gram_x - 2.0 * blocks.xy)) + np.sum(blocks.yy)
+    # the ndarray methods skip np.sum's dispatch and add in the same order
+    total = (x * (gram_x - 2.0 * xy)).sum() + yy.sum()
     return max(0.0, float(total))
 
 
@@ -491,20 +508,21 @@ def loss(dataset: Dataset, weights) -> float:
     the first call on a fresh dataset builds and caches those blocks
     (O(N d^2)).
     """
-    x = _labeled_weights(dataset, weights, "loss")
+    x = _labeled_weights(dataset, weights, "loss").T
     blocks = dataset.normal_equations
-    return _gram_loss(blocks, x, blocks.gram @ x)
+    return _gram_loss(x, x @ blocks.gram, blocks.xy.T, blocks.yy)
 
 
 def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> float:
     """objective with every block norm smoothed to sqrt(||block||^2 + epsilon^2);
-    epsilon = 0 gives the exact one.  what names the caller in messages."""
+    epsilon = 0 gives the exact one.  what names the caller in messages.
+    Like fit, it works on the class-major X' = [W; U]'."""
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
-    x = _labeled_weights(dataset, weights, what)
-    blocks = dataset.normal_equations
-    return _gram_loss(blocks, x, blocks.gram @ x) + _penalty(
-        dataset.layout, _group_norms(x, dataset.layout.block_dims, epsilon), lambda1, lambda2
+    x = _labeled_weights(dataset, weights, what).T
+    blocks, layout = dataset.normal_equations, dataset.layout
+    return _gram_loss(x, x @ blocks.gram, blocks.xy.T, blocks.yy) + _penalty(
+        layout, _group_norms(x, layout.block_dims, epsilon, axis=-1), lambda1, lambda2
     )
 
 

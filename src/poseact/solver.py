@@ -28,12 +28,23 @@ stationarity residual and the smoothed diagnostics all read the dataset's
 cached normal equations, so an iteration makes no pass over the N
 instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
 per fit when a weight is zero.  Each quantity is computed once per
-iteration: at most _CG_STEPS + 1 products with the d x d Gram (one per CG
-step taken, and one G X at the new weights that serves both the loss and
-the next step's starting residual; with both weights zero, only the
-latter) and one pass over the block norms of X (which serves both the
-penalty and the next reweighting diagonals).  The first call on a fresh
-dataset builds and caches the normal equations, which is one O(N d^2) pass.
+iteration: one product with the d x d Gram per CG step taken, at most
+_CG_STEPS, and one pass over the block norms of X (which serves both the
+penalty and the next reweighting diagonals).  Each CG step's product G P
+also carries G X to the new weights (G X + alpha G P), where it serves
+both the loss and the next step's starting residual, so a penalised fit
+makes 1 + sum(cg_steps) Gram products in all; with both weights zero G X
+is formed directly at the exact solution, once per iteration.  The first
+call on a fresh dataset builds and caches the normal equations, which is
+one O(N d^2) pass.
+
+The solver and every diagnostic here work class-major: the weights,
+residuals, search directions and reweighting diagonals are C x d arrays,
+C-ordered, one contiguous row of d values per class, which is
+Model.weights' transpose.  Every elementwise product, per-class step
+length, block reduction and per-class dot product then runs along a
+class's contiguous row, and every Gram product is X'G = (G X)', G being
+symmetric.  The public functions take and return d x C arrays.
 """
 
 from __future__ import annotations
@@ -85,8 +96,8 @@ class SolverConfig:
     stops once the relative objective decrease falls below tol or after
     max_iters iterations; tol also ends each inner solve, once the
     preconditioned residual energy of every class column has fallen to tol
-    times its value at the start of the step (at most _CG_STEPS + 1 Gram
-    products per iteration).  epsilon floors block norms inside the
+    times its value at the start of the step (one Gram product per CG step,
+    at most _CG_STEPS per iteration).  epsilon floors block norms inside the
     reweighting diagonals; seed drives the random initialization.
     """
 
@@ -123,14 +134,15 @@ class FitReport:
 
 
 def _reweights(norms, dims, epsilon):
-    """Reweighting diagonals from norms, the block norms of every column
-    (_group_norms over dims: one row per block, a vector or a blocks x C matrix).
+    """Reweighting diagonals from norms, the block norms of every class
+    (_group_norms over dims with one entry per block along the last axis: a
+    vector, or the class-major C x blocks matrix fit works in).
 
-    Every coordinate of block k in column c gets
-    1 / (2 * max(norms[k, c], epsilon)), so shrinking blocks are penalized
+    Every coordinate of block k of class c gets
+    1 / (2 * max(norms[c, k], epsilon)), so shrinking blocks are penalized
     ever harder on the next solve.
     """
-    return np.repeat(0.5 / np.maximum(norms, epsilon), dims, axis=0)
+    return (0.5 / np.maximum(norms, epsilon)).repeat(dims, axis=-1)
 
 
 def _cholesky(gram, describe):
@@ -149,31 +161,39 @@ def _cholesky(gram, describe):
 
 
 def _penalty_weights(layout, lam1, lam2):
-    """The d x 1 column of per-row penalty weights of the stacked weights
-    [W; U]: lam1 on skeleton rows, lam2 on object rows."""
-    return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])[:, None]
+    """The per-coordinate penalty weights of the stacked weights [W; U], one
+    entry per row of [W; U] (a row of the class-major X'): lam1 on skeleton
+    coordinates, lam2 on object coordinates."""
+    return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])
 
 
 def _columnwise_ratio(num, den):
-    """num / den per column, +0.0 where den is 0 (a column CG has already
+    """num / den per class, +0.0 where den is 0 (a class CG has already
     solved); every num here is a non-negative r'z, so num / inf is +0.0."""
     return num / np.where(den == 0.0, np.inf, den)
 
 
 def _irls_step(blocks, layout, lam1, lam2, tol):
-    """fit's update step(x, gram_x, reweights) of the stacked weights x = [W; U].
+    """fit's update step(x, gram_x, reweights) of the class-major weights
+    x = [W; U]' (C x d, C-ordered: one contiguous row per class).
 
-    For every class column c it moves x_c towards the solution of
-    (G + diag(lam * reweights[:, c])) x_c = XY[:, c] and returns the new x
-    with the number of CG steps it took.  gram_x is G x, which fit has
-    already computed for the loss at x.  With both weights zero that system
-    is G X = XY in every iteration, so it is factored here once and step
-    returns its exact solution after 0 CG steps.  Otherwise step takes
+    For every class c it moves x_c towards the solution of
+    (G + diag(lam * reweights[c])) x_c = XY[:, c] and returns the new x,
+    x G at the new x, and the number of CG steps it took.  gram_x is x G,
+    which fit already holds for the loss at x; G is symmetric, so x G is
+    (G X)' and every Gram product is one C x d by d x d product.  With both
+    weights zero that system is G X = XY in every iteration, so it is
+    factored here once and step returns its exact solution after 0 CG
+    steps, with x G formed directly.  Otherwise step takes
     conjugate-gradient steps from x, preconditioned by the system's
-    diagonal, for all columns at once: one product with G per CG step.  It
-    stops after _CG_STEPS steps, or earlier once every column's r'M^-1 r
-    is at most tol times its value at x: that compares a quantity with
-    itself, so the rule depends on neither N nor the scale of the loss.
+    diagonal, for all classes at once: one product with G per CG step,
+    p G, which also moves x G along with x (x G + alpha p G), so no
+    further product is needed at the new x.  It stops after _CG_STEPS
+    steps, or earlier once every class's r'M^-1 r is at most tol times its
+    value at x: that compares a quantity with itself, so the rule depends
+    on neither N nor the scale of the loss.  Every elementwise product,
+    per-class step length and per-class dot product runs along a class's
+    contiguous row of d values.
 
     A row whose diagonal entry of G is 0 belongs to a feature that is zero
     in every instance, so its row and column of G and its row of XY are 0
@@ -184,14 +204,15 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
     definite Gram block there; that is checked here, and SingularityError
     names the system that fails.
     """
-    gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
+    gram, d_t = blocks.gram, layout.d_t
+    rhs = np.ascontiguousarray(blocks.xy.T)
     diagonal = np.diag(gram)
     live = np.flatnonzero(diagonal)
     if lam1 == lam2 == 0.0:
         factor = _cholesky(gram[np.ix_(live, live)], "joint system (G = [T; O][T; O]')")
         exact = np.zeros_like(rhs)
-        exact[live] = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs[live]))
-        return lambda x, gram_x, reweights: (exact, 0)
+        exact[:, live] = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy[live])).T
+        return lambda x, gram_x, reweights: (exact, exact @ gram, 0)
     if lam1 == 0.0:
         rows = live[live < d_t]
         _cholesky(gram[np.ix_(rows, rows)], "skeleton-weight system (T T')")
@@ -200,32 +221,33 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
         _cholesky(gram[np.ix_(rows, rows)], "object-weight system (O O')")
     lam = _penalty_weights(layout, lam1, lam2)
     # 1 / (inf + shift) is exactly 0: the preconditioner entry of a zero row
-    diagonal = np.where(diagonal == 0.0, np.inf, diagonal)[:, None]
+    diagonal = np.where(diagonal == 0.0, np.inf, diagonal)
 
     def step(x, gram_x, reweights):
         shift = lam * reweights
         precond = 1.0 / (diagonal + shift)
         r = rhs - (gram_x + shift * x)
         p = precond * r
-        # column dot products: on these C-contiguous d x C arrays, C >= 2
-        # (labels have at least two classes), einsum adds the rows in the
-        # same order as np.sum(a * b, axis=0) at a third of its dispatch cost
-        rz = np.einsum("ij,ij->j", r, p)
+        # per-class dot products along the contiguous rows; einsum dispatches
+        # at a fraction of the cost of np.sum(a * b, axis=1)
+        rz = np.einsum("ij,ij->i", r, p)
         target = tol * rz
         for taken in range(1, _CG_STEPS + 1):
-            q = gram @ p + shift * p
-            alpha = _columnwise_ratio(rz, np.einsum("ij,ij->j", p, q))
+            gram_p = p @ gram
+            q = gram_p + shift * p
+            alpha = _columnwise_ratio(rz, np.einsum("ij,ij->i", p, q))[:, None]
             x = x + alpha * p
+            gram_x = gram_x + alpha * gram_p
             if taken == _CG_STEPS:
                 break
             r = r - alpha * q
             z = precond * r
-            rz_next = np.einsum("ij,ij->j", r, z)
-            if np.all(rz_next <= target):
+            rz_next = np.einsum("ij,ij->i", r, z)
+            if (rz_next <= target).all():
                 break
-            p = z + _columnwise_ratio(rz_next, rz) * p
+            p = z + _columnwise_ratio(rz_next, rz)[:, None] * p
             rz = rz_next
-        return x, taken
+        return x, gram_x, taken
 
     return step
 
@@ -240,21 +262,27 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     An iteration is one all-classes update of the stacked weights X = [W; U]
     for (G + diag(lambda * D)) X = XY, with the diagonals D rebuilt from the
     current X.  It takes at most _CG_STEPS preconditioned CG steps from the
-    current weights (at most _CG_STEPS + 1 Gram products in all), and tol
-    also ends the inner solve, once every class column's preconditioned
-    residual energy is at most tol times its value at the start of the
-    step; the report's cg_steps lists the steps taken.  With both weights
-    zero it solves exactly with a factorization made once, before the first
-    iteration.  The weights of a zero feature, one whose diagonal entry of
-    G is 0 in float64 (entries below about 1.5e-162 in magnitude count,
-    their squares underflowing), start and stay at exactly 0.  A zero
-    weight whose side has a rank-deficient Gram block (T T' or O O', or G
-    itself when both are zero) on its other features raises
-    SingularityError.  Every iteration,
-    its loss and objective included, works on dataset.normal_equations and
-    makes no pass over the N instances; on a fresh dataset the first use
-    builds and caches them (O(N d^2)), and that build counts towards
-    wall_time.
+    current weights, one Gram product each, which also carry G X to the new
+    weights for the loss; with the one product at the start weights, a fit
+    makes 1 + sum(cg_steps) Gram products.  tol also ends the inner solve,
+    once every class column's preconditioned residual energy is at most
+    tol times its value at the start of the step; the report's cg_steps
+    lists the steps taken.  With both weights zero it solves exactly with
+    a factorization made once, before the first iteration, and forms G X
+    at that solution in each iteration.  The solver holds X class-major
+    (C x d, see the module docstring); the report's losses and objectives
+    come from the carried G X, so they agree with loss and objective at
+    model.weights at rounding level, not bit for bit.
+
+    The weights of a zero feature, one whose diagonal entry of G is 0 in
+    float64 (entries below about 1.5e-162 in magnitude count, their
+    squares underflowing), start and stay at exactly 0.  A zero weight
+    whose side has a rank-deficient Gram block (T T' or O O', or G itself
+    when both are zero) on its other features raises SingularityError.
+    Every iteration, its loss and objective included, works on
+    dataset.normal_equations and makes no pass over the N instances; on a
+    fresh dataset the first use builds and caches them (O(N d^2)), and
+    that build counts towards wall_time.
     """
     if dataset.labels is None:
         raise ValidationError("fit needs a labeled dataset")
@@ -265,27 +293,29 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     start = time.perf_counter()
     blocks = dataset.normal_equations
     step = _irls_step(blocks, layout, lam1, lam2, config.tol)
+    rhs = np.ascontiguousarray(blocks.xy.T)
     rng = np.random.default_rng(config.seed)
-    x = 0.01 * rng.standard_normal(blocks.xy.shape)
-    x[np.diag(blocks.gram) == 0.0] = 0.0  # zero features: step holds these rows
+    # class-major, C x d: the d x C draws transposed, so the start is the same
+    x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
+    x[:, np.diag(blocks.gram) == 0.0] = 0.0  # zero features: step holds these
 
-    def evaluate(x):
-        """G x, the block norms, the loss and the objective at x."""
-        gram_x = blocks.gram @ x
-        norms = _group_norms(x, dims)
-        loss_val = _gram_loss(blocks, x, gram_x)
-        return gram_x, norms, loss_val, loss_val + _penalty(layout, norms, lam1, lam2)
+    def evaluate(x, gram_x):
+        """The block norms, the loss and the objective at x, given x G."""
+        norms = _group_norms(x, dims, axis=-1)
+        loss_val = _gram_loss(x, gram_x, rhs, blocks.yy)
+        return norms, loss_val, loss_val + _penalty(layout, norms, lam1, lam2)
 
-    gram_x, norms, _, prev_obj = evaluate(x)
+    gram_x = x @ blocks.gram
+    norms, _, prev_obj = evaluate(x, gram_x)
     objective_trace: list[float] = []
     loss_trace: list[float] = []
     cg_steps: list[int] = []
     converged = False
 
     for _ in range(config.max_iters):
-        x, taken = step(x, gram_x, _reweights(norms, dims, eps))
+        x, gram_x, taken = step(x, gram_x, _reweights(norms, dims, eps))
         cg_steps.append(taken)
-        gram_x, norms, loss_val, obj = evaluate(x)
+        norms, loss_val, obj = evaluate(x, gram_x)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
         if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
@@ -296,7 +326,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     wall = time.perf_counter() - start
     model = Model(
         layout=layout,
-        weights=x,
+        weights=x.T,
         class_names=dataset.class_names,
         hyperparams=config,
         names=dataset.names,
@@ -345,16 +375,17 @@ def stationarity_residual(
     goes to zero.  The model must match the dataset's layout and class
     names, as in predict_batch.
     """
-    x = _paired_weights(model, dataset, "stationarity_residual")
+    x = _paired_weights(model, dataset, "stationarity_residual").T
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks, d_t = dataset.normal_equations, dataset.layout.d_t
     dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    res = blocks.gram @ x - blocks.xy + lam * _reweights(_group_norms(x, dims), dims, epsilon) * x
+    diag = _reweights(_group_norms(x, dims, axis=-1), dims, epsilon)
+    res = x @ blocks.gram - blocks.xy.T + lam * diag * x
     return max(
-        float(np.max(np.linalg.norm(side, axis=0) / (1.0 + np.linalg.norm(mat, axis=0))))
-        for side, mat in ((res[:d_t], x[:d_t]), (res[d_t:], x[d_t:]))
+        float(np.max(np.linalg.norm(side, axis=1) / (1.0 + np.linalg.norm(mat, axis=1))))
+        for side, mat in ((res[:, :d_t], x[:, :d_t]), (res[:, d_t:], x[:, d_t:]))
     )
 
 
@@ -374,11 +405,11 @@ def smoothed_gradients(
     dataset: Dataset, weights, lambda1: float, lambda2: float, epsilon: float
 ) -> np.ndarray:
     """Analytic gradient of smoothed_objective, one array shaped like the weights [W; U]."""
-    x = _labeled_weights(dataset, weights, "smoothed_gradients")
+    x = _labeled_weights(dataset, weights, "smoothed_gradients").T
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     epsilon = check_number(epsilon, "epsilon", strict=True)
     blocks = dataset.normal_equations
     dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    smoothed_norms = np.repeat(_group_norms(x, dims, epsilon), dims, axis=0)
-    return 2.0 * (blocks.gram @ x - blocks.xy) + lam * x / smoothed_norms
+    smoothed_norms = np.repeat(_group_norms(x, dims, epsilon, axis=-1), dims, axis=-1)
+    return (2.0 * (x @ blocks.gram - blocks.xy.T) + lam * x / smoothed_norms).T

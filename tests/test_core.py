@@ -25,7 +25,14 @@ from poseact import (
     standardize,
     stationarity_residual,
 )
-from poseact.core import GroupNames, _group_norms, _penalty, default_names, objective
+from poseact.core import (
+    GroupNames,
+    _group_norms,
+    _penalty,
+    block_sums,
+    default_names,
+    objective,
+)
 from poseact.errors import ConfigError, LayoutError, ValidationError
 
 from conftest import build_dataset
@@ -43,8 +50,9 @@ def norm_oracle(mat, slices):
 
 def penalty(x, layout, lam1, lam2):
     """The one penalty route, as objective and fit take it: lam1 times the
-    skeletal norm plus lam2 times the attribute norm of the stacked [W; U]."""
-    return _penalty(layout, _group_norms(x, layout.block_dims), lam1, lam2)
+    skeletal norm plus lam2 times the attribute norm of the stacked [W; U],
+    read off the block norms of its class-major transpose."""
+    return _penalty(layout, _group_norms(x.T, layout.block_dims, axis=-1), lam1, lam2)
 
 
 # --- FeatureLayout ----------------------------------------------------------
@@ -343,6 +351,28 @@ def test_attribute_norm_hand_example():
     x = np.array([[-2.0], [0.0], [3.0], [4.0]])
     assert penalty(x, layout, 0.0, 1.0) == pytest.approx(5.0)
     assert penalty(x, layout, 1.0, 1.0) == pytest.approx(2.0 + 5.0)
+
+
+def test_block_sums_give_the_same_bits_in_both_layouts():
+    """Summed along axis 0 of the d x C weights or along the last axis of
+    their class-major C x d transpose, in either memory order, every block
+    comes out bit for bit the same, at the paper shape and on random
+    layouts."""
+    rng = np.random.default_rng(19)
+    layout = FeatureLayout(joint_dims=(3,) * 15, object_count=3, modality_dims=(48, 36, 15))
+    dims = layout.block_dims
+    x = rng.standard_normal((layout.d_t + layout.d_o, 6))
+    for fn in (block_sums, _group_norms):
+        rows = fn(x, dims)
+        assert rows.shape == (len(dims), 6)
+        for mat in (x.T, np.ascontiguousarray(x.T)):
+            assert np.array_equal(fn(mat, dims, axis=-1), rows.T)
+        assert np.array_equal(fn(np.asfortranarray(x), dims), rows)
+        assert np.array_equal(fn(x[:, 2], dims), rows[:, 2])
+    for _ in range(50):
+        dims = tuple(int(v) for v in rng.integers(1, 150, size=int(rng.integers(1, 30))))
+        x = rng.standard_normal((sum(dims), int(rng.integers(1, 12))))
+        assert np.array_equal(block_sums(x.T, dims, axis=-1), block_sums(x, dims).T)
 
 
 def test_norms_match_loop_oracle():

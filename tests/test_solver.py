@@ -27,23 +27,25 @@ from poseact.core import _group_norms, block_sums, objective
 from poseact.errors import ConfigError, LayoutError, SingularityError, ValidationError
 from poseact.solver import _CG_STEPS, _columnwise_ratio, _irls_step, _reweights
 
-from conftest import build_dataset
+from conftest import build_dataset, conditioned
 
 
 def joint_step(ds, lam1, lam2, d, start=None):
     """fit's step on the stacked weights [W; U] with diagonals d (d x C), from
     start (zero by default); with both weights zero it is the exact solve.
-    tol 0 takes all _CG_STEPS CG steps unless every column is solved
-    exactly (r'M^-1 r == 0) first."""
+    The step works class-major (C x d), so this hands it the transposes and
+    returns the d x C result.  tol 0 takes all _CG_STEPS CG steps unless
+    every class is solved exactly (r'M^-1 r == 0) first."""
     blocks = ds.normal_equations
     step = _irls_step(blocks, ds.layout, lam1, lam2, 0.0)
-    x = np.zeros_like(blocks.xy) if start is None else start
-    return step(x, blocks.gram @ x, d)[0]
+    x = np.zeros_like(blocks.xy.T) if start is None else np.ascontiguousarray(start.T)
+    return step(x, x @ blocks.gram, np.ascontiguousarray(d.T))[0].T
 
 
 def reweights(mat, dims, epsilon):
-    """fit's reweighting diagonals of mat, from its block norms."""
-    return _reweights(_group_norms(mat, dims), dims, epsilon)
+    """fit's reweighting diagonals of mat (a vector or d x C), from its block
+    norms, taken class-major as fit takes them."""
+    return _reweights(_group_norms(mat.T, dims, axis=-1), dims, epsilon).T
 
 
 # the paper's 45 skeleton and 297 object features
@@ -364,9 +366,32 @@ def test_fit_final_trace_entry_matches_objective_and_loss():
     )
     cfg = SolverConfig(lambda1=0.3, lambda2=0.2, max_iters=25)
     model, report = fit(ds, cfg)
-    # the trace and the public functions share one loss computation
-    assert report.objective_trace[-1] == objective(ds, model.weights, 0.3, 0.2)
-    assert report.loss_trace[-1] == loss(ds, model.weights)
+    # the trace and the public functions share one loss expansion; the
+    # trace's G X is carried through the CG steps, the functions' is a
+    # direct product, and the two agree at rounding level
+    assert report.objective_trace[-1] == pytest.approx(
+        objective(ds, model.weights, 0.3, 0.2), rel=1e-12, abs=0.0
+    )
+    assert report.loss_trace[-1] == pytest.approx(loss(ds, model.weights), rel=1e-12, abs=0.0)
+
+
+def test_carried_gram_product_does_not_drift_on_conditioned_data():
+    """fit carries G X through the CG recurrence instead of forming it at
+    each new iterate.  On the paper shape mixed to cond(G) >= 1e4 and >= 1e6
+    (100 iterations, unconverged, at lambda 0.1), the loss and objective of
+    the last iterate still equal the direct ones within 1e-12 relative."""
+    base = build_dataset(PAPER_LAYOUT, n=2000, n_classes=6, seed=727)
+    for decay, floor in ((1e-2, 1e4), (1e-3, 1e6)):
+        ds = conditioned(base, decay)
+        assert np.linalg.cond(ds.normal_equations.gram) >= floor
+        for lam in (0.1, 300.0):
+            model, report = fit(ds, SolverConfig(lambda1=lam, lambda2=lam, seed=5))
+            assert report.loss_trace[-1] == pytest.approx(
+                loss(ds, model.weights), rel=1e-12, abs=0.0
+            )
+            assert report.objective_trace[-1] == pytest.approx(
+                objective(ds, model.weights, lam, lam), rel=1e-12, abs=0.0
+            )
 
 
 def square_system(seed):
@@ -537,15 +562,93 @@ def test_fit_model_carries_dataset_metadata():
 
 
 def reference_fit(ds, cfg):
-    """The fit loop with nothing shared between its parts: each step rebuilds
-    the diagonals from a fresh pass over the block norms and takes
-    _CG_STEPS Jacobi-PCG steps from XY - (G X + shift X) with G X computed
-    afresh, and the loss and the penalty each take their own G X and block
-    norms (with both weights zero the step is the exact solve of G X = XY).
-    fit shares G X and the block norms between these parts and must match
-    this loop bit for bit.  Each step stops early once every column's
-    r'M^-1 r is at most tol times its value at the start of the step; the
-    CG steps taken are returned with the traces."""
+    """The fit loop with nothing shared between its parts, class-major as fit
+    runs it: the weights, residuals, directions and diagonals are C x d,
+    one row per class, and every Gram product is a C x d by d x d product.
+    Each step rebuilds the diagonals from a fresh pass over the block norms
+    and takes _CG_STEPS Jacobi-PCG steps from XY' - (X'G + shift X'); X'G
+    comes from one direct product at the start weights and is then carried
+    through the CG recurrence, X'G + alpha P'G per step, and the penalty
+    takes its own block norms (with both weights zero the step is the exact
+    solve of G X = XY, and X'G a direct product at it).  fit shares the
+    block norms between these parts and must match this loop bit for bit.
+    Each step stops early once every class's r'M^-1 r is at most tol times
+    its value at the start of the step; the weights come back d x C, with
+    the traces and the CG steps taken."""
+    layout, blocks = ds.layout, ds.normal_equations
+    gram, rhs, d_t = blocks.gram, np.ascontiguousarray(blocks.xy.T), layout.d_t
+    lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
+    dims, joints = layout.joint_dims + layout.object_block_dims, layout.n_joints
+    lam = np.concatenate([np.full(d_t, lam1), np.full(layout.d_o, lam2)])
+    diagonal = np.diag(gram)
+
+    def dot_rows(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)[:, None]
+
+    def loss_and_objective(x, gram_x):
+        loss_val = max(0.0, float(np.sum(x * (gram_x - 2.0 * rhs)) + np.sum(blocks.yy)))
+        norms = np.sqrt(block_sums(x * x, dims, axis=1))
+        penalty = lam1 * float(np.sum(norms[:, :joints])) + lam2 * float(
+            np.sum(norms[:, joints:])
+        )
+        return loss_val, loss_val + penalty
+
+    def step(x, gram_x):
+        if lam1 == lam2 == 0.0:
+            factor = np.linalg.cholesky(gram)
+            exact = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy))
+            exact = np.ascontiguousarray(exact.T)
+            return exact, exact @ gram, 0
+        norms = np.sqrt(block_sums(x * x, dims, axis=1))
+        shift = lam * np.repeat(0.5 / np.maximum(norms, eps), dims, axis=1)
+        precond = 1.0 / (diagonal + shift)
+        r = rhs - (gram_x + shift * x)
+        p = precond * r
+        rz = rz_start = dot_rows(r, p)
+        for taken in range(1, _CG_STEPS + 1):
+            gram_p = p @ gram
+            q = gram_p + shift * p
+            alpha = ratio(rz, dot_rows(p, q))
+            x = x + alpha * p
+            gram_x = gram_x + alpha * gram_p
+            r = r - alpha * q
+            z = precond * r
+            rz_next = dot_rows(r, z)
+            p = z + ratio(rz_next, rz) * p
+            rz = rz_next
+            if all(rz[c] <= cfg.tol * rz_start[c] for c in range(rz.size)):
+                break
+        return x, gram_x, taken
+
+    x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(blocks.xy.shape)
+    x = np.ascontiguousarray(x.T)
+    gram_x = x @ gram
+    prev_obj = loss_and_objective(x, gram_x)[1]
+    losses, objectives, cg_steps = [], [], []
+    for _ in range(cfg.max_iters):
+        x, gram_x, taken = step(x, gram_x)
+        loss_val, obj = loss_and_objective(x, gram_x)
+        losses.append(loss_val)
+        objectives.append(obj)
+        cg_steps.append(taken)
+        if abs(prev_obj - obj) / max(1.0, prev_obj) < cfg.tol:
+            break
+        prev_obj = obj
+    return x.T, tuple(losses), tuple(objectives), tuple(cg_steps)
+
+
+def row_major_reference_fit(ds, cfg):
+    """The loop fit ran before it went class-major: the weights and every
+    CG array are d x C, every Gram product is G times a d x C matrix, and
+    G X is formed afresh at every new iterate, by the step for its starting
+    residual and by the loss for itself (with both weights zero the step is
+    the exact solve of G X = XY).  Nothing is shared between the parts.
+    Each step stops early once every column's r'M^-1 r is at most tol times
+    its value at the start of the step; the CG steps taken are returned
+    with the traces."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, blocks.xy, layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
@@ -604,7 +707,7 @@ def reference_fit(ds, cfg):
     return x, tuple(losses), tuple(objectives), tuple(cg_steps)
 
 
-def test_fit_matches_the_reference_loop_bit_for_bit():
+def reference_problems():
     small = FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,))
     problems = [
         (build_dataset(small, n=n, n_classes=3, seed=700 + n), lams, 1e-9)
@@ -613,8 +716,11 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
     ]
     paper = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
     # at lambda 300 and the default tol the inner solves end early
-    problems += [(paper, (0.5, 0.5), 1e-9), (paper, (300.0, 300.0), SolverConfig().tol)]
-    for ds, (lam1, lam2), tol in problems:
+    return problems + [(paper, (0.5, 0.5), 1e-9), (paper, (300.0, 300.0), SolverConfig().tol)]
+
+
+def test_fit_matches_the_reference_loop_bit_for_bit():
+    for ds, (lam1, lam2), tol in reference_problems():
         cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
         model, report = fit(ds, cfg)
         x, losses, objectives, cg_steps = reference_fit(ds, cfg)
@@ -628,21 +734,39 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
     assert min(report.cg_steps) < _CG_STEPS
 
 
+def test_fit_matches_the_row_major_loop_at_rounding_level():
+    """Class-major arrays and the carried G X change the arithmetic, not the
+    iteration: on the same problems fit takes as many iterations and CG
+    steps as the row-major loop with a fresh G X, and its weights and both
+    traces agree within 1e-12 relative."""
+    for ds, (lam1, lam2), tol in reference_problems():
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
+        model, report = fit(ds, cfg)
+        x, losses, objectives, cg_steps = row_major_reference_fit(ds, cfg)
+        assert report.iterations_run == len(objectives)
+        assert report.cg_steps == cg_steps
+        assert np.linalg.norm(model.weights - x) <= 1e-12 * np.linalg.norm(x)
+        for got, want in ((report.loss_trace, losses), (report.objective_trace, objectives)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class CountingGram(np.ndarray):
-    """A view of the Gram that counts the products it is the left factor of."""
+    """A view of the Gram that counts the products it is a factor of, on
+    either side."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and inputs[0] is self:
-            self.products += 1
+        if ufunc is np.matmul:
+            self.products += sum(a is self for a in inputs)
         inputs = tuple(np.asarray(a) if isinstance(a, CountingGram) else a for a in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 def test_fit_makes_one_gram_product_per_cg_step_and_one_per_iteration():
-    """Each iteration shares one G X between the loss and the next step's
-    starting residual: 1 + sum(cg_steps[k] + 1) products, where a penalised
-    iteration takes at most _CG_STEPS CG steps and the exact path with both
-    weights zero takes none."""
+    """One product at the start weights, then each CG step's P'G, which also
+    carries X'G to the new weights: 1 + sum(cg_steps) products for a
+    penalised fit, whose iterations take 1 to _CG_STEPS CG steps each.  The
+    exact path with both weights zero takes no CG step and forms X'G at its
+    solution once per iteration: 1 + iterations_run products."""
     small = build_dataset(
         FeatureLayout(joint_dims=(2, 3, 1), object_count=2, modality_dims=(2,)),
         n=40,
@@ -660,11 +784,12 @@ def test_fit_makes_one_gram_product_per_cg_step_and_one_per_iteration():
         ds.__dict__["normal_equations"] = blocks
         assert report.iterations_run > 1
         assert len(report.cg_steps) == report.iterations_run
-        assert gram.products == 1 + sum(k + 1 for k in report.cg_steps)
         if lam1 == lam2 == 0.0:
             assert set(report.cg_steps) == {0}
+            assert gram.products == 1 + report.iterations_run
         else:
             assert 1 <= min(report.cg_steps) and max(report.cg_steps) <= _CG_STEPS
+            assert gram.products == 1 + sum(report.cg_steps)
     # the last case ends some inner solves early
     assert min(report.cg_steps) < _CG_STEPS
 
@@ -703,19 +828,20 @@ def test_inexact_steps_at_paper_shape():
             x = 0.5 * rng.standard_normal((342, 6))
             x[:9] = 0.0
             x[45:93] = 0.0
+            x = np.ascontiguousarray(x.T)  # class-major, as fit holds it
             for _ in range(10):
-                d = reweights(x, dims, 1e-8)
-                before = objective(ds, x, lam, lam)
-                x = step(x, blocks.gram @ x, d)[0]
-                after = objective(ds, x, lam, lam)
+                d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
+                before = objective(ds, x.T, lam, lam)
+                x = step(x, x @ blocks.gram, d)[0]
+                after = objective(ds, x.T, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
-            exact = np.column_stack(
+            exact = np.vstack(
                 [
-                    np.linalg.solve(blocks.gram + lam * np.diag(d[:, c]), blocks.xy[:, c])
+                    np.linalg.solve(blocks.gram + lam * np.diag(d[c]), blocks.xy[:, c])
                     for c in range(6)
                 ]
             )
-            again = step(exact, blocks.gram @ exact, d)[0]
+            again = step(exact, exact @ blocks.gram, d)[0]
             assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
         # a class with no instances has nothing to solve: from zero it stays
         # exactly zero, without a 0/0
@@ -728,22 +854,27 @@ def test_step_is_invariant_under_scaling_the_problem():
     """(2G, 2XY, 2 lambda) is the same problem as (G, XY, lambda) with the
     loss doubled.  Doubling is exact in floating point, and the early exit
     compares r'M^-1 r with its own starting value, so from the same x the
-    step returns the same x after the same number of CG steps."""
+    step returns the same x after the same number of CG steps, and the
+    x G it carries comes back exactly doubled."""
     layout = PAPER_LAYOUT
     dims = layout.joint_dims + layout.object_block_dims
     ds = build_dataset(layout, n=500, n_classes=6, seed=709)
     blocks = ds.normal_equations
     doubled = blocks._replace(gram=2.0 * blocks.gram, xy=2.0 * blocks.xy, yy=2.0 * blocks.yy)
     x = 0.01 * np.random.default_rng(151).standard_normal(blocks.xy.shape)
+    x = np.ascontiguousarray(x.T)  # class-major, as fit holds it
     steps_seen = set()
     for lam in (0.5, 300.0, 1000.0):
-        d = reweights(x, dims, 1e-8)
+        d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
         for tol in (SolverConfig().tol, 1e-3):
-            once, steps = _irls_step(blocks, layout, lam, lam, tol)(x, blocks.gram @ x, d)
-            twice, steps_twice = _irls_step(doubled, layout, 2 * lam, 2 * lam, tol)(
-                x, doubled.gram @ x, d
+            once, gram_once, steps = _irls_step(blocks, layout, lam, lam, tol)(
+                x, x @ blocks.gram, d
+            )
+            twice, gram_twice, steps_twice = _irls_step(doubled, layout, 2 * lam, 2 * lam, tol)(
+                x, x @ doubled.gram, d
             )
             assert np.array_equal(once, twice)
+            assert np.array_equal(2.0 * gram_once, gram_twice)
             assert steps == steps_twice
             steps_seen.add(steps)
     assert min(steps_seen) < _CG_STEPS
