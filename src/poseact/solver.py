@@ -191,9 +191,7 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
     further product is needed at the new x.  It stops after _CG_STEPS
     steps, or earlier once every class's r'M^-1 r is at most tol times its
     value at x: that compares a quantity with itself, so the rule depends
-    on neither N nor the scale of the loss.  Every elementwise product,
-    per-class step length and per-class dot product runs along a class's
-    contiguous row of d values.
+    on neither N nor the scale of the loss.
 
     A row whose diagonal entry of G is 0 belongs to a feature that is zero
     in every instance, so its row and column of G and its row of XY are 0
