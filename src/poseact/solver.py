@@ -5,15 +5,17 @@ loss ||[T; O]'X - Y||^2 plus one group norm per joint and per (object,
 modality) block.  Each iteration builds the reweighting diagonals D of
 every block and every class at once from the current X and makes one
 all-classes step on (G + diag(lambda * D)) X = XY, where G = [T; O][T; O]'
-and lambda is lambda1 on skeleton rows and lambda2 on object rows.  The
+and lambda is lambda1 on skeleton rows and lambda2 on object rows.  Those
+C systems are one block-diagonal SPD system in all the weights, and the
 step is at most _CG_STEPS Jacobi-preconditioned conjugate-gradient steps
-started from the current weights; tol, which also ends the outer loop,
-ends each inner solve once every column's preconditioned residual energy
-r'M^-1 r is at most tol times its value at the start of the step.  CG
-never raises the quadratic surrogate above its value at the start, so the
-objective never moves uphill however early it stops, and an exact solve
-of the surrogate is a fixed point of the step.  With both weights zero
-the system is the same in every iteration, so it is factored once per fit
+on it, one recurrence shared by every class, started from the current
+weights; tol, which also ends the outer loop, ends each inner solve once
+the preconditioned residual energy r'M^-1 r, summed over the classes, is
+at most tol times its value at the start of the step.  CG never raises
+the quadratic surrogate above its value at the start, so the objective
+never moves uphill however early it stops, and an exact solve of the
+surrogate is a fixed point of the step.  With both weights zero the
+system is the same in every iteration, so it is factored once per fit
 and solved exactly.  A floor on block norms keeps the diagonals finite
 when a block collapses toward zero, at the price of optimizing a smoothed
 objective whose minimizers approach the exact ones as the floor shrinks.
@@ -41,10 +43,11 @@ one O(N d^2) pass.
 The solver and every diagnostic here work class-major: the weights,
 residuals, search directions and reweighting diagonals are C x d arrays,
 C-ordered, one contiguous row of d values per class, which is
-Model.weights' transpose.  Every elementwise product, per-class step
-length, block reduction and per-class dot product then runs along a
-class's contiguous row, and every Gram product is X'G = (G X)', G being
-symmetric.  The public functions take and return d x C arrays.
+Model.weights' transpose.  Every elementwise product and block reduction
+then runs along a class's contiguous row, every CG dot product is one
+np.vdot over the whole C x d array, so each step length is a scalar, and
+every Gram product is X'G = (G X)', G being symmetric.  The public
+functions take and return d x C arrays.
 """
 
 from __future__ import annotations
@@ -95,10 +98,11 @@ class SolverConfig:
     lambda1 weighs the skeletal norm, lambda2 the attribute norm.  The solver
     stops once the relative objective decrease falls below tol or after
     max_iters iterations; tol also ends each inner solve, once the
-    preconditioned residual energy of every class column has fallen to tol
-    times its value at the start of the step (one Gram product per CG step,
-    at most _CG_STEPS per iteration).  epsilon floors block norms inside the
-    reweighting diagonals; seed drives the random initialization.
+    preconditioned residual energy, summed over the classes, has fallen to
+    tol times its value at the start of the step (one Gram product per CG
+    step, at most _CG_STEPS per iteration).  epsilon floors block norms
+    inside the reweighting diagonals; seed drives the random
+    initialization.
     """
 
     lambda1: float = 0.1
@@ -167,12 +171,6 @@ def _penalty_weights(layout, lam1, lam2):
     return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])
 
 
-def _columnwise_ratio(num, den):
-    """num / den per class, +0.0 where den is 0 (a class CG has already
-    solved); every num here is a non-negative r'z, so num / inf is +0.0."""
-    return num / np.where(den == 0.0, np.inf, den)
-
-
 def _irls_step(blocks, layout, lam1, lam2, tol):
     """fit's update step(x, gram_x, reweights) of the class-major weights
     x = [W; U]' (C x d, C-ordered: one contiguous row per class).
@@ -184,14 +182,18 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
     (G X)' and every Gram product is one C x d by d x d product.  With both
     weights zero that system is G X = XY in every iteration, so it is
     factored here once and step returns its exact solution after 0 CG
-    steps, with x G formed directly.  Otherwise step takes
-    conjugate-gradient steps from x, preconditioned by the system's
-    diagonal, for all classes at once: one product with G per CG step,
-    p G, which also moves x G along with x (x G + alpha p G), so no
-    further product is needed at the new x.  It stops after _CG_STEPS
-    steps, or earlier once every class's r'M^-1 r is at most tol times its
-    value at x: that compares a quantity with itself, so the rule depends
-    on neither N nor the scale of the loss.
+    steps, with x G formed directly.  Otherwise the C systems are one
+    block-diagonal SPD system in all of x, and step takes conjugate-gradient
+    steps on it from x, preconditioned by its diagonal: one recurrence, whose
+    dot products sum over every class, so the step length alpha and the
+    direction update beta are scalars.  Each CG step makes one product with G, p G, which also
+    moves x G along with x (x G + alpha p G), so no further product is
+    needed at the new x.  It stops after _CG_STEPS steps, or earlier once
+    r'M^-1 r summed over the classes is at most tol times its value at x:
+    that compares a quantity with itself, so the rule depends on neither N
+    nor the scale of the loss.  A start with r'M^-1 r = 0 (x already solves
+    the system) has a zero search direction: its step length is 0 and it
+    stops after one step with x unchanged.
 
     A row whose diagonal entry of G is 0 belongs to a feature that is zero
     in every instance, so its row and column of G and its row of XY are 0
@@ -226,24 +228,28 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
         precond = 1.0 / (diagonal + shift)
         r = rhs - (gram_x + shift * x)
         p = precond * r
-        # per-class dot products along the contiguous rows; einsum dispatches
-        # at a fraction of the cost of np.sum(a * b, axis=1)
-        rz = np.einsum("ij,ij->i", r, p)
+        # one recurrence over every class: each dot product runs over the
+        # whole C x d array, so every step length is one scalar
+        rz = np.vdot(r, p)
         target = tol * rz
         for taken in range(1, _CG_STEPS + 1):
             gram_p = p @ gram
             q = gram_p + shift * p
-            alpha = _columnwise_ratio(rz, np.einsum("ij,ij->i", p, q))[:, None]
+            pq = np.vdot(p, q)
+            # p'q is 0 only at p = 0, which needs r'z = 0: nothing to move
+            alpha = rz / pq if pq else 0.0
             x = x + alpha * p
             gram_x = gram_x + alpha * gram_p
             if taken == _CG_STEPS:
                 break
             r = r - alpha * q
             z = precond * r
-            rz_next = np.einsum("ij,ij->i", r, z)
-            if (rz_next <= target).all():
+            rz_next = np.vdot(r, z)
+            # a zero rz (p = 0 left r as it was) stops here, and every later
+            # rz passed this test, so the ratio below never divides by 0
+            if rz_next <= target:
                 break
-            p = z + _columnwise_ratio(rz_next, rz)[:, None] * p
+            p = z + (rz_next / rz) * p
             rz = rz_next
         return x, gram_x, taken
 
@@ -262,15 +268,16 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     current X.  It takes at most _CG_STEPS preconditioned CG steps from the
     current weights, one Gram product each, which also carry G X to the new
     weights for the loss; with the one product at the start weights, a fit
-    makes 1 + sum(cg_steps) Gram products.  tol also ends the inner solve,
-    once every class column's preconditioned residual energy is at most
-    tol times its value at the start of the step; the report's cg_steps
-    lists the steps taken.  With both weights zero it solves exactly with
-    a factorization made once, before the first iteration, and forms G X
-    at that solution in each iteration.  The solver holds X class-major
-    (C x d, see the module docstring); the report's losses and objectives
-    come from the carried G X, so they agree with loss and objective at
-    model.weights at rounding level, not bit for bit.
+    makes 1 + sum(cg_steps) Gram products.  The CG steps are one recurrence
+    over every class, with scalar step lengths.  tol also ends the inner
+    solve, once the preconditioned residual energy summed over the classes
+    is at most tol times its value at the start of the step; the report's
+    cg_steps lists the steps taken.  With both weights zero it solves
+    exactly with a factorization made once, before the first iteration,
+    and forms G X at that solution in each iteration.  The solver holds X
+    class-major (C x d, see the module docstring); the report's losses and
+    objectives come from the carried G X, so they agree with loss and
+    objective at model.weights at rounding level, not bit for bit.
 
     The weights of a zero feature, one whose diagonal entry of G is 0 in
     float64 (entries below about 1.5e-162 in magnitude count, their
