@@ -361,6 +361,17 @@ class Dataset:
             block.setflags(write=False)
         return blocks
 
+    @cached_property
+    def label_indices(self) -> np.ndarray | None:
+        """The class index of every instance, the argmax of its one-hot label
+        row (N entries, read-only, built on first use); None for unlabeled
+        data.  The labels are read-only, so it cannot go stale."""
+        if self.labels is None:
+            return None
+        indices = np.argmax(self.labels, axis=1)
+        indices.setflags(write=False)
+        return indices
+
     def class_counts(self) -> dict[str, int] | None:
         """Instances per class, or None for unlabeled data."""
         if self.labels is None:
@@ -464,33 +475,47 @@ def _group_norms(mat, dims, epsilon=0.0, axis=0) -> np.ndarray:
     return np.sqrt(block_sums(mat * mat, dims, axis) + epsilon * epsilon)
 
 
-def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
-    """lam1 times the skeletal norm plus lam2 times the attribute norm, summed from
-    norms, the block norms of the stacked weights [W; U] over layout.block_dims,
-    class-major: one entry per block along the last axis (C x blocks).
+def _block_lambdas(layout: FeatureLayout, lam1, lam2, n_classes) -> np.ndarray:
+    """The weight of every block norm in the penalty, class-major like the norms
+    _penalty takes (n_classes x blocks): lam1 on each joint block, lam2 on
+    each (object, modality) block."""
+    lambdas = np.full((n_classes, len(layout.block_dims)), lam2, dtype=np.float64)
+    lambdas[:, : layout.n_joints] = lam1
+    return lambdas
+
+
+def _penalty(norms, lambdas) -> float:
+    """lam1 times the skeletal norm plus lam2 times the attribute norm, as one
+    np.vdot of norms, the block norms of the stacked weights [W; U] over
+    layout.block_dims, class-major (C x blocks), with lambdas, their weights
+    from _block_lambdas.
 
     The skeletal norm sums the joint-block norms over all classes, an l1 norm
     across joints and an l2 norm inside each, which is what drives whole
     joints to zero; the attribute norm does the same over the (object,
     modality) blocks.
     """
-    joints = layout.n_joints
-    return lam1 * float(norms[..., :joints].sum()) + lam2 * float(norms[..., joints:].sum())
+    return float(np.vdot(lambdas, norms))
 
 
-def _gram_loss(x, gram_x, xy, yy) -> float:
+def _gram_loss(x, gram_x, two_xy, yy) -> float:
     """||[T; O]'X - Y||^2 for the stacked weights X = [W; U], expanded over the
-    normal equations in O(C d^2).  Class-major: x is X' (C x d), gram_x is
-    X'G, which the caller computes (the solver carries it through its CG
-    steps), and xy is (XY)'; yy holds the per-class ||y_c||^2.
+    normal equations in O(C d^2) as one np.vdot: x'(x G - 2 XY') + yy.
+    Class-major: x is X' (C x d), gram_x is X'G, which the caller computes
+    (the solver carries it through its CG steps), two_xy is 2 (XY)' and yy
+    is sum_c ||y_c||^2, both built once per fit.
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
-    # the ndarray methods skip np.sum's dispatch and add in the same order
-    total = (x * (gram_x - 2.0 * xy)).sum() + yy.sum()
-    return max(0.0, float(total))
+    return max(0.0, float(np.vdot(x, gram_x - two_xy) + yy))
+
+
+def _direct_loss(x, blocks: NormalEquations) -> float:
+    """_gram_loss at the class-major x, with X'G formed directly: the route
+    of loss and objective."""
+    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, float(blocks.yy.sum()))
 
 
 def _labeled_weights(dataset: Dataset, weights, what):
@@ -509,8 +534,7 @@ def loss(dataset: Dataset, weights) -> float:
     (O(N d^2)).
     """
     x = _labeled_weights(dataset, weights, "loss").T
-    blocks = dataset.normal_equations
-    return _gram_loss(x, x @ blocks.gram, blocks.xy.T, blocks.yy)
+    return _direct_loss(x, dataset.normal_equations)
 
 
 def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> float:
@@ -520,10 +544,10 @@ def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> fl
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     x = _labeled_weights(dataset, weights, what).T
-    blocks, layout = dataset.normal_equations, dataset.layout
-    return _gram_loss(x, x @ blocks.gram, blocks.xy.T, blocks.yy) + _penalty(
-        layout, _group_norms(x, layout.block_dims, epsilon, axis=-1), lambda1, lambda2
-    )
+    layout = dataset.layout
+    norms = _group_norms(x, layout.block_dims, epsilon, axis=-1)
+    lambdas = _block_lambdas(layout, lambda1, lambda2, x.shape[0])
+    return _direct_loss(x, dataset.normal_equations) + _penalty(norms, lambdas)
 
 
 def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> float:
@@ -602,5 +626,4 @@ def predict_batch(model: Model, dataset: Dataset) -> tuple[np.ndarray, float | N
     predicted = np.argmax(weights.T @ dataset.features, axis=0)
     if dataset.labels is None:
         return predicted, None
-    truth = np.argmax(dataset.labels, axis=1)
-    return predicted, float(np.mean(predicted == truth))
+    return predicted, float(np.mean(predicted == dataset.label_indices))

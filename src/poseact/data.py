@@ -496,7 +496,7 @@ def save_dataset(dataset: Dataset, path, overwrite: bool = False) -> None:
         ends = [b"]\n"] * dataset.n_instances
     else:
         label_ends = [b"," + orjson.dumps(name) + b"]\n" for name in dataset.class_names]
-        ends = [label_ends[c] for c in np.argmax(dataset.labels, axis=1).tolist()]
+        ends = [label_ends[c] for c in dataset.label_indices.tolist()]
 
     def chunks():
         yield orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE)

@@ -30,6 +30,7 @@ from poseact import (
     generate,
     load_dataset,
     load_model,
+    predict_batch,
     save_dataset,
     save_model,
     split,
@@ -1138,6 +1139,31 @@ def test_save_dataset_spells_floats_as_the_list_writer(tmp_path, order, labeled)
     save_dataset(dataset, path)
     assert path.read_bytes() == reference_dataset_bytes(dataset)
     assert load_dataset(path).features.tobytes() == dataset.features.tobytes()
+
+
+def test_label_indices_serve_scoring_and_files_unchanged(tmp_path):
+    """Dataset.label_indices is the argmax of the one-hot labels, built once
+    and read-only; predict_batch's accuracy and save_dataset's bytes read it
+    and come out as they do from a fresh argmax.  Unlabeled data has none."""
+    layout = FeatureLayout((3,) * 5, 2, (4, 3))
+    dataset = build_dataset(layout, n=300, n_classes=4, seed=83)
+    truth = np.argmax(dataset.labels, axis=1)
+    indices = dataset.label_indices
+    assert np.array_equal(indices, truth) and indices.dtype == truth.dtype
+    assert dataset.label_indices is indices
+    assert not indices.flags.writeable
+    with pytest.raises(ValueError):
+        indices[0] = 1
+    weights = np.random.default_rng(83).standard_normal((layout.d_t + layout.d_o, 4))
+    model = Model(layout, weights, dataset.class_names, SolverConfig())
+    predicted, accuracy = predict_batch(model, dataset)
+    assert np.array_equal(predicted, np.argmax(weights.T @ dataset.features, axis=0))
+    assert accuracy == float(np.mean(predicted == truth))
+    path = tmp_path / "labeled.txt"
+    save_dataset(dataset, path)
+    assert path.read_bytes() == reference_dataset_bytes(dataset)
+    unlabeled = Dataset(layout=layout, features=dataset.features)
+    assert unlabeled.label_indices is None
 
 
 SEVEN_HEADER = good_header(joint_dims=[3, 2], modality_dims=[2])  # seven features a row

@@ -3,6 +3,8 @@ loop, and the first-order diagnostics around it."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -585,34 +587,44 @@ def test_fit_model_carries_dataset_metadata():
     assert model.standardizer is None
 
 
-def reference_fit(ds, cfg, per_class=False):
+def reference_fit(ds, cfg, loop="fit"):
     """The fit loop with nothing shared between its parts, class-major as fit
     runs it: the weights, residuals, directions and diagonals are C x d,
     one row per class, and every Gram product is a C x d by d x d product.
     Each step rebuilds the diagonals from a fresh pass over the block norms
     and takes _CG_STEPS Jacobi-PCG steps from XY' - (X'G + shift X'); X'G
     comes from one direct product at the start weights and is then carried
-    through the CG recurrence, X'G + alpha P'G per step, and the penalty
-    takes its own block norms (with both weights zero the step is the exact
-    solve of G X = XY, and X'G a direct product at it).
+    through the CG recurrence, and the penalty takes its own block norms
+    (with both weights zero the step is the exact solve of G X = XY, and
+    X'G a direct product at it).
 
-    By default the CG steps are one recurrence on the joint system of all
-    classes: every dot product sums over the whole C x d array, each step
-    length is one scalar, and a step stops early once the summed r'M^-1 r
-    is at most tol times its value at the start of the step.  fit shares
-    the block norms between the parts and must match this loop bit for
-    bit.  per_class=True runs the loop fit ran before, one recurrence per
-    class side by side: per-class dot products and step lengths, stopping
-    once every class's r'M^-1 r is at most tol times its own start value.
-    The weights come back d x C, with the traces and the CG steps taken."""
+    loop="fit" is fit's arithmetic, which fit must match bit for bit: the
+    CG steps are one recurrence on the joint system of all classes (every
+    dot product sums over the whole C x d array, each step length is one
+    scalar, and a step stops early once the summed r'M^-1 r is at most tol
+    times its value at the start of the step); each direction P is kept
+    with its P'G, and the end of the step moves X' and X'G together by one
+    product of the step lengths with the stacked [P; P'G]; the loss is
+    np.vdot(X', X'G - 2 XY') + sum ||y_c||^2 and the penalty one np.vdot of
+    the block norms with their lambdas.  loop="immediate" is the loop fit
+    ran before: the same recurrence, but X' and X'G move after every CG
+    step (X' + alpha P, X'G + alpha P'G), the loss is the elementwise sum
+    of X' * (X'G - 2 XY') and the penalty lam1 times the summed joint
+    norms plus lam2 times the summed object-block norms.  loop="per_class"
+    is the loop before that: "immediate" with one recurrence per class side
+    by side, per-class dot products and step lengths, stopping once every
+    class's r'M^-1 r is at most tol times its own start value.  The weights
+    come back d x C, with the traces and the CG steps taken."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, np.ascontiguousarray(blocks.xy.T), layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
     dims, joints = layout.joint_dims + layout.object_block_dims, layout.n_joints
     lam = np.concatenate([np.full(d_t, lam1), np.full(layout.d_o, lam2)])
+    block_lam = np.where(np.arange(len(dims)) < joints, lam1, lam2)
     diagonal = np.diag(gram)
+    deferred = loop == "fit"
 
-    if per_class:
+    if loop == "per_class":
 
         def dot(a, b):
             return np.einsum("ij,ij->i", a, b)
@@ -633,11 +645,15 @@ def reference_fit(ds, cfg, per_class=False):
             return rz <= cfg.tol * rz_start
 
     def loss_and_objective(x, gram_x):
-        loss_val = max(0.0, float(np.sum(x * (gram_x - 2.0 * rhs)) + np.sum(blocks.yy)))
         norms = np.sqrt(block_sums(x * x, dims, axis=1))
-        penalty = lam1 * float(np.sum(norms[:, :joints])) + lam2 * float(
-            np.sum(norms[:, joints:])
-        )
+        if deferred:
+            loss_val = max(0.0, float(np.vdot(x, gram_x - 2.0 * rhs) + np.sum(blocks.yy)))
+            penalty = float(np.vdot(np.tile(block_lam, (x.shape[0], 1)), norms))
+        else:
+            loss_val = max(0.0, float(np.sum(x * (gram_x - 2.0 * rhs)) + np.sum(blocks.yy)))
+            penalty = lam1 * float(np.sum(norms[:, :joints])) + lam2 * float(
+                np.sum(norms[:, joints:])
+            )
         return loss_val, loss_val + penalty
 
     def step(x, gram_x):
@@ -652,12 +668,17 @@ def reference_fit(ds, cfg, per_class=False):
         r = rhs - (gram_x + shift * x)
         p = precond * r
         rz = rz_start = dot(r, p)
+        alphas, stacked = [], []
         for taken in range(1, _CG_STEPS + 1):
             gram_p = p @ gram
             q = gram_p + shift * p
             alpha = ratio(rz, dot(p, q))
-            x = x + alpha * p
-            gram_x = gram_x + alpha * gram_p
+            if deferred:
+                alphas.append(alpha)
+                stacked.append(np.stack([p, gram_p]))
+            else:
+                x = x + alpha * p
+                gram_x = gram_x + alpha * gram_p
             r = r - alpha * q
             z = precond * r
             rz_next = dot(r, z)
@@ -665,6 +686,10 @@ def reference_fit(ds, cfg, per_class=False):
             rz = rz_next
             if solved(rz, rz_start):
                 break
+        if deferred:
+            move = np.dot(np.array(alphas), np.array(stacked).reshape(taken, -1))
+            move = move.reshape(2, *x.shape)
+            x, gram_x = x + move[0], gram_x + move[1]
         return x, gram_x, taken
 
     x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(blocks.xy.shape)
@@ -684,10 +709,16 @@ def reference_fit(ds, cfg, per_class=False):
     return x.T, tuple(losses), tuple(objectives), tuple(cg_steps)
 
 
+def immediate_reference_fit(ds, cfg):
+    """reference_fit as fit ran before it deferred the update of X' and X'G
+    to the end of each step: X' and X'G move after every CG step."""
+    return reference_fit(ds, cfg, loop="immediate")
+
+
 def per_class_reference_fit(ds, cfg):
     """reference_fit as fit ran before its CG steps became one recurrence:
     one recurrence per class, side by side."""
-    return reference_fit(ds, cfg, per_class=True)
+    return reference_fit(ds, cfg, loop="per_class")
 
 
 def reference_problems():
@@ -715,6 +746,92 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
         assert report.iterations_run == len(objectives)
         assert report.cg_steps == cg_steps
     assert min(report.cg_steps) < _CG_STEPS
+
+
+def test_fit_matches_the_immediate_update_loop_at_rounding_level():
+    """Moving X' and X'G once per step, by the stacked [P; P'G], instead of
+    after every CG step, and summing the loss and the penalty with np.vdot,
+    changes the iterates only at rounding level: on the reference problems
+    fit takes the same iterations and CG steps as the loop that moves them
+    after every CG step, and its weights and both traces agree with that
+    loop's within 1e-12 relative."""
+    for ds, (lam1, lam2), tol in reference_problems():
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
+        model, report = fit(ds, cfg)
+        x, losses, objectives, cg_steps = immediate_reference_fit(ds, cfg)
+        assert report.iterations_run == len(objectives)
+        assert report.cg_steps == cg_steps
+        scale = np.max(np.abs(x))
+        assert np.max(np.abs(model.weights - x)) <= 1e-12 * scale
+        assert report.loss_trace == pytest.approx(losses, rel=1e-12, abs=0.0)
+        assert report.objective_trace == pytest.approx(objectives, rel=1e-12, abs=0.0)
+
+
+def test_step_returns_fresh_arrays_and_keeps_no_state_between_calls():
+    """step writes every CG step into scratch it allocated once per fit, so
+    what it returns must be new: the new x and x G share no memory with each
+    other, with the inputs or with any array step keeps, and a second call
+    leaves the first call's results as they were.  The same step called
+    again from the same start gives the same bits."""
+    ds = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    blocks, dims = ds.normal_equations, PAPER_LAYOUT.block_dims
+    step = _irls_step(blocks, PAPER_LAYOUT, 300.0, 300.0, 0.0)
+    scratch = [
+        cell.cell_contents
+        for cell in step.__closure__
+        if isinstance(cell.cell_contents, np.ndarray)
+    ]
+    assert len(scratch) > 5
+    x = np.ascontiguousarray(0.01 * np.random.default_rng(5).standard_normal((6, 342)))
+    gram_x = x @ blocks.gram
+    d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
+    inputs = (x, gram_x, d)
+    kept = [a.copy() for a in inputs]
+    first = step(x, gram_x, d)
+    assert first[2] == _CG_STEPS
+    new_x, new_gram_x = first[0], first[1]
+    assert not np.shares_memory(new_x, new_gram_x)
+    for got in (new_x, new_gram_x):
+        for other in (*inputs, *scratch, blocks.gram, blocks.xy):
+            assert not np.shares_memory(got, other)
+    saved = [new_x.copy(), new_gram_x.copy()]
+    second = step(new_x, new_gram_x, _reweights(_group_norms(new_x, dims, axis=-1), dims, 1e-8))
+    assert not np.array_equal(second[0], new_x)
+    assert new_x.tobytes() == saved[0].tobytes()
+    assert new_gram_x.tobytes() == saved[1].tobytes()
+    for a, b in zip(inputs, kept):
+        assert a.tobytes() == b.tobytes()
+    again = step(x, gram_x, d)
+    assert again[0].tobytes() == new_x.tobytes()
+    assert again[1].tobytes() == new_gram_x.tobytes()
+
+
+def test_fits_in_two_threads_at_once_give_the_serial_bits():
+    """Each fit allocates its own scratch, so two fits running at once on one
+    dataset, in two threads (numpy releases the GIL inside its loops and
+    BLAS), return what each returns alone, bit for bit."""
+    ds = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    configs = [SolverConfig(lambda1=lam, lambda2=lam, seed=3) for lam in (300.0, 0.5)]
+    serial = [fit(ds, cfg) for cfg in configs]
+    for _ in range(3):
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            results[i] = fit(ds, configs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for (model, report), (want_model, want_report) in zip(results, serial):
+            assert model.weights.tobytes() == want_model.weights.tobytes()
+            assert report.objective_trace == want_report.objective_trace
+            assert report.loss_trace == want_report.loss_trace
+            assert report.cg_steps == want_report.cg_steps
 
 
 def test_fit_reaches_the_optimum_of_the_per_class_loop():
