@@ -475,27 +475,18 @@ def _group_norms(mat, dims, epsilon=0.0, axis=0) -> np.ndarray:
     return np.sqrt(block_sums(mat * mat, dims, axis) + epsilon * epsilon)
 
 
-def _block_lambdas(layout: FeatureLayout, lam1, lam2, n_classes) -> np.ndarray:
-    """The weight of every block norm in the penalty, class-major like the norms
-    _penalty takes (n_classes x blocks): lam1 on each joint block, lam2 on
-    each (object, modality) block."""
-    lambdas = np.full((n_classes, len(layout.block_dims)), lam2, dtype=np.float64)
-    lambdas[:, : layout.n_joints] = lam1
-    return lambdas
-
-
-def _penalty(norms, lambdas) -> float:
-    """lam1 times the skeletal norm plus lam2 times the attribute norm, as one
-    np.vdot of norms, the block norms of the stacked weights [W; U] over
-    layout.block_dims, class-major (C x blocks), with lambdas, their weights
-    from _block_lambdas.
+def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
+    """lam1 times the skeletal norm plus lam2 times the attribute norm, summed from
+    norms, the block norms of the stacked weights [W; U] over layout.block_dims,
+    class-major: one entry per block along the last axis (C x blocks).
 
     The skeletal norm sums the joint-block norms over all classes, an l1 norm
     across joints and an l2 norm inside each, which is what drives whole
     joints to zero; the attribute norm does the same over the (object,
     modality) blocks.
     """
-    return float(np.vdot(lambdas, norms))
+    joints = layout.n_joints
+    return lam1 * float(norms[..., :joints].sum()) + lam2 * float(norms[..., joints:].sum())
 
 
 def _gram_loss(x, gram_x, two_xy, yy) -> float:
@@ -503,19 +494,13 @@ def _gram_loss(x, gram_x, two_xy, yy) -> float:
     normal equations in O(C d^2) as one np.vdot: x'(x G - 2 XY') + yy.
     Class-major: x is X' (C x d), gram_x is X'G, which the caller computes
     (the solver carries it through its CG steps), two_xy is 2 (XY)' and yy
-    is sum_c ||y_c||^2, both built once per fit.
+    is sum_c ||y_c||^2; fit builds both once per fit.
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
     return max(0.0, float(np.vdot(x, gram_x - two_xy) + yy))
-
-
-def _direct_loss(x, blocks: NormalEquations) -> float:
-    """_gram_loss at the class-major x, with X'G formed directly: the route
-    of loss and objective."""
-    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, float(blocks.yy.sum()))
 
 
 def _labeled_weights(dataset: Dataset, weights, what):
@@ -534,7 +519,8 @@ def loss(dataset: Dataset, weights) -> float:
     (O(N d^2)).
     """
     x = _labeled_weights(dataset, weights, "loss").T
-    return _direct_loss(x, dataset.normal_equations)
+    blocks = dataset.normal_equations
+    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum())
 
 
 def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> float:
@@ -544,10 +530,10 @@ def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> fl
     lambda1 = check_number(lambda1, "lambda1")
     lambda2 = check_number(lambda2, "lambda2")
     x = _labeled_weights(dataset, weights, what).T
-    layout = dataset.layout
-    norms = _group_norms(x, layout.block_dims, epsilon, axis=-1)
-    lambdas = _block_lambdas(layout, lambda1, lambda2, x.shape[0])
-    return _direct_loss(x, dataset.normal_equations) + _penalty(norms, lambdas)
+    blocks, layout = dataset.normal_equations, dataset.layout
+    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum()) + _penalty(
+        layout, _group_norms(x, layout.block_dims, epsilon, axis=-1), lambda1, lambda2
+    )
 
 
 def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> float:

@@ -37,13 +37,12 @@ also carries G X to the new weights, where it serves both the loss and
 the next step's starting residual, so a penalised fit makes
 1 + sum(cg_steps) Gram products in all; with both weights zero G X is
 formed directly at the exact solution, once per iteration.  Apart from
-its Gram product a CG step only makes in-place passes over C x d arrays
-in scratch allocated once per fit, with no allocation; X and G X move
-once per solve, by one product of the step lengths with the stacked
-directions and their Gram products.  The loss and the penalty are one
-np.vdot each, over constants (2 XY', sum ||y_c||^2, the block lambdas)
-built once per fit.  The first call on a fresh dataset builds and caches
-the normal equations, which is one O(N d^2) pass.
+its Gram product a CG step only makes in-place passes over C x d arrays,
+with no allocation: the scratch is allocated once per fit, and each solve
+copies X and G X once and moves the copies in place.  The loss is one
+np.vdot over constants (2 XY', sum ||y_c||^2) built once per fit.  The
+first call on a fresh dataset builds and caches the normal equations,
+which is one O(N d^2) pass.
 
 The solver and every diagnostic here work class-major: the weights,
 residuals, search directions and reweighting diagonals are C x d arrays,
@@ -66,7 +65,6 @@ from .core import (
     SEED_RANGE,
     Dataset,
     Model,
-    _block_lambdas,
     _gram_loss,
     _group_norms,
     _labeled_weights,
@@ -177,40 +175,36 @@ def _penalty_weights(layout, lam1, lam2):
     return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])
 
 
-def _irls_step(blocks, layout, lam1, lam2, tol, rhs=None):
+def _irls_step(blocks, layout, lam1, lam2, tol):
     """fit's update step(x, gram_x, reweights) of the class-major weights
     x = [W; U]' (C x d, C-ordered: one contiguous row per class).
 
     For every class c it moves x_c towards the solution of
     (G + diag(lam * reweights[c])) x_c = XY[:, c] and returns the new x,
-    x G at the new x, and the number of CG steps it took.  gram_x is x G,
-    which fit already holds for the loss at x; G is symmetric, so x G is
-    (G X)' and every Gram product is one C x d by d x d product.  rhs is
-    XY' class-major and C-ordered, which fit builds once; it is built from
-    blocks when not given.  With both weights zero that system is G X = XY
-    in every iteration, so it is factored here once and step returns its
-    exact solution (one read-only array) after 0 CG steps, with x G formed
+    x G at the new x, and the number of CG steps it took.  gram_x is x G, which fit already
+    holds for the loss at x; G is symmetric, so x G is (G X)' and every Gram
+    product is one C x d by d x d product.  With both weights zero that
+    system is G X = XY in every iteration, so it is factored here once and
+    step returns its exact solution after 0 CG steps, with x G formed
     directly.  Otherwise the C systems are one block-diagonal SPD system in
     all of x, and step takes conjugate-gradient steps on it from x,
     preconditioned by its diagonal: one recurrence, whose dot products sum
-    over every class, so the step length alpha and the direction update
-    beta are scalars.  It stops after _CG_STEPS steps, or earlier once
-    r'M^-1 r summed over the classes is at most tol times its value at x:
-    that compares a quantity with itself, so the rule depends on neither N
-    nor the scale of the loss.  A start with r'M^-1 r = 0 (x already solves
-    the system) has a zero search direction: its step length is 0 and it
-    stops after one step with x unchanged.
+    over every class, so the step length alpha and the direction update beta
+    are scalars.  It stops after _CG_STEPS steps, or earlier once r'M^-1 r
+    summed over the classes is at most tol times its value at x: that
+    compares a quantity with itself, so the rule depends on neither N nor
+    the scale of the loss.  A start with r'M^-1 r = 0 (x already solves the
+    system) has a zero search direction: its step length is 0 and it stops
+    after one step with x unchanged.
 
     The work per CG step is one Gram product plus in-place passes over
-    C x d arrays, with no allocation: the scratch is allocated here, once
-    per fit, and every step of every solve writes into it.  The residual
-    r is carried by the recurrence, so x and x G are not needed inside the
-    solve.  Each direction p_k is kept with its product p_k G, and at the
-    end of the solve one product of the step lengths with the stacked
-    [p_k; p_k G] moves x and x G together (x + sum alpha_k p_k and
-    x G + sum alpha_k p_k G).  step returns fresh arrays, never views of
-    its scratch, so a later call changes nothing it returned; two fits
-    never share scratch.
+    C x d arrays, with no allocation: the scratch (p, p G, r, q, z, the
+    shift and the preconditioner) is allocated here, once per fit, and
+    every step of every solve writes into it.  A solve copies x and x G
+    once at its start, and each CG step moves the copies in place
+    (x + alpha p, x G + alpha p G).  So step returns fresh arrays, never
+    views of its scratch: a later call changes nothing it returned, and
+    two fits never share scratch.
 
     A row whose diagonal entry of G is 0 belongs to a feature that is zero
     in every instance, so its row and column of G and its row of XY are 0
@@ -222,15 +216,13 @@ def _irls_step(blocks, layout, lam1, lam2, tol, rhs=None):
     names the system that fails.
     """
     gram, d_t = blocks.gram, layout.d_t
-    if rhs is None:
-        rhs = np.ascontiguousarray(blocks.xy.T)
+    rhs = np.ascontiguousarray(blocks.xy.T)
     diagonal = np.diag(gram)
     live = np.flatnonzero(diagonal)
     if lam1 == lam2 == 0.0:
         factor = _cholesky(gram[np.ix_(live, live)], "joint system (G = [T; O][T; O]')")
         exact = np.zeros_like(rhs)
         exact[:, live] = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy[live])).T
-        exact.setflags(write=False)
         return lambda x, gram_x, reweights: (exact, exact @ gram, 0)
     if lam1 == 0.0:
         rows = live[live < d_t]
@@ -241,16 +233,9 @@ def _irls_step(blocks, layout, lam1, lam2, tol, rhs=None):
     lam = _penalty_weights(layout, lam1, lam2)
     # 1 / (inf + shift) is exactly 0: the preconditioner entry of a zero row
     diagonal = np.where(diagonal == 0.0, np.inf, diagonal)
-    # the scratch of every solve: dirs[k] is [p_k; p_k G], each C x d and
-    # C-ordered, so each Gram product reads a C-ordered direction; the views
-    # are made here once, not in every step
-    dirs = np.empty((_CG_STEPS, 2) + rhs.shape)
-    r, q, z, shift, precond = np.empty((5,) + rhs.shape)
-    alphas, move = np.empty(_CG_STEPS), np.empty(dirs[0].shape)
-    directions, products = tuple(dirs[:, 0]), tuple(dirs[:, 1])
-    # the step lengths and the stacked [p_k; p_k G] of a solve of k + 1 steps
-    moves = tuple((alphas[: k + 1], dirs[: k + 1].reshape(k + 1, -1)) for k in range(_CG_STEPS))
-    flat_move = move.reshape(-1)
+    # the scratch of every solve, each C x d and C-ordered, so each Gram
+    # product reads a C-ordered direction
+    p, gram_p, r, q, z, shift, precond = np.empty((7,) + rhs.shape)
 
     def step(x, gram_x, reweights):
         np.multiply(lam, reweights, out=shift)
@@ -260,20 +245,25 @@ def _irls_step(blocks, layout, lam1, lam2, tol, rhs=None):
         np.multiply(shift, x, out=r)
         np.add(r, gram_x, out=r)
         np.subtract(rhs, r, out=r)
-        np.multiply(precond, r, out=directions[0])
+        np.multiply(precond, r, out=p)
         # one recurrence over every class: each dot product runs over the
         # whole C x d array, so every step length is one scalar
-        rz = float(np.vdot(r, directions[0]))
+        rz = float(np.vdot(r, p))
         target = tol * rz
-        for k in range(_CG_STEPS):
-            p, gram_p = directions[k], products[k]
+        # the new x and x G: fresh arrays, moved in place by every CG step
+        x, gram_x = x.copy(), gram_x.copy()
+        for taken in range(1, _CG_STEPS + 1):
             np.matmul(p, gram, out=gram_p)
             np.multiply(shift, p, out=q)
             np.add(q, gram_p, out=q)
             pq = float(np.vdot(p, q))
             # p'q is 0 only at p = 0, which needs r'z = 0: nothing to move
-            alpha = alphas[k] = rz / pq if pq else 0.0
-            if k + 1 == _CG_STEPS:
+            alpha = rz / pq if pq else 0.0
+            np.multiply(p, alpha, out=z)
+            np.add(x, z, out=x)
+            np.multiply(gram_p, alpha, out=z)
+            np.add(gram_x, z, out=gram_x)
+            if taken == _CG_STEPS:
                 break
             np.multiply(q, alpha, out=q)
             np.subtract(r, q, out=r)
@@ -283,12 +273,10 @@ def _irls_step(blocks, layout, lam1, lam2, tol, rhs=None):
             # rz passed this test, so the ratio below never divides by 0
             if rz_next <= target:
                 break
-            np.multiply(p, rz_next / rz, out=directions[k + 1])
-            np.add(directions[k + 1], z, out=directions[k + 1])
+            np.multiply(p, rz_next / rz, out=p)
+            np.add(p, z, out=p)
             rz = rz_next
-        # x and x G move together: sum_k alpha_k [p_k; p_k G]
-        np.dot(*moves[k], out=flat_move)
-        return x + move[0], gram_x + move[1], k + 1
+        return x, gram_x, taken
 
     return step
 
@@ -307,19 +295,17 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     weights for the loss; with the one product at the start weights, a fit
     makes 1 + sum(cg_steps) Gram products.  The CG steps are one recurrence
     over every class, with scalar step lengths; each is its Gram product
-    plus in-place passes over scratch that the fit allocates once, and one
-    deferred update per solve moves X and G X together (see _irls_step).
-    XY' (class-major), 2 XY', sum_c ||y_c||^2 and the block lambdas of the
-    penalty are built once per fit, and each iteration's loss and penalty
-    are one np.vdot each (_gram_loss, _penalty).  tol also ends the inner
-    solve, once the preconditioned residual energy summed over the classes
-    is at most tol times its value at the start of the step; the report's
-    cg_steps lists the steps taken.  With both weights zero it solves
-    exactly with a factorization made once, before the first iteration,
-    and forms G X at that solution in each iteration.  The solver holds X
-    class-major (C x d, see the module docstring); the report's losses and
-    objectives come from the carried G X, so they agree with loss and
-    objective at model.weights at rounding level, not bit for bit.
+    plus in-place passes over scratch allocated once per fit (see
+    _irls_step).  2 XY' and sum_c ||y_c||^2 are built once
+    per fit, and each iteration's loss is one np.vdot (_gram_loss).  tol also
+    ends the inner solve, once the preconditioned residual energy summed
+    over the classes is at most tol times its value at the start of the
+    step; the report's cg_steps lists the steps taken.  With both weights
+    zero it solves exactly with a factorization made once, before the first
+    iteration, and forms G X at that solution in each iteration.  The solver
+    holds X class-major (C x d, see the module docstring); the report's
+    losses and objectives come from the carried G X, so they agree with loss
+    and objective at model.weights at rounding level, not bit for bit.
 
     The weights of a zero feature, one whose diagonal entry of G is 0 in
     float64 (entries below about 1.5e-162 in magnitude count, their
@@ -339,12 +325,9 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
 
     start = time.perf_counter()
     blocks = dataset.normal_equations
-    # the per-fit constants: XY' for the step, 2 XY' and sum_c ||y_c||^2 for
-    # the loss, and the weight of every block norm for the penalty
-    rhs = np.ascontiguousarray(blocks.xy.T)
-    two_xy, yy = 2.0 * rhs, float(blocks.yy.sum())
-    lambdas = _block_lambdas(layout, lam1, lam2, rhs.shape[0])
-    step = _irls_step(blocks, layout, lam1, lam2, config.tol, rhs)
+    # the loss's per-fit constants: 2 XY' and sum_c ||y_c||^2
+    two_xy, yy = np.ascontiguousarray(2.0 * blocks.xy.T), float(blocks.yy.sum())
+    step = _irls_step(blocks, layout, lam1, lam2, config.tol)
     rng = np.random.default_rng(config.seed)
     # class-major, C x d: the d x C draws transposed, so the start is the same
     x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
@@ -354,7 +337,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         """The block norms, the loss and the objective at x, given x G."""
         norms = _group_norms(x, dims, axis=-1)
         loss_val = _gram_loss(x, gram_x, two_xy, yy)
-        return norms, loss_val, loss_val + _penalty(norms, lambdas)
+        return norms, loss_val, loss_val + _penalty(layout, norms, lam1, lam2)
 
     gram_x = x @ blocks.gram
     norms, _, prev_obj = evaluate(x, gram_x)

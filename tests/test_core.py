@@ -27,7 +27,6 @@ from poseact import (
 )
 from poseact.core import (
     GroupNames,
-    _block_lambdas,
     _group_norms,
     _penalty,
     block_sums,
@@ -53,8 +52,7 @@ def penalty(x, layout, lam1, lam2):
     """The one penalty route, as objective and fit take it: lam1 times the
     skeletal norm plus lam2 times the attribute norm of the stacked [W; U],
     read off the block norms of its class-major transpose."""
-    norms = _group_norms(x.T, layout.block_dims, axis=-1)
-    return _penalty(norms, _block_lambdas(layout, lam1, lam2, norms.shape[0]))
+    return _penalty(layout, _group_norms(x.T, layout.block_dims, axis=-1), lam1, lam2)
 
 
 # --- FeatureLayout ----------------------------------------------------------

@@ -594,35 +594,28 @@ def reference_fit(ds, cfg, loop="fit"):
     Each step rebuilds the diagonals from a fresh pass over the block norms
     and takes _CG_STEPS Jacobi-PCG steps from XY' - (X'G + shift X'); X'G
     comes from one direct product at the start weights and is then carried
-    through the CG recurrence, and the penalty takes its own block norms
-    (with both weights zero the step is the exact solve of G X = XY, and
-    X'G a direct product at it).
+    through the CG recurrence, X'G + alpha P'G per step, and the penalty
+    takes its own block norms (with both weights zero the step is the exact
+    solve of G X = XY, and X'G a direct product at it).
 
     loop="fit" is fit's arithmetic, which fit must match bit for bit: the
     CG steps are one recurrence on the joint system of all classes (every
     dot product sums over the whole C x d array, each step length is one
     scalar, and a step stops early once the summed r'M^-1 r is at most tol
-    times its value at the start of the step); each direction P is kept
-    with its P'G, and the end of the step moves X' and X'G together by one
-    product of the step lengths with the stacked [P; P'G]; the loss is
-    np.vdot(X', X'G - 2 XY') + sum ||y_c||^2 and the penalty one np.vdot of
-    the block norms with their lambdas.  loop="immediate" is the loop fit
-    ran before: the same recurrence, but X' and X'G move after every CG
-    step (X' + alpha P, X'G + alpha P'G), the loss is the elementwise sum
-    of X' * (X'G - 2 XY') and the penalty lam1 times the summed joint
-    norms plus lam2 times the summed object-block norms.  loop="per_class"
-    is the loop before that: "immediate" with one recurrence per class side
-    by side, per-class dot products and step lengths, stopping once every
-    class's r'M^-1 r is at most tol times its own start value.  The weights
-    come back d x C, with the traces and the CG steps taken."""
+    times its value at the start of the step), and the loss is
+    np.vdot(X', X'G - 2 XY') + sum ||y_c||^2.  loop="summed_loss" is the
+    loop fit ran before: the same steps, with the loss the elementwise sum
+    of X' * (X'G - 2 XY') plus sum ||y_c||^2.  loop="per_class" is the loop
+    before that: "summed_loss" with one recurrence per class side by side,
+    per-class dot products and step lengths, stopping once every class's
+    r'M^-1 r is at most tol times its own start value.  The weights come
+    back d x C, with the traces and the CG steps taken."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, np.ascontiguousarray(blocks.xy.T), layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
     dims, joints = layout.joint_dims + layout.object_block_dims, layout.n_joints
     lam = np.concatenate([np.full(d_t, lam1), np.full(layout.d_o, lam2)])
-    block_lam = np.where(np.arange(len(dims)) < joints, lam1, lam2)
     diagonal = np.diag(gram)
-    deferred = loop == "fit"
 
     if loop == "per_class":
 
@@ -645,15 +638,14 @@ def reference_fit(ds, cfg, loop="fit"):
             return rz <= cfg.tol * rz_start
 
     def loss_and_objective(x, gram_x):
-        norms = np.sqrt(block_sums(x * x, dims, axis=1))
-        if deferred:
+        if loop == "fit":
             loss_val = max(0.0, float(np.vdot(x, gram_x - 2.0 * rhs) + np.sum(blocks.yy)))
-            penalty = float(np.vdot(np.tile(block_lam, (x.shape[0], 1)), norms))
         else:
             loss_val = max(0.0, float(np.sum(x * (gram_x - 2.0 * rhs)) + np.sum(blocks.yy)))
-            penalty = lam1 * float(np.sum(norms[:, :joints])) + lam2 * float(
-                np.sum(norms[:, joints:])
-            )
+        norms = np.sqrt(block_sums(x * x, dims, axis=1))
+        penalty = lam1 * float(np.sum(norms[:, :joints])) + lam2 * float(
+            np.sum(norms[:, joints:])
+        )
         return loss_val, loss_val + penalty
 
     def step(x, gram_x):
@@ -668,17 +660,12 @@ def reference_fit(ds, cfg, loop="fit"):
         r = rhs - (gram_x + shift * x)
         p = precond * r
         rz = rz_start = dot(r, p)
-        alphas, stacked = [], []
         for taken in range(1, _CG_STEPS + 1):
             gram_p = p @ gram
             q = gram_p + shift * p
             alpha = ratio(rz, dot(p, q))
-            if deferred:
-                alphas.append(alpha)
-                stacked.append(np.stack([p, gram_p]))
-            else:
-                x = x + alpha * p
-                gram_x = gram_x + alpha * gram_p
+            x = x + alpha * p
+            gram_x = gram_x + alpha * gram_p
             r = r - alpha * q
             z = precond * r
             rz_next = dot(r, z)
@@ -686,10 +673,6 @@ def reference_fit(ds, cfg, loop="fit"):
             rz = rz_next
             if solved(rz, rz_start):
                 break
-        if deferred:
-            move = np.dot(np.array(alphas), np.array(stacked).reshape(taken, -1))
-            move = move.reshape(2, *x.shape)
-            x, gram_x = x + move[0], gram_x + move[1]
         return x, gram_x, taken
 
     x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(blocks.xy.shape)
@@ -709,10 +692,10 @@ def reference_fit(ds, cfg, loop="fit"):
     return x.T, tuple(losses), tuple(objectives), tuple(cg_steps)
 
 
-def immediate_reference_fit(ds, cfg):
-    """reference_fit as fit ran before it deferred the update of X' and X'G
-    to the end of each step: X' and X'G move after every CG step."""
-    return reference_fit(ds, cfg, loop="immediate")
+def summed_loss_reference_fit(ds, cfg):
+    """reference_fit as fit ran before its loss became one np.vdot: the
+    elementwise sum of X' * (X'G - 2 XY')."""
+    return reference_fit(ds, cfg, loop="summed_loss")
 
 
 def per_class_reference_fit(ds, cfg):
@@ -748,17 +731,16 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
     assert min(report.cg_steps) < _CG_STEPS
 
 
-def test_fit_matches_the_immediate_update_loop_at_rounding_level():
-    """Moving X' and X'G once per step, by the stacked [P; P'G], instead of
-    after every CG step, and summing the loss and the penalty with np.vdot,
-    changes the iterates only at rounding level: on the reference problems
-    fit takes the same iterations and CG steps as the loop that moves them
-    after every CG step, and its weights and both traces agree with that
-    loop's within 1e-12 relative."""
+def test_fit_matches_the_summed_loss_loop_at_rounding_level():
+    """Summing the loss with np.vdot instead of elementwise changes it only
+    at rounding level, and through the stopping test that is all it can
+    change: on the reference problems fit takes the same iterations and CG
+    steps as the loop that sums the loss elementwise, and its weights and
+    both traces agree with that loop's within 1e-12 relative."""
     for ds, (lam1, lam2), tol in reference_problems():
         cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
         model, report = fit(ds, cfg)
-        x, losses, objectives, cg_steps = immediate_reference_fit(ds, cfg)
+        x, losses, objectives, cg_steps = summed_loss_reference_fit(ds, cfg)
         assert report.iterations_run == len(objectives)
         assert report.cg_steps == cg_steps
         scale = np.max(np.abs(x))
