@@ -145,6 +145,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "objective_trace": list(report.objective_trace),
             "loss_trace": list(report.loss_trace),
             "cg_steps": list(report.cg_steps),
+            "cg_stop_ratios": list(report.cg_stop_ratios),
             "standardized": args.standardize,
             "ablation": args.ablation,
             "class_counts": dataset.class_counts(),
@@ -322,8 +323,9 @@ def _add_solver_flags(parser):
         "--tol",
         type=_POSITIVE,
         default=defaults.tol,
-        help="relative objective-decrease stop; also ends each inner CG solve "
-        "once its residual energy has fallen by this factor",
+        help="relative objective-decrease stop; also the tightest inner CG stop: "
+        "the first two inner solves end once their residual energy has fallen by "
+        "this factor, later ones by a looser factor that follows the outer progress",
     )
     parser.add_argument("--max-iters", type=_COUNT, default=defaults.max_iters, dest="max_iters")
     parser.add_argument(

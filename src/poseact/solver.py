@@ -9,12 +9,18 @@ and lambda is lambda1 on skeleton rows and lambda2 on object rows.  Those
 C systems are one block-diagonal SPD system in all the weights, and the
 step is at most _CG_STEPS Jacobi-preconditioned conjugate-gradient steps
 on it, one recurrence shared by every class, started from the current
-weights; tol, which also ends the outer loop, ends each inner solve once
-the preconditioned residual energy r'M^-1 r, summed over the classes, is
-at most tol times its value at the start of the step.  CG never raises
-the quadratic surrogate above its value at the start, so the objective
-never moves uphill however early it stops, and an exact solve of the
-surrogate is a fixed point of the step.  With both weights zero the
+weights.  Each inner solve ends once the preconditioned residual energy
+r'M^-1 r, summed over the classes, is at most a stop ratio times its
+value rz0 at the start of the solve.  The first two solves of a fit use
+tol, which also ends the outer loop; solve k >= 3 uses
+max(tol, eta^2) with eta = _FORCING * min(1, rz0_{k-1} / rz0_{k-2}), the
+forcing term of Eisenstat and Walker (choice 2, alpha = 2 on energies),
+so an inner solve is only as precise as the outer progress warrants: the
+next reweighting replaces the system anyway.  That rule is a ratio of
+energies, so it depends on neither N nor the scale of the loss.  CG never
+raises the quadratic surrogate above its value at the start, so the
+objective never moves uphill however early it stops, and an exact solve of
+the surrogate is a fixed point of the step.  With both weights zero the
 system is the same in every iteration, so it is factored once per fit
 and solved exactly.  A floor on block norms keeps the diagonals finite
 when a block collapses toward zero, at the price of optimizing a smoothed
@@ -94,6 +100,14 @@ _INEQUALITY_SLACK = 1e-12
 # the cap on preconditioned CG steps per iteration
 _CG_STEPS = 5
 
+# the forcing term's factor and cap (Eisenstat and Walker's gamma = eta_max):
+# an inner solve after the second must at least halve sqrt(r'M^-1 r), unless
+# it reaches _CG_STEPS first.  Their 0.9 also ends solves early at lambda <= 1
+# on ill-conditioned data, where the joint recurrence's objective then lands
+# up to 8.5e-4 relative away from the per-class loop's; at 0.6 and below
+# those fits are as before, and large-lambda fits take about as few CG steps
+_FORCING = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -101,12 +115,14 @@ class SolverConfig:
 
     lambda1 weighs the skeletal norm, lambda2 the attribute norm.  The solver
     stops once the relative objective decrease falls below tol or after
-    max_iters iterations; tol also ends each inner solve, once the
-    preconditioned residual energy, summed over the classes, has fallen to
-    tol times its value at the start of the step (one Gram product per CG
-    step, at most _CG_STEPS per iteration).  epsilon floors block norms
-    inside the reweighting diagonals; seed drives the random
-    initialization.
+    max_iters iterations.  tol is also the tightest inner stop: an inner
+    solve ends once the preconditioned residual energy, summed over the
+    classes, has fallen to a stop ratio times its value at the start of the
+    solve, where the ratio is tol for the first two solves and
+    max(tol, eta^2) after them, eta following the outer progress (see the
+    module docstring); each CG step is one Gram product, at most _CG_STEPS
+    per iteration.  epsilon floors block norms inside the reweighting
+    diagonals; seed drives the random initialization.
     """
 
     lambda1: float = 0.1
@@ -130,7 +146,10 @@ class FitReport:
     """What happened during one fit call.
 
     cg_steps holds the conjugate-gradient steps each iteration took (0 on
-    the exact path with both weights zero), one entry per iteration.
+    the exact path with both weights zero), one entry per iteration, and
+    cg_stop_ratios the stop ratio its inner solve was given: tol for the
+    first two, max(tol, eta^2) after them (tol throughout on the exact
+    path, which has no inner solve to stop).
     """
 
     objective_trace: tuple[float, ...]
@@ -139,6 +158,7 @@ class FitReport:
     converged: bool
     wall_time: float
     cg_steps: tuple[int, ...]
+    cg_stop_ratios: tuple[float, ...]
 
 
 def _reweights(norms, dims, epsilon):
@@ -175,27 +195,30 @@ def _penalty_weights(layout, lam1, lam2):
     return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])
 
 
-def _irls_step(blocks, layout, lam1, lam2, tol):
-    """fit's update step(x, gram_x, reweights) of the class-major weights
-    x = [W; U]' (C x d, C-ordered: one contiguous row per class).
+def _irls_step(blocks, layout, lam1, lam2, zero):
+    """fit's update step(x, gram_x, reweights, ratio) of the class-major
+    weights x = [W; U]' (C x d, C-ordered: one contiguous row per class).
 
     For every class c it moves x_c towards the solution of
     (G + diag(lam * reweights[c])) x_c = XY[:, c] and returns the new x,
-    x G at the new x, and the number of CG steps it took.  gram_x is x G, which fit already
-    holds for the loss at x; G is symmetric, so x G is (G X)' and every Gram
-    product is one C x d by d x d product.  With both weights zero that
-    system is G X = XY in every iteration, so it is factored here once and
-    step returns its exact solution after 0 CG steps, with x G formed
-    directly.  Otherwise the C systems are one block-diagonal SPD system in
-    all of x, and step takes conjugate-gradient steps on it from x,
-    preconditioned by its diagonal: one recurrence, whose dot products sum
-    over every class, so the step length alpha and the direction update beta
-    are scalars.  It stops after _CG_STEPS steps, or earlier once r'M^-1 r
-    summed over the classes is at most tol times its value at x: that
-    compares a quantity with itself, so the rule depends on neither N nor
-    the scale of the loss.  A start with r'M^-1 r = 0 (x already solves the
-    system) has a zero search direction: its step length is 0 and it stops
-    after one step with x unchanged.
+    x G at the new x, the number of CG steps it took and rz0, the summed
+    r'M^-1 r at x, from which fit sets the stop ratio of later solves.
+    gram_x is x G, which fit already holds for the loss at x; G is
+    symmetric, so x G is (G X)' and every Gram product is one C x d by
+    d x d product.  With both weights zero that system is G X = XY in every
+    iteration, so it is factored here once and step returns its exact
+    solution after 0 CG steps and with rz0 = 0, with x G formed directly.
+    Otherwise the C systems are one block-diagonal SPD system in all of x,
+    and step takes conjugate-gradient steps on it from x, preconditioned by
+    its diagonal: one recurrence, whose dot products sum over every class,
+    so the step length alpha and the direction update beta are scalars.
+    It stops after _CG_STEPS steps, or earlier once r'M^-1 r summed over
+    the classes is at most ratio times rz0: that compares a quantity with
+    itself, so the rule depends on neither N nor the scale of the loss.
+    step keeps no state between calls; fit chooses each ratio.  A start
+    with r'M^-1 r = 0 (x already solves the system) has a zero search
+    direction: its step length is 0 and it stops after one step with x
+    unchanged.
 
     The work per CG step is one Gram product plus in-place passes over
     C x d arrays, with no allocation: the scratch (p, p G, r, q, z, the
@@ -206,24 +229,24 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
     views of its scratch: a later call changes nothing it returned, and
     two fits never share scratch.
 
-    A row whose diagonal entry of G is 0 belongs to a feature that is zero
-    in every instance, so its row and column of G and its row of XY are 0
-    too.  Its weight is held where it is (fit starts it at 0): its
-    preconditioner entry is 0, and it is left out of the exact solve and
-    of the positive-definiteness check.  The system is positive definite
-    on the other rows when the side of every zero weight has a positive
-    definite Gram block there; that is checked here, and SingularityError
-    names the system that fails.
+    zero marks the rows whose diagonal entry of G is 0 (fit computes it
+    once, for this and for its start weights).  Such a row belongs to a
+    feature that is zero in every instance, so its row and column of G and
+    its row of XY are 0 too.  Its weight is held where it is (fit starts it
+    at 0): its preconditioner entry is 0, and it is left out of the exact
+    solve and of the positive-definiteness check.  The system is positive
+    definite on the other rows when the side of every zero weight has a
+    positive definite Gram block there; that is checked here, and
+    SingularityError names the system that fails.
     """
     gram, d_t = blocks.gram, layout.d_t
     rhs = np.ascontiguousarray(blocks.xy.T)
-    diagonal = np.diag(gram)
-    live = np.flatnonzero(diagonal)
+    live = np.flatnonzero(~zero)
     if lam1 == lam2 == 0.0:
         factor = _cholesky(gram[np.ix_(live, live)], "joint system (G = [T; O][T; O]')")
         exact = np.zeros_like(rhs)
         exact[:, live] = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy[live])).T
-        return lambda x, gram_x, reweights: (exact, exact @ gram, 0)
+        return lambda x, gram_x, reweights, ratio: (exact, exact @ gram, 0, 0.0)
     if lam1 == 0.0:
         rows = live[live < d_t]
         _cholesky(gram[np.ix_(rows, rows)], "skeleton-weight system (T T')")
@@ -232,12 +255,12 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
         _cholesky(gram[np.ix_(rows, rows)], "object-weight system (O O')")
     lam = _penalty_weights(layout, lam1, lam2)
     # 1 / (inf + shift) is exactly 0: the preconditioner entry of a zero row
-    diagonal = np.where(diagonal == 0.0, np.inf, diagonal)
+    diagonal = np.where(zero, np.inf, np.diag(gram))
     # the scratch of every solve, each C x d and C-ordered, so each Gram
     # product reads a C-ordered direction
     p, gram_p, r, q, z, shift, precond = np.empty((7,) + rhs.shape)
 
-    def step(x, gram_x, reweights):
+    def step(x, gram_x, reweights, ratio):
         np.multiply(lam, reweights, out=shift)
         np.add(diagonal, shift, out=precond)
         np.divide(1.0, precond, out=precond)
@@ -248,8 +271,8 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
         np.multiply(precond, r, out=p)
         # one recurrence over every class: each dot product runs over the
         # whole C x d array, so every step length is one scalar
-        rz = float(np.vdot(r, p))
-        target = tol * rz
+        rz = rz0 = float(np.vdot(r, p))
+        target = ratio * rz0
         # the new x and x G: fresh arrays, moved in place by every CG step
         x, gram_x = x.copy(), gram_x.copy()
         for taken in range(1, _CG_STEPS + 1):
@@ -276,9 +299,24 @@ def _irls_step(blocks, layout, lam1, lam2, tol):
             np.multiply(p, rz_next / rz, out=p)
             np.add(p, z, out=p)
             rz = rz_next
-        return x, gram_x, taken
+        return x, gram_x, taken, rz0
 
     return step
+
+
+def _stop_ratio(rz0_older, rz0_last, tol):
+    """The stop ratio of the next inner solve, from the starting energies
+    rz0 of the two solves before it: max(tol, eta^2) with
+    eta = _FORCING * min(1, rz0_last / rz0_older), Eisenstat and Walker's
+    choice 2 on energies, lagged by one solve.  rz0_older = 0 gives tol:
+    before the third solve (fit passes 0 for a solve that has not run),
+    and on the exact path, whose rz0 is always 0.  A penalised solve with
+    rz0 = 0 leaves x as it was, which ends the fit, so it is never an
+    older solve."""
+    if rz0_older == 0.0:
+        return tol
+    eta = _FORCING * min(1.0, rz0_last / rz0_older)
+    return max(tol, eta * eta)
 
 
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
@@ -297,12 +335,16 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     over every class, with scalar step lengths; each is its Gram product
     plus in-place passes over scratch allocated once per fit (see
     _irls_step).  2 XY' and sum_c ||y_c||^2 are built once
-    per fit, and each iteration's loss is one np.vdot (_gram_loss).  tol also
-    ends the inner solve, once the preconditioned residual energy summed
-    over the classes is at most tol times its value at the start of the
-    step; the report's cg_steps lists the steps taken.  With both weights
-    zero it solves exactly with a factorization made once, before the first
-    iteration, and forms G X at that solution in each iteration.  The solver
+    per fit, and each iteration's loss is one np.vdot (_gram_loss).  The
+    inner solve ends once the preconditioned residual energy summed over
+    the classes is at most a stop ratio times its value rz0 at the start of
+    the solve: tol for the first two solves, then max(tol, eta^2) with
+    eta = _FORCING * min(1, rz0_{k-1} / rz0_{k-2}) for solve k
+    (_stop_ratio), so the inner precision follows the outer progress.  The
+    report's cg_steps lists the steps taken and cg_stop_ratios the ratio
+    each solve was given.  With both weights zero it solves exactly with a
+    factorization made once, before the first iteration, and forms G X at
+    that solution in each iteration.  The solver
     holds X class-major (C x d, see the module docstring); the report's
     losses and objectives come from the carried G X, so they agree with loss
     and objective at model.weights at rounding level, not bit for bit.
@@ -327,11 +369,12 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     blocks = dataset.normal_equations
     # the loss's per-fit constants: 2 XY' and sum_c ||y_c||^2
     two_xy, yy = np.ascontiguousarray(2.0 * blocks.xy.T), float(blocks.yy.sum())
-    step = _irls_step(blocks, layout, lam1, lam2, config.tol)
+    zero = np.diag(blocks.gram) == 0.0  # the zero features: step holds these at 0
+    step = _irls_step(blocks, layout, lam1, lam2, zero)
     rng = np.random.default_rng(config.seed)
     # class-major, C x d: the d x C draws transposed, so the start is the same
     x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
-    x[:, np.diag(blocks.gram) == 0.0] = 0.0  # zero features: step holds these
+    x[:, zero] = 0.0
 
     def evaluate(x, gram_x):
         """The block norms, the loss and the objective at x, given x G."""
@@ -344,11 +387,17 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     objective_trace: list[float] = []
     loss_trace: list[float] = []
     cg_steps: list[int] = []
+    stop_ratios: list[float] = []
     converged = False
+    # the starting energies of the last two solves (0 for one not yet run)
+    rz0_older = rz0_last = 0.0
 
     for _ in range(config.max_iters):
-        x, gram_x, taken = step(x, gram_x, _reweights(norms, dims, eps))
+        ratio = _stop_ratio(rz0_older, rz0_last, config.tol)
+        x, gram_x, taken, rz0 = step(x, gram_x, _reweights(norms, dims, eps), ratio)
+        rz0_older, rz0_last = rz0_last, rz0
         cg_steps.append(taken)
+        stop_ratios.append(ratio)
         norms, loss_val, obj = evaluate(x, gram_x)
         loss_trace.append(loss_val)
         objective_trace.append(obj)
@@ -372,6 +421,7 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
         converged=converged,
         wall_time=wall,
         cg_steps=tuple(cg_steps),
+        cg_stop_ratios=tuple(stop_ratios),
     )
     return model, report
 

@@ -100,6 +100,10 @@ def test_train_writes_model_and_report(tmp_path, data_file, capsys):
     assert report["final_objective"] == report["objective_trace"][-1]
     assert len(report["cg_steps"]) == report["iterations_run"]
     assert all(1 <= k <= 5 for k in report["cg_steps"])
+    # the inner stop ratio of each iteration: tol for the first two solves
+    assert len(report["cg_stop_ratios"]) == report["iterations_run"]
+    assert report["cg_stop_ratios"][:2] == [SolverConfig().tol] * min(2, report["iterations_run"])
+    assert all(r >= SolverConfig().tol for r in report["cg_stop_ratios"])
     assert report["ablation"] == "full"
 
 

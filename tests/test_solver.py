@@ -32,17 +32,23 @@ from poseact.solver import _CG_STEPS, _irls_step, _reweights
 from conftest import build_dataset, conditioned
 
 
+def make_step(blocks, layout, lam1, lam2):
+    """fit's step for these normal equations, its zero features marked as
+    fit marks them."""
+    return _irls_step(blocks, layout, lam1, lam2, np.diag(blocks.gram) == 0.0)
+
+
 def joint_step(ds, lam1, lam2, d, start=None):
     """fit's step on the stacked weights [W; U] with diagonals d (d x C), from
     start (zero by default); with both weights zero it is the exact solve.
     The step works class-major (C x d), so this hands it the transposes and
-    returns the d x C result.  tol 0 takes all _CG_STEPS CG steps unless
-    the system is solved exactly (r'M^-1 r summed over the classes == 0)
-    first."""
+    returns the d x C result.  Stop ratio 0 takes all _CG_STEPS CG steps
+    unless the system is solved exactly (r'M^-1 r summed over the classes
+    == 0) first."""
     blocks = ds.normal_equations
-    step = _irls_step(blocks, ds.layout, lam1, lam2, 0.0)
+    step = make_step(blocks, ds.layout, lam1, lam2)
     x = np.zeros_like(blocks.xy.T) if start is None else np.ascontiguousarray(start.T)
-    return step(x, x @ blocks.gram, np.ascontiguousarray(d.T))[0].T
+    return step(x, x @ blocks.gram, np.ascontiguousarray(d.T), 0.0)[0].T
 
 
 def reweights(mat, dims, epsilon):
@@ -284,10 +290,12 @@ def test_step_from_a_solved_system_moves_nothing():
     solved = blocks._replace(gram=gram, xy=xy)
     zero, start = blocks._replace(gram=gram, xy=np.zeros_like(xy)), np.zeros_like(x)
     for tol in (0.0, SolverConfig().tol):
-        new_x, new_gram_x, taken = _irls_step(solved, layout, lam1, lam2, tol)(x, x @ gram, d)
+        new_x, new_gram_x, taken, _ = make_step(solved, layout, lam1, lam2)(x, x @ gram, d, tol)
         assert np.array_equal(new_x, x) and np.array_equal(new_gram_x, x @ gram)
         assert taken == 1
-        new_x, new_gram_x, taken = _irls_step(zero, layout, lam1, lam2, tol)(start, start @ gram, d)
+        new_x, new_gram_x, taken, _ = make_step(zero, layout, lam1, lam2)(
+            start, start @ gram, d, tol
+        )
         assert taken == 1
         for got in (new_x, new_gram_x):
             assert got.tobytes() == start.tobytes()  # +0.0 everywhere, bit for bit
@@ -587,7 +595,7 @@ def test_fit_model_carries_dataset_metadata():
     assert model.standardizer is None
 
 
-def reference_fit(ds, cfg, loop="fit"):
+def reference_fit(ds, cfg, loop="fit", inner="forcing"):
     """The fit loop with nothing shared between its parts, class-major as fit
     runs it: the weights, residuals, directions and diagonals are C x d,
     one row per class, and every Gram product is a C x d by d x d product.
@@ -598,18 +606,27 @@ def reference_fit(ds, cfg, loop="fit"):
     takes its own block norms (with both weights zero the step is the exact
     solve of G X = XY, and X'G a direct product at it).
 
-    loop="fit" is fit's arithmetic, which fit must match bit for bit: the
-    CG steps are one recurrence on the joint system of all classes (every
-    dot product sums over the whole C x d array, each step length is one
-    scalar, and a step stops early once the summed r'M^-1 r is at most tol
-    times its value at the start of the step), and the loss is
-    np.vdot(X', X'G - 2 XY') + sum ||y_c||^2.  loop="summed_loss" is the
+    Each inner solve k stops early once r'M^-1 r is at most a stop ratio
+    times its value at the start of the solve.  inner="forcing" is fit's
+    rule: the ratio is tol for solves 1 and 2 and max(tol, eta^2) for
+    k >= 3, eta = 0.5 min(1, rz0_{k-1} / rz0_{k-2}), where rz0_j is the
+    r'M^-1 r at the start of solve j summed over the classes (0 on the
+    exact path, where the ratio stays tol).  inner="tol" is the loop
+    before it, which gives every solve the ratio tol.
+
+    loop="fit" is fit's arithmetic, which fit must match bit for bit (with
+    inner="forcing"): the CG steps are one recurrence on the joint system
+    of all classes (every dot product sums over the whole C x d array, each
+    step length is one scalar, and a step stops early once the summed
+    r'M^-1 r is at most the stop ratio times its start value), and the loss
+    is np.vdot(X', X'G - 2 XY') + sum ||y_c||^2.  loop="summed_loss" is the
     loop fit ran before: the same steps, with the loss the elementwise sum
     of X' * (X'G - 2 XY') plus sum ||y_c||^2.  loop="per_class" is the loop
     before that: "summed_loss" with one recurrence per class side by side,
     per-class dot products and step lengths, stopping once every class's
-    r'M^-1 r is at most tol times its own start value.  The weights come
-    back d x C, with the traces and the CG steps taken."""
+    r'M^-1 r is at most the stop ratio times its own start value.  The
+    weights come back d x C, with the traces, the CG steps taken and the
+    stop ratios given."""
     layout, blocks = ds.layout, ds.normal_equations
     gram, rhs, d_t = blocks.gram, np.ascontiguousarray(blocks.xy.T), layout.d_t
     lam1, lam2, eps = cfg.lambda1, cfg.lambda2, cfg.epsilon
@@ -625,8 +642,8 @@ def reference_fit(ds, cfg, loop="fit"):
         def ratio(num, den):
             return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)[:, None]
 
-        def solved(rz, rz_start):
-            return all(rz[c] <= cfg.tol * rz_start[c] for c in range(rz.size))
+        def solved(rz, rz_start, stop):
+            return all(rz[c] <= stop * rz_start[c] for c in range(rz.size))
 
     else:
         dot = np.vdot
@@ -634,8 +651,8 @@ def reference_fit(ds, cfg, loop="fit"):
         def ratio(num, den):
             return 0.0 if den == 0.0 else num / den
 
-        def solved(rz, rz_start):
-            return rz <= cfg.tol * rz_start
+        def solved(rz, rz_start, stop):
+            return rz <= stop * rz_start
 
     def loss_and_objective(x, gram_x):
         if loop == "fit":
@@ -648,12 +665,18 @@ def reference_fit(ds, cfg, loop="fit"):
         )
         return loss_val, loss_val + penalty
 
-    def step(x, gram_x):
+    def stop_ratio(rz0s):
+        if inner == "tol" or len(rz0s) < 2 or rz0s[-2] == 0.0:
+            return cfg.tol
+        eta = 0.5 * min(1.0, rz0s[-1] / rz0s[-2])
+        return max(cfg.tol, eta * eta)
+
+    def step(x, gram_x, stop):
         if lam1 == lam2 == 0.0:
             factor = np.linalg.cholesky(gram)
             exact = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy))
             exact = np.ascontiguousarray(exact.T)
-            return exact, exact @ gram, 0
+            return exact, exact @ gram, 0, 0.0
         norms = np.sqrt(block_sums(x * x, dims, axis=1))
         shift = lam * np.repeat(0.5 / np.maximum(norms, eps), dims, axis=1)
         precond = 1.0 / (diagonal + shift)
@@ -671,17 +694,19 @@ def reference_fit(ds, cfg, loop="fit"):
             rz_next = dot(r, z)
             p = z + ratio(rz_next, rz) * p
             rz = rz_next
-            if solved(rz, rz_start):
+            if solved(rz, rz_start, stop):
                 break
-        return x, gram_x, taken
+        return x, gram_x, taken, float(np.sum(rz_start))
 
     x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(blocks.xy.shape)
     x = np.ascontiguousarray(x.T)
     gram_x = x @ gram
     prev_obj = loss_and_objective(x, gram_x)[1]
-    losses, objectives, cg_steps = [], [], []
+    losses, objectives, cg_steps, stops, rz0s = [], [], [], [], []
     for _ in range(cfg.max_iters):
-        x, gram_x, taken = step(x, gram_x)
+        stops.append(stop_ratio(rz0s))
+        x, gram_x, taken, rz0 = step(x, gram_x, stops[-1])
+        rz0s.append(rz0)
         loss_val, obj = loss_and_objective(x, gram_x)
         losses.append(loss_val)
         objectives.append(obj)
@@ -689,7 +714,7 @@ def reference_fit(ds, cfg, loop="fit"):
         if abs(prev_obj - obj) / max(1.0, prev_obj) < cfg.tol:
             break
         prev_obj = obj
-    return x.T, tuple(losses), tuple(objectives), tuple(cg_steps)
+    return x.T, tuple(losses), tuple(objectives), tuple(cg_steps), tuple(stops)
 
 
 def summed_loss_reference_fit(ds, cfg):
@@ -720,7 +745,7 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
     for ds, (lam1, lam2), tol in reference_problems():
         cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
         model, report = fit(ds, cfg)
-        x, losses, objectives, cg_steps = reference_fit(ds, cfg)
+        x, losses, objectives, cg_steps, stops = reference_fit(ds, cfg)
         assert np.array_equal(model.weights, x)
         assert np.array_equal(model.w, x[: ds.layout.d_t])
         assert np.array_equal(model.u, x[ds.layout.d_t :])
@@ -728,7 +753,10 @@ def test_fit_matches_the_reference_loop_bit_for_bit():
         assert report.loss_trace == losses
         assert report.iterations_run == len(objectives)
         assert report.cg_steps == cg_steps
-    assert min(report.cg_steps) < _CG_STEPS
+        assert report.cg_stop_ratios == stops
+        assert stops[:2] == (tol, tol)[: len(stops)]
+    # the last problem ends some inner solves early, on the forcing term
+    assert min(report.cg_steps) < _CG_STEPS and max(report.cg_stop_ratios) > tol
 
 
 def test_fit_matches_the_summed_loss_loop_at_rounding_level():
@@ -740,7 +768,7 @@ def test_fit_matches_the_summed_loss_loop_at_rounding_level():
     for ds, (lam1, lam2), tol in reference_problems():
         cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
         model, report = fit(ds, cfg)
-        x, losses, objectives, cg_steps = summed_loss_reference_fit(ds, cfg)
+        x, losses, objectives, cg_steps, _ = summed_loss_reference_fit(ds, cfg)
         assert report.iterations_run == len(objectives)
         assert report.cg_steps == cg_steps
         scale = np.max(np.abs(x))
@@ -757,7 +785,7 @@ def test_step_returns_fresh_arrays_and_keeps_no_state_between_calls():
     again from the same start gives the same bits."""
     ds = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
     blocks, dims = ds.normal_equations, PAPER_LAYOUT.block_dims
-    step = _irls_step(blocks, PAPER_LAYOUT, 300.0, 300.0, 0.0)
+    step = make_step(blocks, PAPER_LAYOUT, 300.0, 300.0)
     scratch = [
         cell.cell_contents
         for cell in step.__closure__
@@ -769,7 +797,7 @@ def test_step_returns_fresh_arrays_and_keeps_no_state_between_calls():
     d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
     inputs = (x, gram_x, d)
     kept = [a.copy() for a in inputs]
-    first = step(x, gram_x, d)
+    first = step(x, gram_x, d, 0.0)
     assert first[2] == _CG_STEPS
     new_x, new_gram_x = first[0], first[1]
     assert not np.shares_memory(new_x, new_gram_x)
@@ -777,13 +805,14 @@ def test_step_returns_fresh_arrays_and_keeps_no_state_between_calls():
         for other in (*inputs, *scratch, blocks.gram, blocks.xy):
             assert not np.shares_memory(got, other)
     saved = [new_x.copy(), new_gram_x.copy()]
-    second = step(new_x, new_gram_x, _reweights(_group_norms(new_x, dims, axis=-1), dims, 1e-8))
+    new_d = _reweights(_group_norms(new_x, dims, axis=-1), dims, 1e-8)
+    second = step(new_x, new_gram_x, new_d, 0.0)
     assert not np.array_equal(second[0], new_x)
     assert new_x.tobytes() == saved[0].tobytes()
     assert new_gram_x.tobytes() == saved[1].tobytes()
     for a, b in zip(inputs, kept):
         assert a.tobytes() == b.tobytes()
-    again = step(x, gram_x, d)
+    again = step(x, gram_x, d, 0.0)
     assert again[0].tobytes() == new_x.tobytes()
     assert again[1].tobytes() == new_gram_x.tobytes()
 
@@ -825,7 +854,7 @@ def test_fit_reaches_the_optimum_of_the_per_class_loop():
     for ds, (lam1, lam2), _ in reference_problems():
         cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-14, max_iters=200, seed=3)
         _, report = fit(ds, cfg)
-        _, _, objectives, _ = per_class_reference_fit(ds, cfg)
+        _, _, objectives, _, _ = per_class_reference_fit(ds, cfg)
         assert report.converged and len(objectives) < cfg.max_iters
         assert report.objective_trace[-1] == pytest.approx(objectives[-1], rel=1e-13, abs=0.0)
 
@@ -838,17 +867,98 @@ def test_joint_recurrence_on_conditioned_data_stays_near_the_per_class_loop():
     loops, and its final objective is within 2e-4 relative of the per-class
     loop's (measured: 1.9e-5 to 6.2e-5, where both loops stop 1.9e-3 to
     3.8e-2 above the optimum); at lambda 300 both converge after as many
-    iterations."""
+    iterations.  Both loops stop their inner solves by fit's rule; at
+    lambda <= 1 no inner solve of either ends before _CG_STEPS."""
     base = build_dataset(PAPER_LAYOUT, n=2000, n_classes=6, seed=727)
     for decay in (1e-2, 1e-3):
         ds = conditioned(base, decay)
         for lam in (0.1, 1.0, 300.0):
             cfg = SolverConfig(lambda1=lam, lambda2=lam)
             _, report = fit(ds, cfg)
-            _, _, objectives, _ = per_class_reference_fit(ds, cfg)
+            _, _, objectives, _, _ = per_class_reference_fit(ds, cfg)
             assert report.objective_trace[-1] == pytest.approx(objectives[-1], rel=2e-4, abs=0.0)
             if lam == 300.0:
                 assert report.converged and report.iterations_run == len(objectives)
+
+
+def test_fit_cg_steps_are_invariant_under_scaling_the_loss():
+    """Scaling T, O and Y by 2 and lambda by 4 is the same problem with the
+    loss and penalty scaled by 4: G, XY and sum ||y_c||^2 scale by 4, exactly
+    in floating point, and so does every r'M^-1 r, while the weights do not
+    move.  The inner stop compares energies with energies, so at lambda 300
+    and 1000, where the later solves stop on the forcing term, a whole fit
+    takes the same CG steps with the same stop ratios and returns the same
+    weights, its objectives exactly scaled; so does the inverse scaling."""
+    ds = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    scaled = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
+    blocks = ds.normal_equations
+    for lam in (300.0, 1000.0):
+        model, report = fit(ds, SolverConfig(lambda1=lam, lambda2=lam))
+        assert max(report.cg_stop_ratios) > SolverConfig().tol  # the forcing engaged
+        for scale in (4.0, 0.25):
+            scaled.__dict__["normal_equations"] = blocks._replace(
+                gram=scale * blocks.gram, xy=scale * blocks.xy, yy=scale * blocks.yy
+            )
+            cfg = SolverConfig(lambda1=scale * lam, lambda2=scale * lam)
+            scaled_model, scaled_report = fit(scaled, cfg)
+            assert scaled_report.cg_steps == report.cg_steps
+            assert scaled_report.cg_stop_ratios == report.cg_stop_ratios
+            assert np.array_equal(scaled_model.weights, model.weights)
+            assert scaled_report.objective_trace == tuple(
+                scale * obj for obj in report.objective_trace
+            )
+
+
+def test_fit_of_at_most_two_iterations_is_the_tol_inner_loop_bit_for_bit():
+    """The first two inner solves stop at tol, as every solve did before
+    the forcing term, so a fit of one or two iterations is the tol-inner
+    loop bit for bit: on the reference problems capped at 1 and 2
+    iterations, and on a planted set that converges in 2 at the default
+    lambda."""
+    spec = SynthSpec(
+        layout=PAPER_LAYOUT,
+        n_classes=6,
+        n_instances=5000,
+        noise_sigma=0.5,
+        planted_joints=tuple((2 * c + 1,) for c in range(6)),
+        planted_blocks=tuple(((c % 3, c // 2),) for c in range(6)),
+        seed=1,
+    )
+    planted = generate(spec).dataset
+    problems = [
+        (ds, SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=iters, seed=3))
+        for ds, (lam1, lam2), tol in reference_problems()
+        for iters in (1, 2)
+    ]
+    for ds, cfg in problems + [(planted, SolverConfig())]:
+        model, report = fit(ds, cfg)
+        x, losses, objectives, cg_steps, stops = reference_fit(ds, cfg, inner="tol")
+        assert report.iterations_run <= 2
+        assert np.array_equal(model.weights, x)
+        assert report.objective_trace == objectives
+        assert report.loss_trace == losses
+        assert report.cg_steps == cg_steps
+        assert report.cg_stop_ratios == stops == (cfg.tol,) * report.iterations_run
+    assert report.converged and report.iterations_run == 2
+
+
+def test_forcing_fit_at_paper_shape_keeps_the_tol_inner_iterations():
+    """At the paper shape and N = 2000, lambda 300 and 1000, the forcing term
+    ends later inner solves early (some stop ratio is above tol, and the fit
+    takes fewer CG steps), yet the fit takes as many iterations as the loop
+    that stops every inner solve at tol, and it ends no higher than 1e-8
+    relative above that loop's objective (measured: 3.5e-8 and 1.9e-10
+    relative below it)."""
+    ds = build_dataset(PAPER_LAYOUT, n=2000, n_classes=6, seed=727)
+    for lam in (300.0, 1000.0):
+        cfg = SolverConfig(lambda1=lam, lambda2=lam)
+        _, report = fit(ds, cfg)
+        _, _, objectives, cg_steps, _ = reference_fit(ds, cfg, inner="tol")
+        assert report.converged
+        assert max(report.cg_stop_ratios) > cfg.tol
+        assert sum(report.cg_steps) < sum(cg_steps)
+        assert report.iterations_run == len(objectives)
+        assert report.objective_trace[-1] <= objectives[-1] * (1.0 + 1e-8)
 
 
 class CountingGram(np.ndarray):
@@ -925,7 +1035,7 @@ def test_inexact_steps_at_paper_shape():
         ds = build_dataset(layout, n=n, n_classes=6, seed=600 + k)
         blocks = ds.normal_equations
         for lam, tol in ((1e-3, 0.0), (0.1, 0.0), (10.0, 0.0), (300.0, SolverConfig().tol)):
-            step = _irls_step(blocks, layout, lam, lam, tol)
+            step = make_step(blocks, layout, lam, lam)
             x = 0.5 * rng.standard_normal((342, 6))
             x[:9] = 0.0
             x[45:93] = 0.0
@@ -933,7 +1043,7 @@ def test_inexact_steps_at_paper_shape():
             for _ in range(10):
                 d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
                 before = objective(ds, x.T, lam, lam)
-                x = step(x, x @ blocks.gram, d)[0]
+                x = step(x, x @ blocks.gram, d, tol)[0]
                 after = objective(ds, x.T, lam, lam)
                 assert after <= before + 1e-12 * max(1.0, before)
             exact = np.vstack(
@@ -942,7 +1052,7 @@ def test_inexact_steps_at_paper_shape():
                     for c in range(6)
                 ]
             )
-            again = step(exact, exact @ blocks.gram, d)[0]
+            again = step(exact, exact @ blocks.gram, d, tol)[0]
             assert np.linalg.norm(again - exact) <= 1e-12 * np.linalg.norm(exact)
         # a class with no instances has nothing to solve: from zero it stays
         # exactly zero, without a 0/0
@@ -968,11 +1078,11 @@ def test_step_is_invariant_under_scaling_the_problem():
     for lam in (0.5, 300.0, 1000.0):
         d = _reweights(_group_norms(x, dims, axis=-1), dims, 1e-8)
         for tol in (SolverConfig().tol, 1e-3):
-            once, gram_once, steps = _irls_step(blocks, layout, lam, lam, tol)(
-                x, x @ blocks.gram, d
+            once, gram_once, steps, _ = make_step(blocks, layout, lam, lam)(
+                x, x @ blocks.gram, d, tol
             )
-            twice, gram_twice, steps_twice = _irls_step(doubled, layout, 2 * lam, 2 * lam, tol)(
-                x, x @ doubled.gram, d
+            twice, gram_twice, steps_twice, _ = make_step(doubled, layout, 2 * lam, 2 * lam)(
+                x, x @ doubled.gram, d, tol
             )
             assert np.array_equal(once, twice)
             assert np.array_equal(2.0 * gram_once, gram_twice)
