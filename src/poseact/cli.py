@@ -329,7 +329,10 @@ def _add_solver_flags(parser):
     )
     parser.add_argument("--max-iters", type=_COUNT, default=defaults.max_iters, dest="max_iters")
     parser.add_argument(
-        "--epsilon", type=_POSITIVE, default=defaults.epsilon, help="block-norm floor"
+        "--epsilon",
+        type=_POSITIVE,
+        default=defaults.epsilon,
+        help="block-norm floor, also the smoothing radius of the objective the fit minimises",
     )
     parser.add_argument("--seed", type=_SEED, default=defaults.seed)
 

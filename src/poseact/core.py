@@ -469,10 +469,18 @@ def block_sums(mat, dims, axis=0) -> np.ndarray:
     return np.add.reduceat(mat, _block_starts(tuple(dims)), axis=axis)
 
 
-def _group_norms(mat, dims, epsilon=0.0, axis=0) -> np.ndarray:
+def _group_norms(mat, dims, axis=0) -> np.ndarray:
     """Euclidean norm of every block of every class of mat, one entry per block
-    along axis (as in block_sums), each smoothed to sqrt(||block||^2 + epsilon^2)."""
-    return np.sqrt(block_sums(mat * mat, dims, axis) + epsilon * epsilon)
+    along axis (as in block_sums)."""
+    return np.sqrt(block_sums(mat * mat, dims, axis))
+
+
+def _huber(norms, epsilon) -> np.ndarray:
+    """h_epsilon of every block norm t in norms: t from epsilon up and
+    (t^2 + epsilon^2) / (2 epsilon) below, the Huber function plus epsilon / 2.
+    It is C^1, with h_epsilon'(t) / t = 1 / max(t, epsilon): twice fit's
+    reweighting diagonal, so fit minimises the penalty over h_epsilon."""
+    return np.where(norms < epsilon, (norms * norms + epsilon * epsilon) / (2.0 * epsilon), norms)
 
 
 def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
@@ -511,6 +519,13 @@ def _labeled_weights(dataset: Dataset, weights, what):
     return _weight_matrix(weights, dataset.layout, dataset.labels.shape[1])
 
 
+def _loss(dataset: Dataset, weights, what):
+    """(x, loss at x) for the class-major x = [W; U]' of weights, checked as in
+    _labeled_weights; the one loss route of loss, objective and smoothed_objective."""
+    x, blocks = _labeled_weights(dataset, weights, what).T, dataset.normal_equations
+    return x, _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum())
+
+
 def loss(dataset: Dataset, weights) -> float:
     """Squared Frobenius residual of the joint linear fit [T; O]'[W; U] against the labels.
 
@@ -518,27 +533,25 @@ def loss(dataset: Dataset, weights) -> float:
     the first call on a fresh dataset builds and caches those blocks
     (O(N d^2)).
     """
-    x = _labeled_weights(dataset, weights, "loss").T
-    blocks = dataset.normal_equations
-    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum())
+    return _loss(dataset, weights, "loss")[1]
 
 
-def _objective(dataset: Dataset, weights, lambda1, lambda2, epsilon, what) -> float:
-    """objective with every block norm smoothed to sqrt(||block||^2 + epsilon^2);
-    epsilon = 0 gives the exact one.  what names the caller in messages.
-    Like fit, it works on the class-major X' = [W; U]'."""
-    lambda1 = check_number(lambda1, "lambda1")
-    lambda2 = check_number(lambda2, "lambda2")
-    x = _labeled_weights(dataset, weights, what).T
-    blocks, layout = dataset.normal_equations, dataset.layout
-    return _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum()) + _penalty(
-        layout, _group_norms(x, layout.block_dims, epsilon, axis=-1), lambda1, lambda2
-    )
+def _objective(dataset: Dataset, weights, lambda1, lambda2, what, epsilon=None) -> float:
+    """objective, or given epsilon the smoothed F_eps, whose penalty reads
+    h_epsilon (_huber) of every block norm; every argument is checked here,
+    and what names the caller in messages.  Like fit, it works on the
+    class-major X' = [W; U]'."""
+    lambda1, lambda2 = check_number(lambda1, "lambda1"), check_number(lambda2, "lambda2")
+    x, loss_val = _loss(dataset, weights, what)
+    norms = _group_norms(x, dataset.layout.block_dims, axis=-1)
+    if epsilon is not None:
+        norms = _huber(norms, check_number(epsilon, "epsilon", strict=True))
+    return loss_val + _penalty(dataset.layout, norms, lambda1, lambda2)
 
 
 def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
-    return _objective(dataset, weights, lambda1, lambda2, 0.0, "objective")
+    return _objective(dataset, weights, lambda1, lambda2, "objective")
 
 
 _FLOAT64 = np.dtype(np.float64)

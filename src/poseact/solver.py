@@ -22,9 +22,16 @@ raises the quadratic surrogate above its value at the start, so the
 objective never moves uphill however early it stops, and an exact solve of
 the surrogate is a fixed point of the step.  With both weights zero the
 system is the same in every iteration, so it is factored once per fit
-and solved exactly.  A floor on block norms keeps the diagonals finite
-when a block collapses toward zero, at the price of optimizing a smoothed
-objective whose minimizers approach the exact ones as the floor shrinks.
+and solved exactly.  A floor epsilon on block norms keeps the diagonals
+finite when a block collapses toward zero.  The iteration then minimises
+the smoothed objective F_eps (smoothed_objective), which penalises each
+block norm t as h_epsilon(t): t from epsilon up, (t^2 + epsilon^2) /
+(2 epsilon) below.  Each step's quadratic surrogate lies on or above F_eps
+and touches it at the current weights, so F_eps never rises along the
+iterates, and the fixed point is F_eps's minimiser, where
+smoothed_gradients and stationarity_residual vanish.
+F <= F_eps <= F + (epsilon / 2) * sum_g lambda_g, so those minimizers
+approach the exact ones as the floor shrinks.
 A feature counts as zero when its diagonal entry of G is 0 in float64:
 one that is 0 in every instance, which adds nothing to the loss, and also
 one whose entries all lie below about 1.5e-162 in magnitude, whose squares
@@ -122,7 +129,9 @@ class SolverConfig:
     max(tol, eta^2) after them, eta following the outer progress (see the
     module docstring); each CG step is one Gram product, at most _CG_STEPS
     per iteration.  epsilon floors block norms inside the reweighting
-    diagonals; seed drives the random initialization.
+    diagonals, which makes it also the smoothing radius of F_eps
+    (smoothed_objective), the objective the iterations minimise; seed drives
+    the random initialization.
     """
 
     lambda1: float = 0.1
@@ -446,6 +455,20 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
     return lhs <= rhs + _INEQUALITY_SLACK
 
 
+def _half_gradient(dataset: Dataset, x, lambda1, lambda2, epsilon) -> np.ndarray:
+    """x G - XY' + lambda * D x at the class-major weights x = [W; U]' (C x d),
+    half the gradient of F_eps, after checking lambda1, lambda2 and epsilon.
+    lambda is lambda1 on skeleton rows and lambda2 on object rows, and D is
+    fit's reweighting diagonals (_reweights), h_epsilon'(t) / (2 t) for a
+    block of norm t (core._huber)."""
+    lambda1, lambda2 = check_number(lambda1, "lambda1"), check_number(lambda2, "lambda2")
+    epsilon = check_number(epsilon, "epsilon", strict=True)
+    lam = _penalty_weights(dataset.layout, lambda1, lambda2)
+    blocks, dims = dataset.normal_equations, dataset.layout.block_dims
+    diag = _reweights(_group_norms(x, dims, axis=-1), dims, epsilon)
+    return x @ blocks.gram - blocks.xy.T + lam * diag * x
+
+
 def stationarity_residual(
     dataset: Dataset, model: Model, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
@@ -453,20 +476,15 @@ def stationarity_residual(
 
     For each class the residual of the stacked weights x = [w; u] is
     G x - XY + lambda * D x, with D rebuilt from the current x and lambda
-    being lambda1 on skeleton rows and lambda2 on object rows.  Its skeleton
-    rows are scaled by 1 / (1 + ||w||) and its object rows by
-    1 / (1 + ||u||).  Near a fixed point of the reweighted updates this
-    goes to zero.  The model must match the dataset's layout and class
-    names, as in predict_batch.
+    being lambda1 on skeleton rows and lambda2 on object rows: half of
+    smoothed_gradients, the gradient of F_eps.  Its skeleton rows are scaled
+    by 1 / (1 + ||w||) and its object rows by 1 / (1 + ||u||).  At a fixed
+    point of the reweighted updates, the minimiser of F_eps, it is zero.
+    The model must match the dataset's layout and class names, as in
+    predict_batch.
     """
     x = _paired_weights(model, dataset, "stationarity_residual").T
-    lambda1 = check_number(lambda1, "lambda1")
-    lambda2 = check_number(lambda2, "lambda2")
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    blocks, d_t = dataset.normal_equations, dataset.layout.d_t
-    dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    diag = _reweights(_group_norms(x, dims, axis=-1), dims, epsilon)
-    res = x @ blocks.gram - blocks.xy.T + lam * diag * x
+    res, d_t = _half_gradient(dataset, x, lambda1, lambda2, epsilon), dataset.layout.d_t
     return max(
         float(np.max(np.linalg.norm(side, axis=1) / (1.0 + np.linalg.norm(mat, axis=1))))
         for side, mat in ((res[:, :d_t], x[:, :d_t]), (res[:, d_t:], x[:, d_t:]))
@@ -476,24 +494,21 @@ def stationarity_residual(
 def smoothed_objective(
     dataset: Dataset, weights, lambda1: float, lambda2: float, epsilon: float
 ) -> float:
-    """Objective with every block norm replaced by sqrt(||block||^2 + epsilon^2).
+    """F_eps, the objective fit minimises: objective with every block norm t
+    replaced by h_epsilon(t), which is t from epsilon up and
+    (t^2 + epsilon^2) / (2 epsilon) below.
 
-    Everywhere differentiable, which makes finite-difference checks of
-    smoothed_gradients meaningful.
+    F_eps is C^1, which makes finite-difference checks of smoothed_gradients
+    meaningful.  F <= F_eps <= F + (epsilon / 2) * sum_g lambda_g, the sum
+    over every block of every class, with equality on the right at 0.
     """
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    return _objective(dataset, weights, lambda1, lambda2, epsilon, "smoothed_objective")
+    return _objective(dataset, weights, lambda1, lambda2, "smoothed_objective", epsilon)
 
 
 def smoothed_gradients(
     dataset: Dataset, weights, lambda1: float, lambda2: float, epsilon: float
 ) -> np.ndarray:
-    """Analytic gradient of smoothed_objective, one array shaped like the weights [W; U]."""
+    """Analytic gradient of smoothed_objective, one array shaped like the weights [W; U]:
+    twice the vector whose rows stationarity_residual scales."""
     x = _labeled_weights(dataset, weights, "smoothed_gradients").T
-    lambda1 = check_number(lambda1, "lambda1")
-    lambda2 = check_number(lambda2, "lambda2")
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    blocks = dataset.normal_equations
-    dims, lam = dataset.layout.block_dims, _penalty_weights(dataset.layout, lambda1, lambda2)
-    smoothed_norms = np.repeat(_group_norms(x, dims, epsilon, axis=-1), dims, axis=-1)
-    return (2.0 * (x @ blocks.gram - blocks.xy.T) + lam * x / smoothed_norms).T
+    return (2.0 * _half_gradient(dataset, x, lambda1, lambda2, epsilon)).T

@@ -3,6 +3,7 @@ loop, and the first-order diagnostics around it."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -1363,6 +1364,11 @@ def test_residual_positive_for_unfitted_weights(small_dataset):
 # --- smoothed objective / gradients ---------------------------------------------
 
 
+def shrink_alternate_blocks(x, dims, factor=1e-4):
+    """x (d x C) with every other block of every class scaled by factor."""
+    return x * np.repeat(np.where(np.arange(len(dims)) % 2, factor, 1.0), dims)[:, None]
+
+
 def test_smoothed_objective_approaches_true_objective(small_dataset):
     rng = np.random.default_rng(151)
     layout = small_dataset.layout
@@ -1372,6 +1378,82 @@ def test_smoothed_objective_approaches_true_objective(small_dataset):
     assert smooth == pytest.approx(exact, rel=1e-9)
     # smoothing only ever adds to each block norm
     assert smoothed_objective(small_dataset, x, 0.1, 0.2, 1e-2) >= exact
+    # F <= F_eps <= F + (eps / 2) * sum_g lambda_g, the sum over every class's
+    # blocks, with blocks below eps; at zero weights every block sits at
+    # h_eps(0) = eps / 2, so the upper bound is met
+    eps = 1e-3
+    lam_sum = 3 * (0.1 * layout.n_joints + 0.2 * len(layout.object_block_dims))
+    x = shrink_alternate_blocks(x, layout.block_dims)
+    assert (_group_norms(x, layout.block_dims) < eps).any()
+    exact = objective(small_dataset, x, 0.1, 0.2)
+    smooth = smoothed_objective(small_dataset, x, 0.1, 0.2, eps)
+    assert exact < smooth <= exact + eps / 2 * lam_sum
+    zero = np.zeros_like(x)
+    assert smoothed_objective(small_dataset, zero, 0.1, 0.2, eps) == pytest.approx(
+        objective(small_dataset, zero, 0.1, 0.2) + eps / 2 * lam_sum, rel=1e-14
+    )
+
+
+def test_residual_vector_is_half_the_smoothed_gradient(small_dataset):
+    """G x - XY + lambda * D x, the vector whose rows stationarity_residual
+    scales, is half the gradient of F_eps, with blocks both below and above
+    eps."""
+    rng = np.random.default_rng(153)
+    layout, eps, blocks = small_dataset.layout, 1e-3, small_dataset.normal_equations
+    dims, d_t = layout.block_dims, layout.d_t
+    lam = np.repeat([0.1, 0.2], [d_t, layout.d_o])[:, None]
+    for _ in range(5):
+        x = shrink_alternate_blocks(rng.standard_normal((d_t + layout.d_o, 3)), dims)
+        norms = _group_norms(x, dims)
+        assert (norms < eps).any() and (norms > eps).any()
+        vector = blocks.gram @ x - blocks.xy + lam * reweights(x, dims, eps) * x
+        grad = smoothed_gradients(small_dataset, x, 0.1, 0.2, eps)
+        np.testing.assert_allclose(grad, 2.0 * vector, rtol=0.0, atol=1e-13 * np.abs(vector).max())
+        model = Model(
+            layout=layout, weights=x, class_names=small_dataset.class_names,
+            hyperparams=SolverConfig(),
+        )
+        scaled = max(
+            np.max(np.linalg.norm(vector[rows], axis=0) / (1.0 + np.linalg.norm(x[rows], axis=0)))
+            for rows in (slice(None, d_t), slice(d_t, None))
+        )
+        got = stationarity_residual(small_dataset, model, 0.1, 0.2, eps)
+        assert got == pytest.approx(scaled, rel=1e-12)
+
+
+def test_smoothed_objective_never_rises_along_fit_iterates():
+    """F_eps is what the reweighted step minimises: its surrogate lies on or
+    above F_eps and touches it at the current weights, so F_eps never rises
+    from one iterate to the next.  fit is bit-reproducible, so fit with
+    max_iters=k returns its k-th iterate."""
+    layout = FeatureLayout((3,) * 5, 2, (3, 2))
+    spec = SynthSpec(
+        layout=layout,
+        n_classes=2,
+        n_instances=3000,
+        noise_sigma=0.1,
+        planted_joints=((0,), (1,)),
+        planted_blocks=(((0, 0),), ((1, 1),)),
+        seed=9,
+    )
+    ds, _ = standardize(generate(spec).dataset)
+    below = 0
+    for lam in (0.1, 10.0, 300.0, 3000.0):
+        config = SolverConfig(lambda1=lam, lambda2=lam, tol=1e-12, seed=4)
+        eps = config.epsilon
+        # fit's start: 0.01 times seeded standard-normal draws
+        x = 0.01 * np.random.default_rng(config.seed).standard_normal(ds.normal_equations.xy.shape)
+        prev = smoothed_objective(ds, x, lam, lam, eps)
+        for k in range(1, 41):
+            model, report = fit(ds, dataclasses.replace(config, max_iters=k))
+            value = smoothed_objective(ds, model.weights, lam, lam, eps)
+            assert value <= prev + 1e-12 * max(1.0, prev), (lam, k)
+            prev = value
+            if report.converged:
+                break
+        below += int((_group_norms(model.weights, layout.block_dims) < eps).sum())
+    # the large-lambda fits drive blocks below eps, onto h_eps's quadratic part
+    assert below > 0
 
 
 def test_smoothed_gradients_match_central_differences(small_dataset):
