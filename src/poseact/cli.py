@@ -67,7 +67,9 @@ _COUNT = _flag_type(check_int, int, 1)
 _SEED = _flag_type(check_int, int, *SEED_RANGE)
 
 
-def _solver_config(args: argparse.Namespace, ablation: str) -> SolverConfig:
+def _solver_config(args: argparse.Namespace, ablation: str = "full") -> SolverConfig:
+    """The solver flags as a SolverConfig, with one norm's weight zeroed for
+    ablate's single-norm variants."""
     config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     # dropping a norm means zeroing its weight; the loss always sees both sides
     if ablation == "skeletal-only":
@@ -125,7 +127,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     transform = None
     if args.standardize:
         dataset, transform = standardize(dataset)
-    model, report = fit(dataset, _solver_config(args, args.ablation))
+    model, report = fit(dataset, _solver_config(args))
     if transform is not None:
         model = replace(model, standardizer=transform)
     save_model(model, args.model, overwrite=True)
@@ -147,7 +149,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "cg_steps": list(report.cg_steps),
             "cg_stop_ratios": list(report.cg_stop_ratios),
             "standardized": args.standardize,
-            "ablation": args.ablation,
             "class_counts": dataset.class_counts(),
         },
         overwrite=True,
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="where to write the model")
     p.add_argument("--report", default=None, help="fit report path (default <model>.report.json)")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--ablation", choices=ABLATION_MODES, default="full")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_train)
 

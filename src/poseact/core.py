@@ -352,6 +352,9 @@ class Dataset:
         from a symmetric rank-k update, so it is exactly symmetric.  The data
         arrays are read-only, so the cached blocks cannot go stale; a dataset
         made by standardize, split or Standardizer.apply builds its own.
+        fit, loss, objective, stationarity_residual and the smoothed
+        diagnostics read the data only through these blocks and the layout,
+        and their check for labels is the one here: unlabeled data raises.
         """
         if self.labels is None:
             raise ValidationError("the normal equations need a labeled dataset")
@@ -497,33 +500,52 @@ def _penalty(layout: FeatureLayout, norms, lam1, lam2) -> float:
     return lam1 * float(norms[..., :joints].sum()) + lam2 * float(norms[..., joints:].sum())
 
 
-def _gram_loss(x, gram_x, two_xy, yy) -> float:
+def _class_major(blocks: NormalEquations):
+    """XY' (C x d, C-ordered) and sum_c ||y_c||^2 of the normal equations
+    blocks: the class-major constants of the loss (_gram_loss), XY' being
+    also the solver's right-hand side.  fit builds them once per fit."""
+    return np.ascontiguousarray(blocks.xy.T), float(blocks.yy.sum())
+
+
+def _gram_loss(x, gram_x, xy, yy) -> float:
     """||[T; O]'X - Y||^2 for the stacked weights X = [W; U], expanded over the
     normal equations in O(C d^2) as one np.vdot: x'(x G - 2 XY') + yy.
     Class-major: x is X' (C x d), gram_x is X'G, which the caller computes
-    (the solver carries it through its CG steps), two_xy is 2 (XY)' and yy
-    is sum_c ||y_c||^2; fit builds both once per fit.
+    (the solver carries it through its CG steps), and xy and yy are the
+    constants of _class_major.
 
     The expansion rounds with an absolute error of about
     eps * (||Y||^2 + ||T'W + O'U||^2), not eps * loss, so a near-zero loss
     can come out slightly negative; it is clamped at 0.
     """
-    return max(0.0, float(np.vdot(x, gram_x - two_xy) + yy))
+    return max(0.0, float(np.vdot(x, gram_x - 2.0 * xy) + yy))
 
 
-def _labeled_weights(dataset: Dataset, weights, what):
+def _objective(layout: FeatureLayout, x, gram_x, terms, lam1, lam2, epsilon=None):
+    """(block norms, loss, F) at the class-major x = [W; U]' (C x d), given
+    gram_x = x G and terms = _class_major(blocks); given epsilon, F_eps, whose
+    penalty reads h_epsilon (_huber) of every block norm.  The one route to F
+    and F_eps: every iteration of fit, objective and smoothed_objective.  It
+    reads only the normal equations' constants and the layout and checks no
+    argument."""
+    norms = _group_norms(x, layout.block_dims, axis=-1)
+    loss_val = _gram_loss(x, gram_x, *terms)
+    smoothed = norms if epsilon is None else _huber(norms, epsilon)
+    return norms, loss_val, loss_val + _penalty(layout, smoothed, lam1, lam2)
+
+
+def _penalty_args(lambda1, lambda2, *epsilon):
+    """lambda1, lambda2 and, when given, epsilon, checked as SolverConfig
+    checks them; the argument check of every diagnostic."""
+    lambdas = check_number(lambda1, "lambda1"), check_number(lambda2, "lambda2")
+    return lambdas + tuple(check_number(eps, "epsilon", strict=True) for eps in epsilon)
+
+
+def _labeled_weights(dataset: Dataset, weights):
     """The stacked weights [W; U] as a float array, checked against the
-    dataset's layout and class count."""
-    if dataset.labels is None:
-        raise ValidationError(f"{what} needs a labeled dataset")
-    return _weight_matrix(weights, dataset.layout, dataset.labels.shape[1])
-
-
-def _loss(dataset: Dataset, weights, what):
-    """(x, loss at x) for the class-major x = [W; U]' of weights, checked as in
-    _labeled_weights; the one loss route of loss, objective and smoothed_objective."""
-    x, blocks = _labeled_weights(dataset, weights, what).T, dataset.normal_equations
-    return x, _gram_loss(x, x @ blocks.gram, 2.0 * blocks.xy.T, blocks.yy.sum())
+    dataset's layout and class count.  dataset.normal_equations, which every
+    caller reads next, holds the one label check: unlabeled data raises."""
+    return _weight_matrix(weights, dataset.layout, dataset.normal_equations.xy.shape[1])
 
 
 def loss(dataset: Dataset, weights) -> float:
@@ -533,25 +555,22 @@ def loss(dataset: Dataset, weights) -> float:
     the first call on a fresh dataset builds and caches those blocks
     (O(N d^2)).
     """
-    return _loss(dataset, weights, "loss")[1]
+    return _dataset_objective(dataset, weights, 0.0, 0.0)[1]
 
 
-def _objective(dataset: Dataset, weights, lambda1, lambda2, what, epsilon=None) -> float:
-    """objective, or given epsilon the smoothed F_eps, whose penalty reads
-    h_epsilon (_huber) of every block norm; every argument is checked here,
-    and what names the caller in messages.  Like fit, it works on the
-    class-major X' = [W; U]'."""
-    lambda1, lambda2 = check_number(lambda1, "lambda1"), check_number(lambda2, "lambda2")
-    x, loss_val = _loss(dataset, weights, what)
-    norms = _group_norms(x, dataset.layout.block_dims, axis=-1)
-    if epsilon is not None:
-        norms = _huber(norms, check_number(epsilon, "epsilon", strict=True))
-    return loss_val + _penalty(dataset.layout, norms, lambda1, lambda2)
+def _dataset_objective(dataset: Dataset, weights, *penalty):
+    """_objective's (block norms, loss, F) of weights on dataset, or F_eps when
+    penalty (lambda1, lambda2[, epsilon]) carries epsilon, after every
+    argument is checked: the wrapper of loss, objective and
+    smoothed_objective, which passes dataset.normal_equations and layout."""
+    penalty = _penalty_args(*penalty)
+    x, blocks = _labeled_weights(dataset, weights).T, dataset.normal_equations
+    return _objective(dataset.layout, x, x @ blocks.gram, _class_major(blocks), *penalty)
 
 
 def objective(dataset: Dataset, weights, lambda1: float, lambda2: float) -> float:
     """Loss plus lambda1 times the skeletal norm plus lambda2 times the attribute norm."""
-    return _objective(dataset, weights, lambda1, lambda2, "objective")
+    return _dataset_objective(dataset, weights, lambda1, lambda2)[2]
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -602,14 +621,14 @@ def predict(model: Model, skeleton_vec, object_vec) -> tuple[int, np.ndarray]:
     return int(scores.argmax()), scores
 
 
-def _paired_weights(model: Model, dataset: Dataset, what=None) -> np.ndarray:
+def _paired_weights(model: Model, dataset: Dataset, labeled=False) -> np.ndarray:
     """model.weights, once model is checked against dataset: the same layout
-    and, for labeled data, the same class names in the same order.  what, when
-    given, names a caller that needs labeled data; its weights are checked
-    against the dataset's class count before the names are compared."""
+    and, for labeled data, the same class names in the same order.  labeled
+    marks a caller that needs labeled data; its weights are checked against
+    the dataset's class count before the names are compared."""
     if dataset.layout != model.layout:
         raise LayoutError("dataset layout does not match model layout")
-    x = model.weights if what is None else _labeled_weights(dataset, model.weights, what)
+    x = _labeled_weights(dataset, model.weights) if labeled else model.weights
     if dataset.labels is not None and dataset.class_names != model.class_names:
         raise ValidationError(
             f"dataset classes {dataset.class_names} do not match "

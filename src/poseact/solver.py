@@ -38,11 +38,18 @@ one whose entries all lie below about 1.5e-162 in magnitude, whose squares
 underflow although G and XY may be nonzero elsewhere in its row.  The
 weight of a zero feature is held at exactly 0.
 
-The updates, the loss and objective behind the stopping test, the
-stationarity residual and the smoothed diagnostics all read the dataset's
-cached normal equations, so an iteration makes no pass over the N
-instances: it costs O(d^2 C) whatever N is, plus one O(d^3) factorization
-per fit when a weight is zero.  Each quantity is computed once per
+The solver core reads only the normal equations (G, XY and the per-class
+||y_c||^2, core.NormalEquations) and the layout, never a Dataset: the
+iterations (_fit), the loss and objective behind the stopping test
+(core._objective) and the half gradient behind the stationarity residual
+and smoothed_gradients (_half_gradient).  fit, stationarity_residual and
+the smoothed diagnostics are thin wrappers that check their arguments and
+pass dataset.normal_equations and dataset.layout.  Derived normal
+equations therefore cost d x d, not a d x N copy: zeroing a side's rows
+and columns of G and rows of XY masks that cue out, and the whole set's
+blocks minus a fold's are the fold's complement.  An iteration makes no
+pass over the N instances: it costs O(d^2 C) whatever N is, plus one
+O(d^3) factorization per fit when a weight is zero.  Each quantity is computed once per
 iteration: one product with the d x d Gram per CG step taken, at most
 _CG_STEPS, and one pass over the block norms of X (which serves both the
 penalty and the next reweighting diagonals).  Each CG step's product G P
@@ -53,9 +60,10 @@ formed directly at the exact solution, once per iteration.  Apart from
 its Gram product a CG step only makes in-place passes over C x d arrays,
 with no allocation: the scratch is allocated once per fit, and each solve
 copies X and G X once and moves the copies in place.  The loss is one
-np.vdot over constants (2 XY', sum ||y_c||^2) built once per fit.  The
-first call on a fresh dataset builds and caches the normal equations,
-which is one O(N d^2) pass.
+np.vdot over constants (XY', sum ||y_c||^2, core._class_major) built once
+per fit, XY' being also the right-hand side of every step.  The first call
+on a fresh dataset builds and caches the normal equations, which is one
+O(N d^2) pass.
 
 The solver and every diagnostic here work class-major: the weights,
 residuals, search directions and reweighting diagonals are C x d arrays,
@@ -77,13 +85,16 @@ import numpy as np
 from .core import (
     SEED_RANGE,
     Dataset,
+    FeatureLayout,
     Model,
-    _gram_loss,
+    NormalEquations,
+    _class_major,
+    _dataset_objective,
     _group_norms,
     _labeled_weights,
     _objective,
     _paired_weights,
-    _penalty,
+    _penalty_args,
     _real_array,
     _require_finite,
     check_int,
@@ -182,19 +193,13 @@ def _reweights(norms, dims, epsilon):
     return (0.5 / np.maximum(norms, epsilon)).repeat(dims, axis=-1)
 
 
-def _cholesky(gram, describe):
-    """Cholesky factor L of gram (gram = L L').
-
-    describe names the system in the SingularityError raised when gram is
-    not positive definite.
-    """
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            f"{describe} is not positive definite (Cholesky failed: {exc}); "
-            "with a zero penalty weight this means the Gram matrix is rank deficient"
-        ) from exc
+# the system that zero penalty weights leave unpenalised, by
+# (lambda1 == 0, lambda2 == 0): it must be positive definite on its live rows
+_UNPENALISED = {
+    (True, True): "joint system (G = [T; O][T; O]')",
+    (True, False): "skeleton-weight system (T T')",
+    (False, True): "object-weight system (O O')",
+}
 
 
 def _penalty_weights(layout, lam1, lam2):
@@ -204,7 +209,7 @@ def _penalty_weights(layout, lam1, lam2):
     return np.repeat([lam1, lam2], [layout.d_t, layout.d_o])
 
 
-def _irls_step(blocks, layout, lam1, lam2, zero):
+def _irls_step(gram, rhs, layout, lam1, lam2, zero):
     """fit's update step(x, gram_x, reweights, ratio) of the class-major
     weights x = [W; U]' (C x d, C-ordered: one contiguous row per class).
 
@@ -244,25 +249,27 @@ def _irls_step(blocks, layout, lam1, lam2, zero):
     its row of XY are 0 too.  Its weight is held where it is (fit starts it
     at 0): its preconditioner entry is 0, and it is left out of the exact
     solve and of the positive-definiteness check.  The system is positive
-    definite on the other rows when the side of every zero weight has a
-    positive definite Gram block there; that is checked here, and
-    SingularityError names the system that fails.
+    definite on the other rows when the Gram block of the unpenalised rows
+    (the side of every zero weight) is positive definite on its live rows;
+    that is checked here with a Cholesky factorization, and
+    SingularityError names the system (_UNPENALISED) that fails.
     """
-    gram, d_t = blocks.gram, layout.d_t
-    rhs = np.ascontiguousarray(blocks.xy.T)
-    live = np.flatnonzero(~zero)
-    if lam1 == lam2 == 0.0:
-        factor = _cholesky(gram[np.ix_(live, live)], "joint system (G = [T; O][T; O]')")
-        exact = np.zeros_like(rhs)
-        exact[:, live] = np.linalg.solve(factor.T, np.linalg.solve(factor, blocks.xy[live])).T
-        return lambda x, gram_x, reweights, ratio: (exact, exact @ gram, 0, 0.0)
-    if lam1 == 0.0:
-        rows = live[live < d_t]
-        _cholesky(gram[np.ix_(rows, rows)], "skeleton-weight system (T T')")
-    if lam2 == 0.0:
-        rows = live[live >= d_t]
-        _cholesky(gram[np.ix_(rows, rows)], "object-weight system (O O')")
     lam = _penalty_weights(layout, lam1, lam2)
+    live = np.flatnonzero(~zero)
+    system = _UNPENALISED.get((lam1 == 0.0, lam2 == 0.0))
+    if system is not None:
+        rows = live[lam[live] == 0.0]
+        try:
+            factor = np.linalg.cholesky(gram[np.ix_(rows, rows)])
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(
+                f"{system} is not positive definite (Cholesky failed: {exc}); "
+                "with a zero penalty weight this means the Gram matrix is rank deficient"
+            ) from exc
+    if lam1 == lam2 == 0.0:
+        exact = np.zeros_like(rhs)
+        exact[:, live] = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs[:, live].T)).T
+        return lambda x, gram_x, reweights, ratio: (exact, exact @ gram, 0, 0.0)
     # 1 / (inf + shift) is exactly 0: the preconditioner entry of a zero row
     diagonal = np.where(zero, np.inf, np.diag(gram))
     # the scratch of every solve, each C x d and C-ordered, so each Gram
@@ -328,6 +335,65 @@ def _stop_ratio(rz0_older, rz0_last, tol):
     return max(tol, eta * eta)
 
 
+def _fit(
+    blocks: NormalEquations, layout: FeatureLayout, config: SolverConfig, start=None
+) -> tuple[np.ndarray, FitReport]:
+    """fit's iterations on the normal equations blocks of data laid out as
+    layout: the class-major weights X' = [W; U]' (C x d) and the FitReport.
+
+    It reads only blocks and layout, so it fits derived blocks as it fits a
+    dataset's: a cue mask (one side's rows and columns of G and rows of XY
+    zeroed), or a fold's complement (the whole set's blocks minus the
+    fold's).  wall_time counts from start, a time.perf_counter() reading
+    (the call itself by default).
+    """
+    start = time.perf_counter() if start is None else start
+    lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
+    dims = layout.block_dims
+    terms = _class_major(blocks)
+    zero = np.diag(blocks.gram) == 0.0  # the zero features: step holds these at 0
+    step = _irls_step(blocks.gram, terms[0], layout, lam1, lam2, zero)
+    rng = np.random.default_rng(config.seed)
+    # class-major, C x d: the d x C draws transposed, so the start is the same
+    x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
+    x[:, zero] = 0.0
+
+    gram_x = x @ blocks.gram
+    norms, _, prev_obj = _objective(layout, x, gram_x, terms, lam1, lam2)
+    objective_trace: list[float] = []
+    loss_trace: list[float] = []
+    cg_steps: list[int] = []
+    stop_ratios: list[float] = []
+    converged = False
+    # the starting energies of the last two solves (0 for one not yet run)
+    rz0_older = rz0_last = 0.0
+
+    for _ in range(config.max_iters):
+        ratio = _stop_ratio(rz0_older, rz0_last, config.tol)
+        x, gram_x, taken, rz0 = step(x, gram_x, _reweights(norms, dims, eps), ratio)
+        rz0_older, rz0_last = rz0_last, rz0
+        cg_steps.append(taken)
+        stop_ratios.append(ratio)
+        norms, loss_val, obj = _objective(layout, x, gram_x, terms, lam1, lam2)
+        loss_trace.append(loss_val)
+        objective_trace.append(obj)
+        if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
+            converged = True
+            break
+        prev_obj = obj
+
+    report = FitReport(
+        objective_trace=tuple(objective_trace),
+        loss_trace=tuple(loss_trace),
+        iterations_run=len(objective_trace),
+        converged=converged,
+        wall_time=time.perf_counter() - start,
+        cg_steps=tuple(cg_steps),
+        cg_stop_ratios=tuple(stop_ratios),
+    )
+    return x, report
+
+
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     """Run the reweighted least-squares solver until the objective stalls or max_iters.
 
@@ -343,9 +409,9 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     makes 1 + sum(cg_steps) Gram products.  The CG steps are one recurrence
     over every class, with scalar step lengths; each is its Gram product
     plus in-place passes over scratch allocated once per fit (see
-    _irls_step).  2 XY' and sum_c ||y_c||^2 are built once
-    per fit, and each iteration's loss is one np.vdot (_gram_loss).  The
-    inner solve ends once the preconditioned residual energy summed over
+    _irls_step).  XY' and sum_c ||y_c||^2 are built once per fit
+    (_class_major), and each iteration's loss is one np.vdot (_gram_loss).
+    The inner solve ends once the preconditioned residual energy summed over
     the classes is at most a stop ratio times its value rz0 at the start of
     the solve: tol for the first two solves, then max(tol, eta^2) with
     eta = _FORCING * min(1, rz0_{k-1} / rz0_{k-2}) for solve k
@@ -363,74 +429,21 @@ def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     squares underflowing), start and stay at exactly 0.  A zero weight
     whose side has a rank-deficient Gram block (T T' or O O', or G itself
     when both are zero) on its other features raises SingularityError.
-    Every iteration, its loss and objective included, works on
-    dataset.normal_equations and makes no pass over the N instances; on a
-    fresh dataset the first use builds and caches them (O(N d^2)), and
-    that build counts towards wall_time.
+
+    fit is a thin wrapper: the iterations (_fit) read only
+    dataset.normal_equations and dataset.layout, and make no pass over the
+    N instances.  On a fresh dataset the first use builds and caches the
+    normal equations (O(N d^2)), which raises ValidationError for
+    unlabeled data, and that build counts towards wall_time.
     """
-    if dataset.labels is None:
-        raise ValidationError("fit needs a labeled dataset")
-    layout = dataset.layout
-    lam1, lam2, eps = config.lambda1, config.lambda2, config.epsilon
-    dims = layout.block_dims
-
     start = time.perf_counter()
-    blocks = dataset.normal_equations
-    # the loss's per-fit constants: 2 XY' and sum_c ||y_c||^2
-    two_xy, yy = np.ascontiguousarray(2.0 * blocks.xy.T), float(blocks.yy.sum())
-    zero = np.diag(blocks.gram) == 0.0  # the zero features: step holds these at 0
-    step = _irls_step(blocks, layout, lam1, lam2, zero)
-    rng = np.random.default_rng(config.seed)
-    # class-major, C x d: the d x C draws transposed, so the start is the same
-    x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
-    x[:, zero] = 0.0
-
-    def evaluate(x, gram_x):
-        """The block norms, the loss and the objective at x, given x G."""
-        norms = _group_norms(x, dims, axis=-1)
-        loss_val = _gram_loss(x, gram_x, two_xy, yy)
-        return norms, loss_val, loss_val + _penalty(layout, norms, lam1, lam2)
-
-    gram_x = x @ blocks.gram
-    norms, _, prev_obj = evaluate(x, gram_x)
-    objective_trace: list[float] = []
-    loss_trace: list[float] = []
-    cg_steps: list[int] = []
-    stop_ratios: list[float] = []
-    converged = False
-    # the starting energies of the last two solves (0 for one not yet run)
-    rz0_older = rz0_last = 0.0
-
-    for _ in range(config.max_iters):
-        ratio = _stop_ratio(rz0_older, rz0_last, config.tol)
-        x, gram_x, taken, rz0 = step(x, gram_x, _reweights(norms, dims, eps), ratio)
-        rz0_older, rz0_last = rz0_last, rz0
-        cg_steps.append(taken)
-        stop_ratios.append(ratio)
-        norms, loss_val, obj = evaluate(x, gram_x)
-        loss_trace.append(loss_val)
-        objective_trace.append(obj)
-        if abs(prev_obj - obj) / max(1.0, prev_obj) < config.tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    wall = time.perf_counter() - start
+    x, report = _fit(dataset.normal_equations, dataset.layout, config, start)
     model = Model(
-        layout=layout,
+        layout=dataset.layout,
         weights=x.T,
         class_names=dataset.class_names,
         hyperparams=config,
         names=dataset.names,
-    )
-    report = FitReport(
-        objective_trace=tuple(objective_trace),
-        loss_trace=tuple(loss_trace),
-        iterations_run=len(objective_trace),
-        converged=converged,
-        wall_time=wall,
-        cg_steps=tuple(cg_steps),
-        cg_stop_ratios=tuple(stop_ratios),
     )
     return model, report
 
@@ -455,16 +468,13 @@ def check_reweighting_inequality(v, v_tilde) -> bool:
     return lhs <= rhs + _INEQUALITY_SLACK
 
 
-def _half_gradient(dataset: Dataset, x, lambda1, lambda2, epsilon) -> np.ndarray:
+def _half_gradient(blocks: NormalEquations, layout: FeatureLayout, x, lam1, lam2, epsilon):
     """x G - XY' + lambda * D x at the class-major weights x = [W; U]' (C x d),
-    half the gradient of F_eps, after checking lambda1, lambda2 and epsilon.
-    lambda is lambda1 on skeleton rows and lambda2 on object rows, and D is
-    fit's reweighting diagonals (_reweights), h_epsilon'(t) / (2 t) for a
-    block of norm t (core._huber)."""
-    lambda1, lambda2 = check_number(lambda1, "lambda1"), check_number(lambda2, "lambda2")
-    epsilon = check_number(epsilon, "epsilon", strict=True)
-    lam = _penalty_weights(dataset.layout, lambda1, lambda2)
-    blocks, dims = dataset.normal_equations, dataset.layout.block_dims
+    half the gradient of F_eps, read from blocks and layout only; the caller
+    checks the arguments.  lambda is lam1 on skeleton rows and lam2 on
+    object rows, and D is fit's reweighting diagonals (_reweights),
+    h_epsilon'(t) / (2 t) for a block of norm t (core._huber)."""
+    lam, dims = _penalty_weights(layout, lam1, lam2), layout.block_dims
     diag = _reweights(_group_norms(x, dims, axis=-1), dims, epsilon)
     return x @ blocks.gram - blocks.xy.T + lam * diag * x
 
@@ -483,8 +493,11 @@ def stationarity_residual(
     The model must match the dataset's layout and class names, as in
     predict_batch.
     """
-    x = _paired_weights(model, dataset, "stationarity_residual").T
-    res, d_t = _half_gradient(dataset, x, lambda1, lambda2, epsilon), dataset.layout.d_t
+    x = _paired_weights(model, dataset, labeled=True).T
+    res = _half_gradient(
+        dataset.normal_equations, dataset.layout, x, *_penalty_args(lambda1, lambda2, epsilon)
+    )
+    d_t = dataset.layout.d_t
     return max(
         float(np.max(np.linalg.norm(side, axis=1) / (1.0 + np.linalg.norm(mat, axis=1))))
         for side, mat in ((res[:, :d_t], x[:, :d_t]), (res[:, d_t:], x[:, d_t:]))
@@ -502,7 +515,7 @@ def smoothed_objective(
     meaningful.  F <= F_eps <= F + (epsilon / 2) * sum_g lambda_g, the sum
     over every block of every class, with equality on the right at 0.
     """
-    return _objective(dataset, weights, lambda1, lambda2, "smoothed_objective", epsilon)
+    return _dataset_objective(dataset, weights, lambda1, lambda2, epsilon)[2]
 
 
 def smoothed_gradients(
@@ -510,5 +523,5 @@ def smoothed_gradients(
 ) -> np.ndarray:
     """Analytic gradient of smoothed_objective, one array shaped like the weights [W; U]:
     twice the vector whose rows stationarity_residual scales."""
-    x = _labeled_weights(dataset, weights, "smoothed_gradients").T
-    return (2.0 * _half_gradient(dataset, x, lambda1, lambda2, epsilon)).T
+    x, penalty = _labeled_weights(dataset, weights).T, _penalty_args(lambda1, lambda2, epsilon)
+    return (2.0 * _half_gradient(dataset.normal_equations, dataset.layout, x, *penalty)).T

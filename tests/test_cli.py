@@ -104,30 +104,18 @@ def test_train_writes_model_and_report(tmp_path, data_file, capsys):
     assert len(report["cg_stop_ratios"]) == report["iterations_run"]
     assert report["cg_stop_ratios"][:2] == [SolverConfig().tol] * min(2, report["iterations_run"])
     assert all(r >= SolverConfig().tol for r in report["cg_stop_ratios"])
-    assert report["ablation"] == "full"
 
 
-def test_train_ablation_flag_zeroes_one_weight(tmp_path, data_file):
+def test_train_zero_lambda2_flag_zeroes_one_weight(tmp_path, data_file):
+    """A skeletal-only fit is --lambda2 0; train has no separate ablation flag."""
     model_path = tmp_path / "skel.json"
-    code = main(
-        [
-            "train",
-            "--data",
-            str(data_file),
-            "--model",
-            str(model_path),
-            "--ablation",
-            "skeletal-only",
-            "--max-iters",
-            "20",
-        ]
-    )
-    assert code == 0
+    args = ["train", "--data", str(data_file), "--model", str(model_path), "--max-iters", "20"]
+    assert main(args + ["--lambda2", "0"]) == 0
     model = load_model(model_path)
     assert model.hyperparams.lambda2 == 0.0
     assert model.hyperparams.lambda1 == pytest.approx(0.1)
-    report = json.loads((tmp_path / "skel.report.json").read_text())
-    assert report["ablation"] == "skeletal-only"
+    assert "ablation" not in json.loads((tmp_path / "skel.report.json").read_text())
+    assert main(args + ["--ablation", "skeletal-only"]) == 1
 
 
 def test_train_non_convergence_warns_but_succeeds(tmp_path, data_file, capsys):
