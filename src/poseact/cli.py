@@ -335,7 +335,6 @@ def _add_solver_flags(parser):
         default=defaults.epsilon,
         help="block-norm floor, also the smoothing radius of the objective the fit minimises",
     )
-    parser.add_argument("--seed", type=_SEED, default=defaults.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="path prefix for the three model files")
     p.add_argument("--train-fraction", type=_FRACTION, default=0.7, dest="train_fraction")
+    p.add_argument("--seed", type=_SEED, default=0, help="split seed")
     p.add_argument("--standardize", action="store_true")
     _add_solver_flags(p)
     p.set_defaults(handler=cmd_ablate)

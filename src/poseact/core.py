@@ -396,7 +396,8 @@ class Model:
     and standardizer are optional metadata carried along so reports can
     label blocks and so raw inputs can be re-scaled the way the training
     data was; both must match the layout.  Scoring itself never touches
-    either.
+    either.  hyperparams is the SolverConfig the weights were fitted with;
+    anything else raises ValidationError.
     """
 
     layout: FeatureLayout
@@ -421,6 +422,11 @@ class Model:
         object.__setattr__(self, "names", names)
         if self.standardizer is not None and self.standardizer.layout != self.layout:
             raise LayoutError("standardizer layout does not match model layout")
+        from .solver import SolverConfig  # here, as solver imports this module
+
+        if not isinstance(self.hyperparams, SolverConfig):
+            kind = type(self.hyperparams).__name__
+            raise ValidationError(f"hyperparams must be a SolverConfig, got {kind}")
 
     @property
     def w(self) -> np.ndarray:

@@ -125,9 +125,9 @@ class Standardizer:
 
     mean and scale are d-vectors over the rows of Dataset.features, [T; O]
     for layout.  Zero-variance features are centered but kept at scale 1;
-    their row indices are recorded in constant so downstream reports can
-    flag them.  constant is metadata only: fit finds the all-zero rows
-    these become on its own and holds their weights at 0.
+    their row indices are recorded in constant.  constant is metadata only:
+    fit finds the all-zero rows these become on its own and holds their
+    weights at 0.
     """
 
     layout: FeatureLayout
@@ -745,7 +745,8 @@ def load_model(path) -> Model:
     """Read a model file back into memory; inverse of save_model.
 
     A hyperparameter missing from the file takes its SolverConfig default;
-    unknown hyperparameter keys are ignored.
+    unknown hyperparameter keys are ignored, among them the "seed" that
+    model files from before fit's deterministic start carry.
     """
     doc = _parse_json(_read_text(path), "model file")
     if not isinstance(doc, dict):

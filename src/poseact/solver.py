@@ -32,6 +32,14 @@ iterates, and the fixed point is F_eps's minimiser, where
 smoothed_gradients and stationarity_residual vanish.
 F <= F_eps <= F + (epsilon / 2) * sum_g lambda_g, so those minimizers
 approach the exact ones as the floor shrinks.
+Every fit starts at alpha XY, the loss's exact line-search minimiser from 0
+along its negative gradient 2 XY: alpha = ||XY||^2 / <XY, G XY>, and 0
+when XY is 0, where 0 is optimal.  F_eps is convex, so no start picks a
+different optimum, and this one is drawn from nothing but the normal
+equations.  It scales with the data, which makes the fit scale-equivariant:
+fitting (beta T, beta O) at (beta lambda, epsilon / beta) gives every
+iterate of the fit at (lambda, epsilon) divided by beta, with the same
+objectives and iteration count, bit for bit when beta is a power of two.
 A feature counts as zero when its diagonal entry of G is 0 in float64:
 one that is 0 in every instance, which adds nothing to the loss, and also
 one whose entries all lie below about 1.5e-162 in magnitude, whose squares
@@ -83,7 +91,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SEED_RANGE,
     Dataset,
     FeatureLayout,
     Model,
@@ -141,8 +148,9 @@ class SolverConfig:
     module docstring); each CG step is one Gram product, at most _CG_STEPS
     per iteration.  epsilon floors block norms inside the reweighting
     diagonals, which makes it also the smoothing radius of F_eps
-    (smoothed_objective), the objective the iterations minimise; seed drives
-    the random initialization.
+    (smoothed_objective), the objective the iterations minimise.  No field
+    picks the start: every fit starts at the loss's line-search point along
+    XY (see fit), so the fit is scale-equivariant.
     """
 
     lambda1: float = 0.1
@@ -150,7 +158,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iters: int = 100
     epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "lambda1", check_number(self.lambda1, "lambda1"))
@@ -158,7 +165,6 @@ class SolverConfig:
         object.__setattr__(self, "tol", check_number(self.tol, "tol", strict=True))
         object.__setattr__(self, "epsilon", check_number(self.epsilon, "epsilon", strict=True))
         object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters", 1))
-        object.__setattr__(self, "seed", check_int(self.seed, "seed", *SEED_RANGE))
 
 
 @dataclass(frozen=True)
@@ -353,12 +359,13 @@ def _fit(
     terms = _class_major(blocks)
     zero = np.diag(blocks.gram) == 0.0  # the zero features: step holds these at 0
     step = _irls_step(blocks.gram, terms[0], layout, lam1, lam2, zero)
-    rng = np.random.default_rng(config.seed)
-    # class-major, C x d: the d x C draws transposed, so the start is the same
-    x = np.ascontiguousarray(0.01 * rng.standard_normal(blocks.xy.shape).T)
-    x[:, zero] = 0.0
-
-    gram_x = x @ blocks.gram
+    # the start: the loss's exact line-search minimiser from 0 along its
+    # negative gradient 2 XY' (zero features held at 0); 0 when XY' is 0
+    v = np.where(zero, 0.0, terms[0])
+    gram_v = v @ blocks.gram
+    curvature = float(np.vdot(v, gram_v))
+    alpha = float(np.vdot(v, v)) / curvature if curvature else 0.0
+    x, gram_x = alpha * v, alpha * gram_v
     norms, _, prev_obj = _objective(layout, x, gram_x, terms, lam1, lam2)
     objective_trace: list[float] = []
     loss_trace: list[float] = []
@@ -397,15 +404,22 @@ def _fit(
 def fit(dataset: Dataset, config: SolverConfig) -> tuple[Model, FitReport]:
     """Run the reweighted least-squares solver until the objective stalls or max_iters.
 
-    Weights start at 0.01 times seeded standard-normal draws (W first, then
-    U).  Hitting max_iters without stalling is reported, not raised.  Given
-    the same dataset and config the result is bit-for-bit reproducible.
+    Weights start at alpha XY, the exact minimiser of the loss along its
+    negative gradient from 0, alpha = ||XY||^2 / <XY, G XY> (alpha = 0
+    when XY = 0, where 0 is optimal), with the rows of zero features set
+    to 0; no random number is drawn.  Every quantity of the iteration then
+    scales as a power of beta when the data does, so fitting
+    (beta T, beta O) at (beta lambda, epsilon / beta) returns the weights
+    at (lambda, epsilon) divided by beta with the same traces and iteration
+    count, bit for bit when beta is a power of two.  Hitting max_iters
+    without stalling is reported, not raised.  Given the same dataset and
+    config the result is bit-for-bit reproducible.
 
     An iteration is one all-classes update of the stacked weights X = [W; U]
     for (G + diag(lambda * D)) X = XY, with the diagonals D rebuilt from the
     current X.  It takes at most _CG_STEPS preconditioned CG steps from the
     current weights, one Gram product each, which also carry G X to the new
-    weights for the loss; with the one product at the start weights, a fit
+    weights for the loss; with the one product G XY at the start, a fit
     makes 1 + sum(cg_steps) Gram products.  The CG steps are one recurrence
     over every class, with scalar step lengths; each is its Gram product
     plus in-place passes over scratch allocated once per fit (see

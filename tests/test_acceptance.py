@@ -88,7 +88,7 @@ def population_runs() -> dict:
         ).dataset
         model, report = fit(
             dataset,
-            SolverConfig(lambda1=0.1, lambda2=0.1, tol=1e-6, max_iters=100, seed=k),
+            SolverConfig(lambda1=0.1, lambda2=0.1, tol=1e-6, max_iters=100),
         )
         runs.append((dataset, model, report))
     _POPULATION = {"runs": runs, "seconds": time.perf_counter() - start}
@@ -159,7 +159,7 @@ def test_03_unpenalized_fit_matches_least_squares():
         dataset = Dataset(layout=layout, features=np.vstack((skeleton, objects)), labels=labels)
         model, _ = fit(
             dataset,
-            SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-14, max_iters=3000, seed=k),
+            SolverConfig(lambda1=0.0, lambda2=0.0, tol=1e-14, max_iters=3000),
         )
         stacked = np.vstack([skeleton, objects])
         coef, *_ = np.linalg.lstsq(stacked.T, labels, rcond=None)
@@ -264,7 +264,7 @@ def fixture_results() -> dict:
     for tag, lam1, lam2 in (("full", 0.1, 0.1), ("skeletal", 0.1, 0.0), ("attribute", 0.0, 0.1)):
         model, report = fit(
             train,
-            SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-6, max_iters=100, seed=FIXTURE_SEED),
+            SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-6, max_iters=100),
         )
         _, accuracy = predict_batch(model, test)
         out[tag] = {"model": model, "report": report, "accuracy": accuracy}
@@ -349,7 +349,7 @@ def test_09_files_and_fits_are_deterministic(tmp_path):
         seed=3,
     )
     dataset = generate(spec).dataset
-    config = SolverConfig(max_iters=30, seed=4)
+    config = SolverConfig(max_iters=30)
 
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poseact import Dataset, FeatureLayout, SolverConfig, load_dataset, load_model, save_dataset
-from poseact.cli import main
+from poseact.cli import build_parser, main
 
 
 def synth_args(out, instances=120, joint_dims="2,2", noise="0.1"):
@@ -357,7 +360,9 @@ def test_exit_code_1_for_bad_flag_values(tmp_path, data_file, model_file, capsys
         (["train", "--data", str(data_file), "--model", model_path, "--lambda1", "-0.5"], "--lambda1"),
         (["train", "--data", str(data_file), "--model", model_path, "--tol", "0"], "--tol"),
         (["train", "--data", str(data_file), "--model", model_path, "--max-iters", "0"], "--max-iters"),
-        (["train", "--data", str(data_file), "--model", model_path, "--seed", "-2"], "--seed"),
+        (["ablate", "--data", str(data_file), "--seed", "-2"], "--seed"),
+        # train has no seed: fit draws no random start
+        (["train", "--data", str(data_file), "--model", model_path, "--seed", "0"], "--seed"),
         (
             [
                 "ablate",
@@ -531,3 +536,19 @@ def test_exit_code_2_for_singular_object_system(tmp_path, capsys):
     code = main(["train", "--data", str(path), "--model", str(model), "--lambda2", "0"])
     assert code == 2
     assert "object-weight system" in capsys.readouterr().err
+
+
+def test_readme_shared_training_flags_are_the_flags_train_and_ablate_share():
+    """The README's "Shared training flags" paragraph names every optional
+    flag that train and ablate both take, and no other flag."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def optional_flags(command):
+        actions = commands.choices[command]._actions
+        return {flag for a in actions if not a.required for flag in a.option_strings}
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Shared training flags"))
+    named = set(re.findall(r"`(--[a-z0-9-]+)`", paragraph))
+    assert named == optional_flags("train") & optional_flags("ablate") - {"-h", "--help"}

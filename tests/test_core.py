@@ -874,6 +874,15 @@ def test_model_validates_shapes_and_names(small_layout):
     assert single.n_classes == 1
 
 
+def test_model_rejects_hyperparams_that_are_not_a_solver_config(small_layout):
+    """save_model writes hyperparams through dataclasses.asdict, which only a
+    SolverConfig survives; a Model refuses anything else when it is built."""
+    weights = np.zeros((small_layout.d_t + small_layout.d_o, 2))
+    for bad, name in ((None, "NoneType"), (dataclasses.asdict(SolverConfig()), "dict"), ("0.1", "str")):
+        with pytest.raises(ValidationError, match=f"hyperparams must be a SolverConfig, got {name}"):
+            Model(layout=small_layout, weights=weights, class_names=("a", "b"), hyperparams=bad)
+
+
 def test_model_weights_are_column_major_whatever_the_input_order(small_dataset):
     """One contiguous column per class, so one frame's product is one dot
     product per column; scores do not depend on the order the weights came in."""

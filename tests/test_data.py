@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -1564,7 +1564,7 @@ def small_model(with_standardizer=False):
             (rng.standard_normal((layout.d_t, 2)), rng.standard_normal((layout.d_o, 2)))
         ),
         class_names=("sit", "stand"),
-        hyperparams=SolverConfig(lambda1=0.3, lambda2=0.05, tol=1e-7, max_iters=40, seed=3),
+        hyperparams=SolverConfig(lambda1=0.3, lambda2=0.05, tol=1e-7, max_iters=40),
         names=GroupNames(joints=("knee", "ankle"), objects=("chair",), modalities=("pos",)),
         standardizer=transform,
     )
@@ -1763,7 +1763,12 @@ def test_load_model_fills_missing_hyperparams_from_solver_defaults(tmp_path):
     doc = json.loads(path.read_text())
     doc["hyperparams"] = {"lambda1": 0.3, "seed": 5, "not_a_hyperparameter": "ignored"}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_model(path).hyperparams == SolverConfig(lambda1=0.3, seed=5)
+    # a model file from before fit's deterministic start carries "seed",
+    # which now loads as any unknown key: ignored
+    assert load_model(path).hyperparams == SolverConfig(lambda1=0.3)
+    save_model(load_model(path), path, overwrite=True)
+    written = json.loads(path.read_text())["hyperparams"]
+    assert written == asdict(SolverConfig(lambda1=0.3)) and "seed" not in written
     doc["hyperparams"] = {}
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_model(path).hyperparams == SolverConfig()

@@ -74,7 +74,14 @@ def test_config_defaults():
     assert cfg.tol == 1e-6
     assert cfg.max_iters == 100
     assert cfg.epsilon == 1e-8
-    assert cfg.seed == 0
+    # no field picks the start: fit draws none
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "lambda1",
+        "lambda2",
+        "tol",
+        "max_iters",
+        "epsilon",
+    ]
 
 
 def test_config_validation():
@@ -90,10 +97,6 @@ def test_config_validation():
         SolverConfig(max_iters=2.5)
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        SolverConfig(seed=2**64)
     # float() would take these, but a bool or a string is not a number
     for field, value in (("lambda1", True), ("lambda2", "0.5"), ("tol", np.True_), ("epsilon", b"1")):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
@@ -388,7 +391,7 @@ def test_fit_trace_is_monotone_on_random_problems():
             modality_dims=tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 3)))),
         )
         ds = build_dataset(layout, n=int(rng.integers(20, 60)), n_classes=3, seed=400 + k)
-        _, report = fit(ds, SolverConfig(max_iters=40, seed=k))
+        _, report = fit(ds, SolverConfig(max_iters=40))
         trace = np.asarray(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, trace[:-1]))
         assert len(report.loss_trace) == len(trace) == report.iterations_run
@@ -422,7 +425,7 @@ def test_carried_gram_product_does_not_drift_on_conditioned_data():
         ds = conditioned(base, decay)
         assert np.linalg.cond(ds.normal_equations.gram) >= floor
         for lam in (0.1, 300.0):
-            model, report = fit(ds, SolverConfig(lambda1=lam, lambda2=lam, seed=5))
+            model, report = fit(ds, SolverConfig(lambda1=lam, lambda2=lam))
             assert report.loss_trace[-1] == pytest.approx(
                 loss(ds, model.weights), rel=1e-12, abs=0.0
             )
@@ -509,15 +512,75 @@ def test_fit_is_deterministic():
         n_classes=3,
         seed=17,
     )
-    cfg = SolverConfig(seed=42, max_iters=30)
+    cfg = SolverConfig(max_iters=30)
     model_a, report_a = fit(ds, cfg)
     model_b, report_b = fit(ds, cfg)
     assert np.array_equal(model_a.w, model_b.w)
     assert np.array_equal(model_a.u, model_b.u)
     assert report_a.objective_trace == report_b.objective_trace
-    # a different seed starts elsewhere
-    model_c, _ = fit(ds, SolverConfig(seed=43, max_iters=30))
-    assert not np.array_equal(model_a.w, model_c.w)
+
+
+def test_fit_is_scale_equivariant_bit_for_bit():
+    """fit starts at the loss's line-search point along XY, so every
+    quantity of the iteration scales with the data: fitting 2 [T; O] at
+    (2 lambda, epsilon / 2) returns exactly half the weights of the fit at
+    (lambda, epsilon), with equal objective traces and iteration counts.  A
+    power of two scales every float exactly."""
+    ds, _ = standardize(build_dataset(PAPER_LAYOUT, n=3000, n_classes=6, seed=5))
+    doubled = dataclasses.replace(ds, features=2.0 * ds.features)
+    for lam in (0.1, 300.0, 3000.0):
+        config = SolverConfig(lambda1=lam, lambda2=lam)
+        scaled = SolverConfig(lambda1=2 * lam, lambda2=2 * lam, epsilon=config.epsilon / 2)
+        model, report = fit(ds, config)
+        model_2, report_2 = fit(doubled, scaled)
+        assert np.array_equal(model_2.weights, 0.5 * model.weights), lam
+        assert report_2.objective_trace == report.objective_trace, lam
+        assert report_2.iterations_run == report.iterations_run, lam
+        assert report_2.cg_steps == report.cg_steps, lam
+
+
+def zero_start_dataset(n=400, seed=0):
+    """Two one-feature blocks: a standard normal (a skeleton joint) with
+    labels from the sign of a + 0.5 noise, and b = a minus its class mean
+    (the object block).  a is rounded to multiples of 2^-20 and each class's
+    last b absorbs the rounding of its mean, so every class sum of b is
+    exactly 0 in any summation order: XY has a zero row for b, and fit
+    starts b at exactly 0, although b's optimal weights are about +-0.7."""
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.standard_normal(n) * 2**20) / 2**20
+    labels = (a + 0.5 * rng.standard_normal(n) > 0).astype(int)
+    b = a.copy()
+    for c in (0, 1):
+        rows = np.flatnonzero(labels == c)
+        b[rows] -= np.round(a[rows].mean() * 2**20) / 2**20
+        b[rows[-1]] -= b[rows].sum()
+    layout = FeatureLayout(joint_dims=(1,), object_count=1, modality_dims=(1,))
+    return Dataset(layout=layout, features=np.vstack((a, b)), labels=np.eye(2)[labels])
+
+
+def test_fit_moves_a_block_that_starts_at_exactly_zero():
+    ds = zero_start_dataset()
+    assert np.all(ds.normal_equations.xy[1] == 0.0)
+    for lam in (0.1, 1.0, 10.0):
+        config = SolverConfig(lambda1=lam, lambda2=lam)
+        model, report = fit(ds, config)
+        _, tight = fit(ds, dataclasses.replace(config, tol=1e-14, max_iters=1000))
+        assert report.converged and tight.converged, lam
+        best = tight.objective_trace[-1]
+        assert report.objective_trace[-1] - best <= config.tol * best, lam
+        assert np.all(np.abs(model.u) > 0.5), (lam, model.u)
+
+
+def test_fit_draws_no_random_numbers(monkeypatch):
+    ds = build_dataset(PAPER_LAYOUT, n=200, n_classes=3, seed=3)
+    expected, _ = fit(ds, SolverConfig(max_iters=10))
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("fit drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    model, _ = fit(ds, SolverConfig(max_iters=10))
+    assert np.array_equal(model.weights, expected.weights)
 
 
 def test_fit_reports_non_convergence_instead_of_raising():
@@ -701,9 +764,10 @@ def reference_fit(ds, cfg, loop="fit", inner="forcing"):
                 break
         return x, gram_x, taken, float(np.sum(rz_start))
 
-    x = 0.01 * np.random.default_rng(cfg.seed).standard_normal(blocks.xy.shape)
-    x = np.ascontiguousarray(x.T)
-    gram_x = x @ gram
+    # the loss's line-search point along XY' (no zero features here)
+    gram_rhs = rhs @ gram
+    alpha = float(np.vdot(rhs, rhs)) / float(np.vdot(rhs, gram_rhs))
+    x, gram_x = alpha * rhs, alpha * gram_rhs
     prev_obj = loss_and_objective(x, gram_x)[1]
     losses, objectives, cg_steps, stops, rz0s = [], [], [], [], []
     for _ in range(cfg.max_iters):
@@ -746,7 +810,7 @@ def reference_problems():
 
 def test_fit_matches_the_reference_loop_bit_for_bit():
     for ds, (lam1, lam2), tol in reference_problems():
-        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40)
         model, report = fit(ds, cfg)
         x, losses, objectives, cg_steps, stops = reference_fit(ds, cfg)
         assert np.array_equal(model.weights, x)
@@ -769,7 +833,7 @@ def test_fit_matches_the_summed_loss_loop_at_rounding_level():
     steps as the loop that sums the loss elementwise, and its weights and
     both traces agree with that loop's within 1e-12 relative."""
     for ds, (lam1, lam2), tol in reference_problems():
-        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40, seed=3)
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=40)
         model, report = fit(ds, cfg)
         x, losses, objectives, cg_steps, _ = summed_loss_reference_fit(ds, cfg)
         assert report.iterations_run == len(objectives)
@@ -825,7 +889,7 @@ def test_fits_in_two_threads_at_once_give_the_serial_bits():
     dataset, in two threads (numpy releases the GIL inside its loops and
     BLAS), return what each returns alone, bit for bit."""
     ds = build_dataset(PAPER_LAYOUT, n=500, n_classes=6, seed=709)
-    configs = [SolverConfig(lambda1=lam, lambda2=lam, seed=3) for lam in (300.0, 0.5)]
+    configs = [SolverConfig(lambda1=lam, lambda2=lam) for lam in (300.0, 0.5)]
     serial = [fit(ds, cfg) for cfg in configs]
     for _ in range(3):
         results = [None, None]
@@ -855,7 +919,7 @@ def test_fit_reaches_the_optimum_of_the_per_class_loop():
     1e-14 on the same problems, fit's final objective is within 1e-13
     relative of the per-class loop's (both converge within 30 iterations)."""
     for ds, (lam1, lam2), _ in reference_problems():
-        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-14, max_iters=200, seed=3)
+        cfg = SolverConfig(lambda1=lam1, lambda2=lam2, tol=1e-14, max_iters=200)
         _, report = fit(ds, cfg)
         _, _, objectives, _, _ = per_class_reference_fit(ds, cfg)
         assert report.converged and len(objectives) < cfg.max_iters
@@ -928,7 +992,7 @@ def test_fit_of_at_most_two_iterations_is_the_tol_inner_loop_bit_for_bit():
     )
     planted = generate(spec).dataset
     problems = [
-        (ds, SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=iters, seed=3))
+        (ds, SolverConfig(lambda1=lam1, lambda2=lam2, tol=tol, max_iters=iters))
         for ds, (lam1, lam2), tol in reference_problems()
         for iters in (1, 2)
     ]
@@ -1149,9 +1213,9 @@ def test_a_feature_whose_squares_underflow_counts_as_zero():
 
 CUE_LAYOUT = FeatureLayout((3,) * 5, 2, (3, 2))
 CUE_CONFIGS = (
-    SolverConfig(lambda1=0.1, lambda2=0.1, seed=9),
-    SolverConfig(lambda1=0.1, lambda2=0.1, tol=1e-12, seed=9),
-    SolverConfig(lambda1=300.0, lambda2=300.0, tol=1e-12, seed=9),
+    SolverConfig(lambda1=0.1, lambda2=0.1),
+    SolverConfig(lambda1=0.1, lambda2=0.1, tol=1e-12),
+    SolverConfig(lambda1=300.0, lambda2=300.0, tol=1e-12),
 )
 @pytest.fixture(scope="module")
 def cue_split():
@@ -1338,7 +1402,7 @@ def test_residual_is_small_after_tightly_converged_fit():
         seed=1,
     )
     ds = generate(spec).dataset
-    model, report = fit(ds, SolverConfig(tol=1e-10, max_iters=500, seed=1))
+    model, report = fit(ds, SolverConfig(tol=1e-10, max_iters=500))
     assert report.converged
     assert stationarity_residual(ds, model, 0.1, 0.1, 1e-8) < 1e-4
 
@@ -1563,10 +1627,11 @@ def test_smoothed_objective_never_rises_along_fit_iterates():
     ds, _ = standardize(generate(spec).dataset)
     below = 0
     for lam in (0.1, 10.0, 300.0, 3000.0):
-        config = SolverConfig(lambda1=lam, lambda2=lam, tol=1e-12, seed=4)
+        config = SolverConfig(lambda1=lam, lambda2=lam, tol=1e-12)
         eps = config.epsilon
-        # fit's start: 0.01 times seeded standard-normal draws
-        x = 0.01 * np.random.default_rng(config.seed).standard_normal(ds.normal_equations.xy.shape)
+        # fit's start: the loss's line-search point along XY
+        xy, gram = ds.normal_equations.xy, ds.normal_equations.gram
+        x = np.vdot(xy, xy) / np.vdot(xy, gram @ xy) * xy
         prev = smoothed_objective(ds, x, lam, lam, eps)
         for k in range(1, 41):
             model, report = fit(ds, dataclasses.replace(config, max_iters=k))
