@@ -147,7 +147,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "objective_trace": list(report.objective_trace),
             "loss_trace": list(report.loss_trace),
             "cg_steps": list(report.cg_steps),
-            "cg_stop_ratios": list(report.cg_stop_ratios),
             "standardized": args.standardize,
             "class_counts": dataset.class_counts(),
         },
@@ -326,7 +325,7 @@ def _add_solver_flags(parser):
         default=defaults.tol,
         help="relative objective-decrease stop; also the tightest inner CG stop: "
         "the first two inner solves end once their residual energy has fallen by "
-        "this factor, later ones by a looser factor that follows the outer progress",
+        "this factor, later ones by 1e-2 (or by this factor, if it is larger)",
     )
     parser.add_argument("--max-iters", type=_COUNT, default=defaults.max_iters, dest="max_iters")
     parser.add_argument(

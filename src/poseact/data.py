@@ -282,17 +282,28 @@ class GeneratedData:
     true_weights: np.ndarray = field(repr=False)
 
 
+def _allocated(make, shape, what):
+    """make(shape), with numpy's refusal to make an array that large (too
+    many entries or too many bytes) raised as a ConfigError naming it."""
+    try:
+        return make(shape)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot allocate the {shape[0]} x {shape[1]} {what} ({exc})") from None
+
+
 def generate(spec: SynthSpec) -> GeneratedData:
     """Draw a dataset whose labels come from planted ground-truth weights.
 
     Ground-truth entries on the planted blocks, then the d x N features
     [T; O], are standard-normal draws from one seeded generator.  Labels are
     the argmax of the noiseless ground-truth scores; noise_sigma-scaled noise
-    is then added to the features only, so the labels stay clean.
+    is then added to the features only, so the labels stay clean.  A shape
+    numpy cannot allocate raises ConfigError.
     """
     layout = spec.layout
     rng = np.random.default_rng(spec.seed)
-    true_weights = np.zeros((layout.d_t + layout.d_o, spec.n_classes))
+    d, n, n_classes = layout.d_t + layout.d_o, spec.n_instances, spec.n_classes
+    true_weights = _allocated(np.zeros, (d, n_classes), "ground-truth weights")
     true_w, true_u = true_weights[: layout.d_t], true_weights[layout.d_t :]
     for c in range(spec.n_classes):
         for j in spec.planted_joints[c]:
@@ -303,7 +314,7 @@ def generate(spec: SynthSpec) -> GeneratedData:
             sl = layout.object_block_slices[layout.object_block_index(o, m)]
             true_u[sl, c] = rng.standard_normal(sl.stop - sl.start)
 
-    features = rng.standard_normal((layout.d_t + layout.d_o, spec.n_instances))
+    features = _allocated(rng.standard_normal, (d, n), "feature matrix")
     skeleton, objects = features[: layout.d_t], features[layout.d_t :]
     # two products, not one over [T; O]: a rounding change could flip a near-tie label.
     # Each is taken as C x d times the C-ordered d x N block and transposed: with
@@ -312,8 +323,8 @@ def generate(spec: SynthSpec) -> GeneratedData:
     # are bit-identical either way.
     scores = (true_w.T @ skeleton + true_u.T @ objects).T
     winners = np.argmax(scores, axis=1)
-    labels = np.zeros((spec.n_instances, spec.n_classes))
-    labels[np.arange(spec.n_instances), winners] = 1.0
+    labels = _allocated(np.zeros, (n, n_classes), "label matrix")
+    labels[np.arange(n), winners] = 1.0
     if spec.noise_sigma > 0:
         # one feature row at a time: the same draws as one d x N call, without
         # a second d x N array
@@ -377,29 +388,33 @@ def _atomic_write(path, chunks: Iterable[bytes], overwrite):
     does to open().  The data is fsynced before the rename and the
     directory after it: a crash leaves the old file or the new one, whole.
     The temp file is removed on any error, one raised by chunks included.
+    An OSError names path, never the temp file, whose name is random.
     """
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} already exists; pass overwrite=True to replace it")
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+            with os.fdopen(fd, "wb") as handle:
+                handle.writelines(chunks)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _read_text(path) -> str:
@@ -578,7 +593,6 @@ def _checked_rows(lines, width, classes, remaining_bytes):
     """
     matrix = None
     n = 0
-    row_format = struct.Struct(f"{width}d")
     label_indices: list[int] = []
     labeled = None
     class_index = {name: c for c, name in enumerate(classes)}
@@ -602,6 +616,9 @@ def _checked_rows(lines, width, classes, remaining_bytes):
             raise DataFormatError(f"{row_id}: mixes labeled and unlabeled rows")
         label = row.pop() if has_label else None
         if matrix is None:
+            # built only now that a row has width entries: a header may
+            # declare a width no struct can hold
+            row_format = struct.Struct(f"{width}d")
             expected = remaining_bytes // (len(raw) + 1)
             matrix = np.empty((expected + expected // 16 + _CHUNK_ROWS, width))
         elif n == len(matrix):

@@ -290,6 +290,18 @@ def test_generate_shapes_and_one_hot_labels():
     assert not made.true_weights.flags.writeable
 
 
+def test_generate_names_a_shape_numpy_cannot_allocate():
+    """Shapes numpy refuses before touching memory, by their entry count
+    (over 2^63) or their byte count (over 2^48), raise ConfigError naming
+    the shape, not numpy's ValueError or MemoryError."""
+    wide = FeatureLayout(joint_dims=(2**63, 1), object_count=2, modality_dims=(2, 1))
+    with pytest.raises(ConfigError, match=f"{wide.d_t + wide.d_o} x 2 ground-truth weights"):
+        generate(make_spec(layout=wide))
+    d = LAYOUT.d_t + LAYOUT.d_o
+    with pytest.raises(ConfigError, match=f"{d} x {2**45} feature matrix"):
+        generate(make_spec(n_instances=2**45))
+
+
 def test_generate_is_deterministic():
     a = generate(make_spec())
     b = generate(make_spec())
@@ -845,6 +857,16 @@ def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
 
 
+def test_a_write_error_names_the_target_not_the_temp_file(tmp_path):
+    """The temp file's name is random, so an error that names it tells the
+    user nothing; the error names the path asked for."""
+    target = tmp_path / "missing" / "model.json"
+    with pytest.raises(FileNotFoundError) as caught:
+        save_model(small_model(), target)
+    assert str(target) in str(caught.value) and ".tmp" not in str(caught.value)
+    assert caught.value.filename == str(target)
+
+
 def write_lines(tmp_path, *lines):
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -876,6 +898,8 @@ def test_load_dataset_header_errors(tmp_path):
         (good_header(classes=["a", ""]), "non-empty strings"),
         # a string is not split into one-character names
         (good_header(names={"joints": "a", "objects": ["o"], "modalities": ["m"]}), "lists"),
+        # wider than any row struct: the first row's width check names it
+        (good_header(joint_dims=[10**30, 3]), rf"row 0 \(line 2\): 3 entries, expected {10**30 + 4}"),
     ]
     for header, fragment in cases:
         path = write_lines(tmp_path, header, '[0.0, 0.0, "a"]')
